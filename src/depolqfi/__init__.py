@@ -20,7 +20,6 @@ from .correlated import (
     PairedBlockState,
     bit_profile,
     block_qfi,
-    block_qfi_rational,
     corr_vs_seq_gain,
     correlated_gain,
     correlated_qfi,
@@ -62,7 +61,6 @@ from .oracle import (
     verify,
 )
 from .protocols import (
-    BlochVector,
     ProtocolParams,
     QfiReport,
     SldComputation,

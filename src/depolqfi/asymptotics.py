@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .protocols import lam_pow
+from .protocols import _check_m, lam_pow
 
 FLOOR_NUDGE = 1e-9
 
@@ -127,8 +127,3 @@ def cramer_rao_bound(h: float) -> float:
     if h == 0.0:
         return math.inf
     return 1.0 / h
-
-
-def _check_m(m: int) -> None:
-    if m < 1 or int(m) != m:
-        raise DomainError(f"m must be an integer >= 1, got {m}")

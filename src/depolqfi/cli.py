@@ -10,9 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,10 +135,6 @@ def evaluate_point(
     )
 
 
-def _sweep_worker(args: tuple) -> ResultRow:
-    return evaluate_point(*args)
-
-
 def sweep_rows(
     protocol: str,
     ns: list[int],
@@ -148,22 +142,17 @@ def sweep_rows(
     r_grid: np.ndarray,
     lambda_grid: np.ndarray,
     include_limit: bool = False,
-    parallelism: int = 1,
 ) -> list[ResultRow]:
-    """Evaluate a full grid; rows come back sorted by (n, m, r, lambda)
-    regardless of execution order."""
-    points = [
-        (protocol, n, m, float(r), float(lam), include_limit)
+    """Evaluate a full grid; rows come back sorted by their own
+    (n, m, r, lambda), since evaluate_point overrides n for sqsc,
+    independent and sequential, and the grids may be unsorted."""
+    rows = [
+        evaluate_point(protocol, n, m, float(r), float(lam), include_limit)
         for n in ns
         for m in ms
         for r in r_grid
         for lam in lambda_grid
     ]
-    if parallelism > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_sweep_worker, points, chunksize=64))
-    else:
-        rows = [_sweep_worker(p) for p in points]
     rows.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
     return rows
 
@@ -215,7 +204,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _parse_grid(args.r_grid),
         _parse_grid(args.lambda_grid),
         include_limit=args.include_limit,
-        parallelism=args.parallel,
     )
     if args.format == "json":
         _write_lines(args.output, [json.dumps([row_to_dict(r) for r in rows], indent=2)])
@@ -314,7 +302,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
         preset["ms"],
         r_grid,
         lambda_grid,
-        parallelism=args.parallel,
     )
     _write_lines(args.output, [CSV_HEADER] + [row_to_csv(r) for r in rows])
     return 0
@@ -354,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--include-limit", action="store_true")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--output", "-o", default="-")
-    p_sweep.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table", help="optimal invocation-count tables")
@@ -382,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="named sweep presets for figure data")
     p_fig.add_argument("name", choices=sorted(list(FIGURE_PRESETS) + ["cutoff"]))
     p_fig.add_argument("--output", "-o", default="-")
-    p_fig.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     p_fig.set_defaults(func=cmd_figure)
 
     return parser

@@ -5,6 +5,11 @@ from identical polarization-r inputs; the channel then acts once on each of
 the m least significant qubits. The resulting density matrix splits into
 2x2 blocks on span{|x>, |N-x>} with N = 2^n - 1, which makes the QFI a
 finite combinatorial sum.
+
+A block depends on x only through the zero counts u (spectator bits) and
+v (channel bits). The m channel uses act on v as one (m+1)x(m+1) stochastic
+matrix T(lambda), so every block diagonal is an entry of H T^T with
+H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once.
 """
 
 from __future__ import annotations
@@ -13,11 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PositivityError, UndefinedGainError
 from .protocols import ProtocolParams, QfiReport, lam_pow, sequential_qfi, sqsc_qfi
 
 MAX_CLOSED_FORM_N = 60
+# Relative to the block's diagonal entry d: the block QFI is homogeneous of
+# degree 1 in the state's scale, which shrinks as 2^-(n+1) (1 +/- r)^n.
 BLOCK_EPS = 1e-13
 
 
@@ -95,16 +103,22 @@ def bit_profile(x: int, n: int, m: int) -> BitProfile:
     return BitProfile(x=x, j=u + v, u=u, v=v)
 
 
-def prep_coefficients(n: int, r: float) -> CoefficientTable:
-    """Coefficients of the prepared state for n qubits of polarization r."""
+def _unscaled_coefficients(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """2^(n+1) times the (d_j, c_j) of prep_coefficients."""
     _check_n(n)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"r must lie in [0, 1], got {r}")
-    scale = 0.5 ** (n + 1)
     j = np.arange(n + 1)
     plus = (1.0 + r) ** j * (1.0 - r) ** (n - j)
     minus = (1.0 + r) ** (n - j) * (1.0 - r) ** j
-    return CoefficientTable(n=n, r=r, d=scale * (plus + minus), c=scale * (plus - minus))
+    return plus + minus, plus - minus
+
+
+def prep_coefficients(n: int, r: float) -> CoefficientTable:
+    """Coefficients of the prepared state for n qubits of polarization r."""
+    d, c = _unscaled_coefficients(n, r)
+    scale = 0.5 ** (n + 1)
+    return CoefficientTable(n=n, r=r, d=scale * d, c=scale * c)
 
 
 def prepared_state(n: int, r: float) -> PairedBlockState:
@@ -127,139 +141,134 @@ def final_counterdiag(j: int, n: int, m: int, r: float, lam: float) -> float:
     return lam_pow(lam, m) * float(table.c[j])
 
 
-def _diag_sum(u: int, v: int, params: ProtocolParams, weights) -> float:
-    """Common kernel of final_diag and its lambda-derivative: sum over the
-    number of bit flips k with caller-supplied weights(k) in place of
-    q^k p^(m-k)."""
+def _transition(m: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """T(lambda) and dT/dlambda, acting on the zero count v of the m
+    channel bits.
+
+    T[v, v'] sums the bit-flip terms C(v, l) C(m-v, f) q^k p^(m-k), where l
+    of the v zeros and f of the m-v ones flip (k = l + f, v' = v - l + f).
+    All terms are positive, so T carries no cancellation.
+    """
+    p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
+    v, el, f = np.indices((m + 1,) * 3).reshape(3, -1)
+    keep = (el <= v) & (f <= m - v)
+    v, el, f = v[keep], el[keep], f[keep]
+    binom = np.array(
+        [[math.comb(a, b) for b in range(m + 1)] for a in range(m + 1)], dtype=float
+    )
+    coef = binom[v, el] * binom[m - v, f]
+    ks = np.arange(m + 1)
+    q_pow, p_pow = q**ks, p ** (m - ks)  # q^k and p^(m-k)
+    weight = q_pow * p_pow
+    # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2
+    p_pow_less = np.append(p_pow[1:], 0.0)  # p^(m-k-1); its factor m-k is 0 at k = m
+    q_pow_less = np.insert(q_pow[:-1], 0, 0.0)  # q^(k-1); its factor k is 0 at k = 0
+    d_weight = 0.5 * (m - ks) * q_pow * p_pow_less - 0.5 * ks * q_pow_less * p_pow
+    k = el + f
+    index = v * (m + 1) + v - el + f
+    size = (m + 1) ** 2
+    t = np.bincount(index, coef * weight[k], minlength=size)
+    dt = np.bincount(index, coef * d_weight[k], minlength=size)
+    return t.reshape(m + 1, m + 1), dt.reshape(m + 1, m + 1)
+
+
+def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal d, prepared counter-diagonal c and d/dlambda of d for every
+    zero-count profile, as arrays indexed [u, v] with u in 0..n-m and v in
+    0..m. All three omit the state's scale 2^-(n+1)."""
     n, m = params.n, params.m
-    if not 1 <= m <= n:
-        raise DomainError(f"m = {m} out of range 1..{n}")
+    if m > n:
+        raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
+    d, c = _unscaled_coefficients(n, params.r)
+    t, dt = _transition(m, params.lam)
+    window = sliding_window_view(d, m + 1)  # window[u, v'] = d[u + v']
+    return window @ t.T, sliding_window_view(c, m + 1), window @ dt.T
+
+
+def _block_entry(u: int, v: int, params: ProtocolParams, which: int) -> float:
+    n, m = params.n, params.m
     if not 0 <= u <= n - m:
         raise DomainError(f"u = {u} out of range 0..{n - m}")
     if not 0 <= v <= m:
         raise DomainError(f"v = {v} out of range 0..{m}")
-    d = prep_coefficients(n, params.r).d
-    total = 0.0
-    for k in range(m + 1):
-        w = weights(k)
-        if w == 0.0:
-            continue
-        inner = 0.0
-        for el in range(max(k + v - m, 0), min(k, v) + 1):
-            inner += math.comb(v, el) * math.comb(m - v, k - el) * d[u + v + k - 2 * el]
-        total += w * inner
-    return total
+    return 0.5 ** (n + 1) * float(_blocks(params)[which][u, v])
 
 
 def final_diag(u: int, v: int, params: ProtocolParams) -> float:
     """Diagonal entry of the final state for zero-count profile (u, v)."""
-    p, q, m = params.p, params.q, params.m
-    return _diag_sum(u, v, params, lambda k: q**k * p ** (m - k))
+    return _block_entry(u, v, params, 0)
 
 
 def final_diag_derivative(u: int, v: int, params: ProtocolParams) -> float:
     """Analytic d/dlambda of final_diag, using dp/dlambda = 1/2 and
     dq/dlambda = -1/2."""
-    p, q, m = params.p, params.q, params.m
-
-    def weight(k: int) -> float:
-        w = 0.0
-        if k < m:
-            w += 0.5 * (m - k) * q**k * p ** (m - k - 1)
-        if k > 0:
-            w -= 0.5 * k * q ** (k - 1) * p ** (m - k)
-        return w
-
-    return _diag_sum(u, v, params, weight)
+    return _block_entry(u, v, params, 2)
 
 
 def final_state(params: ProtocolParams) -> PairedBlockState:
     """Paired-block form of the final (post-channel) state."""
     n, m = params.n, params.m
-    if m > n:
-        raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
-    table = prep_coefficients(n, params.r)
-    lm = lam_pow(params.lam, m)
+    diag, counter, _ = _blocks(params)
+    scale = 0.5 ** (n + 1)
+    diag = scale * diag
+    counter = lam_pow(params.lam, m) * (scale * counter)
     blocks: dict[int, tuple[float, float]] = {}
     for x in range(2 ** (n - 1)):
         prof = bit_profile(x, n, m)
-        blocks[x] = (final_diag(prof.u, prof.v, params), lm * float(table.c[prof.j]))
+        blocks[x] = (float(diag[prof.u, prof.v]), float(counter[prof.u, prof.v]))
     return PairedBlockState(n=n, blocks=blocks)
 
 
-def block_qfi(d: float, c: float, d_dot: float, m: int, lam: float) -> float:
-    """QFI contribution of one 2x2 block with prepared counter-diagonal c.
+def block_qfi(d, c, d_dot, m: int, lam: float):
+    """QFI contribution of 2x2 blocks with prepared counter-diagonal c.
 
     Eigenvalue form: p_pm = d +/- lambda^m c has derivative
     pdot_pm = d_dot +/- m lambda^(m-1) c, and the block contributes
-    pdot^2 / p per branch. A vanishing branch contributes 0 when its
-    derivative also vanishes, +inf otherwise.
+    pdot^2 / p per branch. A branch below BLOCK_EPS * d has vanished: it
+    contributes 0 when its derivative is also below BLOCK_EPS * d, +inf
+    otherwise (a real rank drop, where the QFI is discontinuous). Takes
+    scalars, which give a float, or arrays, which give one value per block.
     """
-    lm = lam_pow(lam, m)
-    lm1 = lam_pow(lam, m - 1)
-    if d < abs(lm * c) - 1e-12:
-        raise PositivityError(f"block positivity violated: d={d}, lam^m c={lm * c}")
-    total = 0.0
+    d, c, d_dot = np.broadcast_arrays(d, c, d_dot)
+    lm_c = lam_pow(lam, m) * c
+    slope = m * lam_pow(lam, m - 1) * c
+    short = d < np.abs(lm_c) - 1e-12 * d
+    if np.any(short):
+        raise PositivityError(
+            f"block positivity violated: d={d[short][0]}, lam^m c={lm_c[short][0]}"
+        )
+    total = np.zeros(d.shape)
     for sign in (1.0, -1.0):
-        p = d + sign * lm * c
-        pdot = d_dot + sign * m * lm1 * c
-        if p < BLOCK_EPS:
-            if abs(pdot) < BLOCK_EPS:
-                continue
-            return math.inf
-        total += pdot * pdot / p
-    return total
-
-
-def block_qfi_rational(d: float, c: float, d_dot: float, m: int, lam: float) -> float:
-    """Equivalent rational form of block_qfi; retained as a cross-check,
-    valid when both branch eigenvalues are bounded away from zero."""
-    lm = lam_pow(lam, m)
-    lm1 = lam_pow(lam, m - 1)
-    lm2 = lam_pow(lam, 2 * m - 2)
-    denom = d * d - lm * lm * c * c
-    num = d * (d_dot * d_dot + m * m * lm2 * c * c) - 2.0 * m * lm * lm1 * d_dot * c * c
-    return 2.0 * num / denom
+        p = d + sign * lm_c
+        pdot = d_dot + sign * slope
+        live = np.where(np.abs(pdot) <= BLOCK_EPS * d, 0.0, math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total += np.where(p <= BLOCK_EPS * d, live, pdot * pdot / p)
+    return float(total) if total.ndim == 0 else total
 
 
 def correlated_qfi(params: ProtocolParams) -> QfiReport:
     """Total QFI of the correlated-state protocol (closed form)."""
-    n, m, lam = params.n, params.m, params.lam
-    _check_n(n)
-    if m > n:
-        raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
-    table = prep_coefficients(n, params.r)
-    total = 0.0
+    n, m = params.n, params.m
+    diag, counter, slope = _blocks(params)
+    # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
+    # u >= 1 when that bit is a spectator (m < n), v >= 1 when it is not.
     if m < n:
-        for v in range(m + 1):
-            for u in range(1, n - m + 1):
-                weight = math.comb(n - m - 1, u - 1) * math.comb(m, v)
-                h = block_qfi(
-                    final_diag(u, v, params),
-                    float(table.c[u + v]),
-                    final_diag_derivative(u, v, params),
-                    m,
-                    lam,
-                )
-                if math.isinf(h):
-                    return QfiReport(math.inf, math.inf, "closed_form", params)
-                total += weight * h
+        present = np.s_[1:, :]
+        weight = np.outer(_comb_row(n - m - 1), _comb_row(m))
     else:
-        for v in range(1, n + 1):
-            weight = math.comb(n - 1, v - 1)
-            h = block_qfi(
-                final_diag(0, v, params),
-                float(table.c[v]),
-                final_diag_derivative(0, v, params),
-                m,
-                lam,
-            )
-            if math.isinf(h):
-                return QfiReport(math.inf, math.inf, "closed_form", params)
-            total += weight * h
+        present = np.s_[:, 1:]
+        weight = _comb_row(n - 1)
+    h = block_qfi(diag[present], counter[present], slope[present], m, params.lam)
+    total = 0.5 ** (n + 1) * float(np.sum(weight * h))
     return QfiReport(
         value=total, per_channel=total / m, method="closed_form", params=params
     )
+
+
+def _comb_row(k: int) -> np.ndarray:
+    """C(k, 0..k) as floats."""
+    return np.array([math.comb(k, i) for i in range(k + 1)], dtype=float)
 
 
 def correlated_gain(params: ProtocolParams) -> GainRecord:

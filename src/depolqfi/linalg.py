@@ -30,7 +30,10 @@ def dim_cap() -> int:
     raw = os.environ.get("DEPOLQFI_MAX_DIM")
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DomainError(f"DEPOLQFI_MAX_DIM must be an integer, got {raw!r}") from None
     if cap < 2:
         raise DomainError(f"DEPOLQFI_MAX_DIM must be >= 2, got {cap}")
     return cap

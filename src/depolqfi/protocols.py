@@ -59,21 +59,6 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class BlochVector:
-    rx: float
-    ry: float
-    rz: float
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
-
-    def __post_init__(self) -> None:
-        if self.r > 1.0 + 1e-12:
-            raise DomainError(f"Bloch vector magnitude {self.r} exceeds 1")
-
-
-@dataclass(frozen=True)
 class SldComputation:
     """Symmetric logarithmic derivative L with the purity gap
     alpha = Tr(rho^2) - (Tr rho)^2 and the branch that produced it."""

@@ -218,7 +218,6 @@ def test_criterion_9_figure_data():
         [2, 3, 4],
         np.linspace(0.05, 0.95, 19),
         np.linspace(0.05, 0.95, 19),
-        parallelism=1,
     )
     gains = [row.gain_vs_seq for row in rows]
     ok = len(gains) == 3 * 19 * 19

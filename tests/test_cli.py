@@ -80,17 +80,15 @@ class TestSweep:
         keys = [(r.n, r.m, r.r, r.lam) for r in rows]
         assert keys == sorted(keys)
 
-    def test_parallel_matches_serial_byte_for_byte(self):
-        kwargs = dict(
-            protocol="correlated",
-            ns=[3],
-            ms=[1, 2],
-            r_grid=np.linspace(0.1, 0.9, 4),
-            lambda_grid=np.linspace(0.0, 0.9, 4),
+    def test_rows_sorted_after_protocol_overrides_n(self):
+        # sequential rows all carry n = 1, so only the sort interleaves the
+        # two requested n values by r
+        rows = sweep_rows(
+            "sequential", [2, 1], [1], np.linspace(0.5, 0.6, 2), np.array([0.5])
         )
-        serial = sweep_rows(**kwargs, parallelism=1)
-        parallel = sweep_rows(**kwargs, parallelism=4)
-        assert [row_to_csv(r) for r in serial] == [row_to_csv(r) for r in parallel]
+        assert [(row.n, row.r) for row in rows] == [
+            (1, 0.5), (1, 0.5), (1, 0.6), (1, 0.6)
+        ]
 
     def test_single_point_sweep_equals_eval(self):
         rows = sweep_rows(
@@ -129,7 +127,7 @@ class TestMain:
             [
                 "sweep", "--protocol", "sequential", "--m", "1,2",
                 "--r-grid", "0:1:3", "--lambda-grid", "0:0.9:3",
-                "--output", str(out), "--parallel", "1",
+                "--output", str(out),
             ]
         )
         assert code == 0
@@ -175,7 +173,7 @@ class TestMain:
         assert float(first[1]) == pytest.approx(math.exp(-0.5), rel=1e-9)
 
     def test_figure_preset(self, capsys):
-        code = main(["figure", "corr-gain-n2-m1", "--parallel", "1"])
+        code = main(["figure", "corr-gain-n2-m1"])
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
         assert out[0] == CSV_HEADER
@@ -207,11 +205,19 @@ class TestMain:
         )
         assert code == 4
 
+    def test_malformed_dim_cap_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "abc")
+        code = main(
+            ["verify", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5"]
+        )
+        assert code == 2
+        assert "error: DEPOLQFI_MAX_DIM" in capsys.readouterr().err
+
     def test_io_failure_exit_3(self, tmp_path):
         code = main(
             [
                 "sweep", "--protocol", "sqsc", "--r-grid", "0:1:2",
-                "--lambda-grid", "0:0.5:2", "--parallel", "1",
+                "--lambda-grid", "0:0.5:2",
                 "--output", str(tmp_path / "missing" / "out.csv"),
             ]
         )
@@ -221,7 +227,7 @@ class TestMain:
         code = main(
             [
                 "sweep", "--protocol", "sqsc", "--r-grid", "0:1",
-                "--lambda-grid", "0:0.5:2", "--parallel", "1",
+                "--lambda-grid", "0:0.5:2",
             ]
         )
         assert code == 2

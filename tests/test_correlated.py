@@ -7,7 +7,6 @@ from depolqfi.correlated import (
     MAX_CLOSED_FORM_N,
     bit_profile,
     block_qfi,
-    block_qfi_rational,
     corr_vs_seq_gain,
     correlated_gain,
     correlated_qfi,
@@ -239,17 +238,23 @@ class TestBlockQfi:
             oracle = float(np.sum(2 * elems / psum))
             assert block_qfi(d, c, d_dot, m, lam) == pytest.approx(oracle, rel=1e-6)
 
-    def test_rational_form_agreement(self):
-        rng = np.random.default_rng(31)
-        for _ in range(60):
-            m = int(rng.integers(1, 6))
-            lam = rng.uniform(0.05, 0.95)
-            c = rng.uniform(-0.2, 0.2)
-            d = abs(lam**m * c) + rng.uniform(0.02, 0.4)
-            d_dot = rng.uniform(-0.3, 0.3)
-            assert block_qfi(d, c, d_dot, m, lam) == pytest.approx(
-                block_qfi_rational(d, c, d_dot, m, lam), rel=1e-10
-            )
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        c = rng.uniform(-0.2, 0.2, 12)
+        d = np.abs(c) + rng.uniform(0.0, 0.3, 12)
+        d[0], c[0] = 0.0, 0.0  # an empty block
+        d_dot = rng.uniform(-0.3, 0.3, 12)
+        d_dot[0] = 0.0
+        h = block_qfi(d, c, d_dot, 2, 0.6)
+        assert h.shape == (12,)
+        assert list(h) == [block_qfi(*args, 2, 0.6) for args in zip(d, c, d_dot)]
+
+    def test_thresholds_scale_with_d(self):
+        # the block QFI is homogeneous of degree 1 in (d, c, d_dot)
+        base = block_qfi(0.5, 0.3, 0.1, 2, 0.7)
+        for scale in (1e-20, 1e-40, 1e20):
+            scaled = block_qfi(0.5 * scale, 0.3 * scale, 0.1 * scale, 2, 0.7)
+            assert scaled == pytest.approx(base * scale, rel=1e-14, abs=0.0)
 
     def test_vanishing_branch_with_live_derivative_is_infinite(self):
         # p_- = 0 but pdot_- != 0
@@ -308,6 +313,79 @@ class TestCorrelatedQfi:
     def test_m_greater_than_n_rejected(self):
         with pytest.raises(DomainError):
             correlated_qfi(params(3, 4, 0.5, 0.5))
+
+
+def _double_sum_qfi(n, m, r, lam):
+    """The QFI as the sum over blocks (u, v) of bit-flip double sums, at 50
+    digits: the sum counts k flips, l of them among the v channel zeros."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r, lam = mpmath.mpf(r), mpmath.mpf(lam)
+        p, q = (1 + lam) / 2, (1 - lam) / 2
+        plus = [(1 + r) ** j * (1 - r) ** (n - j) for j in range(n + 1)]
+        d = [plus[j] + plus[n - j] for j in range(n + 1)]
+        c = [plus[j] - plus[n - j] for j in range(n + 1)]
+        w = [q**k * p ** (m - k) for k in range(m + 1)]
+        dw = [
+            ((m - k) * q**k * p ** (m - k - 1) if k < m else 0) / 2
+            - (k * q ** (k - 1) * p ** (m - k) if k > 0 else 0) / 2
+            for k in range(m + 1)
+        ]
+        if m < n:
+            blocks = [
+                (u, v, math.comb(n - m - 1, u - 1) * math.comb(m, v))
+                for u in range(1, n - m + 1)
+                for v in range(m + 1)
+            ]
+        else:
+            blocks = [(0, v, math.comb(n - 1, v - 1)) for v in range(1, n + 1)]
+        total = mpmath.mpf(0)
+        for u, v, weight in blocks:
+            diag = slope = mpmath.mpf(0)
+            for k in range(m + 1):
+                inner = sum(
+                    math.comb(v, el) * math.comb(m - v, k - el) * d[u + v + k - 2 * el]
+                    for el in range(max(k + v - m, 0), min(k, v) + 1)
+                )
+                diag += w[k] * inner
+                slope += dw[k] * inner
+            for sign in (1, -1):
+                eig = diag + sign * lam**m * c[u + v]
+                eig_dot = slope + sign * m * lam ** (m - 1) * c[u + v]
+                total += weight * eig_dot**2 / eig
+        return float(total / 2 ** (n + 1))
+
+
+class TestHighPrecisionReference:
+    @pytest.mark.parametrize(
+        "n, m, r, lam",
+        [
+            (10, 3, 0.35, 0.8),
+            (10, 10, 0.95, 0.05),
+            (12, 1, 0.8, 0.9),
+            (12, 12, 0.9, 0.5),
+            (14, 7, 0.65, 0.2),
+            (14, 13, 0.05, 0.95),
+        ],
+    )
+    def test_mid_size(self, n, m, r, lam):
+        value = correlated_qfi(params(n, m, r, lam)).value
+        assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, m, r, lam, expected",
+        [
+            # tiny but nonzero blocks: an absolute threshold reports inf here
+            (11, 1, 0.99, 0.95, 14.0592194058077),
+            (40, 20, 0.5, 0.7, 5.6702203114275),
+            (60, 30, 0.5, 0.7, 8.54265996012069),
+        ],
+    )
+    def test_small_blocks_stay_finite(self, n, m, r, lam, expected):
+        value = correlated_qfi(params(n, m, r, lam)).value
+        reference = _double_sum_qfi(n, m, r, lam)
+        assert reference == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(reference, rel=1e-12)
 
 
 class TestGains:
