@@ -49,7 +49,7 @@ from .errors import (
     PositivityError,
     UndefinedGainError,
 )
-from .linalg import Spectrum, hermitian_eig, kron, partial_trace, partial_transpose
+from .linalg import Spectrum, hermitian_eig, partial_trace, partial_transpose
 from .oracle import (
     VerificationReport,
     apply_depolarizing,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 DEFAULT_DIM_CAP = 2**12
 HERMITIAN_TOL = 1e-12
@@ -47,17 +47,6 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; the right factor is the less significant one."""
-    da = _check_square(a, "left factor")
-    db = _check_square(b, "right factor")
-    if da * db > dim_cap():
-        raise CapacityError(
-            f"kron would produce dimension {da * db} > cap {dim_cap()}"
-        )
-    return np.kron(a, b)
 
 
 def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:

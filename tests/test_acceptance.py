@@ -24,7 +24,7 @@ from depolqfi.correlations import (
     separability_threshold,
     two_qubit_final_matrix,
 )
-from depolqfi.linalg import hermitian_eig, kron, partial_transpose
+from depolqfi.linalg import hermitian_eig, partial_transpose
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
@@ -75,7 +75,7 @@ def test_criterion_3_oracle_equivalence():
     worst_rel = 0.0
     worst_state = 0.0
     count = 0
-    for n in range(1, 7):
+    for n in range(1, 9):
         for m in range(1, n + 1):
             for r in (0.0, 0.1, 0.5, 0.9, 1.0):
                 for lam in (0.0, 0.3, 0.7, 0.99):
@@ -200,7 +200,7 @@ def test_criterion_8_discord_suite():
         for r in (0.3, 0.8, 1.0):
             for lam in (0.2, 0.6, 0.95):
                 inter = discord_intermediates(m, r, lam)
-                u2 = kron(DISCORD_ROTATION, DISCORD_ROTATION)
+                u2 = np.kron(DISCORD_ROTATION, DISCORD_ROTATION)
                 rho = two_qubit_final_matrix(m, r, lam)
                 spectrum = 4.0 * hermitian_eig(u2 @ rho @ u2.conj().T).eigenvalues
                 mus = np.sort([inter.mu0, inter.mu1, inter.mu2, inter.mu3])

@@ -15,7 +15,7 @@ from depolqfi.correlations import (
     two_qubit_final_matrix,
 )
 from depolqfi.errors import DomainError
-from depolqfi.linalg import hermitian_eig, kron
+from depolqfi.linalg import hermitian_eig
 from depolqfi.oracle import oracle_final_state
 from depolqfi.protocols import ProtocolParams
 
@@ -119,7 +119,7 @@ class TestDiscord:
                 for lam in (0.2, 0.6, 0.95):
                     inter = discord_intermediates(m, r, lam)
                     rho = two_qubit_final_matrix(m, r, lam)
-                    u2 = kron(DISCORD_ROTATION, DISCORD_ROTATION)
+                    u2 = np.kron(DISCORD_ROTATION, DISCORD_ROTATION)
                     rotated = u2 @ rho @ u2.conj().T
                     spectrum = 4.0 * hermitian_eig(rotated).eigenvalues
                     mus = np.sort(

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from depolqfi.errors import CapacityError, DomainError
+from depolqfi.errors import DomainError
 from depolqfi.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -23,41 +21,6 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(I2, I2), np.eye(4))
-
-    def test_qubit_index_convention(self):
-        # qubit 1 is the least significant bit: sigma_z on qubit 2 sees
-        # bit x2 = 0 of |01> and leaves it with eigenvalue +1
-        op = kron(SIGMA_Z, I2)
-        ket01 = np.zeros(4)
-        ket01[0b01] = 1.0
-        np.testing.assert_allclose(op @ ket01, ket01)
-
-    def test_sigma_y_pair_entry(self):
-        # hand expansion: (0,3) entry of sigma_y x sigma_y is (-i)(-i) = -1
-        assert kron(SIGMA_Y, SIGMA_Y)[0, 3] == pytest.approx(-1.0)
-
-    def test_capacity_error(self, monkeypatch):
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "4")
-        with pytest.raises(CapacityError):
-            kron(np.eye(4), I2)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DomainError):
-            kron(np.ones((2, 3)), I2)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = random_hermitian(rng, 2)
-            b = random_hermitian(rng, 4)
-            assert np.trace(kron(a, b)) == pytest.approx(
-                np.trace(a) * np.trace(b), abs=1e-12
-            )
 
 
 class TestPartialTrace:
@@ -77,7 +40,7 @@ class TestPartialTrace:
     def test_product_state_factorization(self):
         r = 0.37
         single = (I2 + r * SIGMA_Y) / 2
-        rho = kron(single, single)
+        rho = np.kron(single, single)
         np.testing.assert_allclose(partial_trace(rho, 2, 2), single, atol=1e-12)
 
     def test_recovers_factors_random(self):
@@ -85,7 +48,7 @@ class TestPartialTrace:
         for _ in range(15):
             a = random_density(rng, 2)
             b = random_density(rng, 2)
-            rho = kron(a, b)  # a on qubit 2, b on qubit 1
+            rho = np.kron(a, b)  # a on qubit 2, b on qubit 1
             np.testing.assert_allclose(partial_trace(rho, 1, 2), a, atol=1e-12)
             np.testing.assert_allclose(partial_trace(rho, 2, 2), b, atol=1e-12)
 
@@ -104,9 +67,9 @@ class TestPartialTranspose:
         rng = np.random.default_rng(5)
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        rho = kron(a, b)
+        rho = np.kron(a, b)
         pt = partial_transpose(rho, 1, 2)
-        np.testing.assert_allclose(pt, kron(a, b.T), atol=1e-14)
+        np.testing.assert_allclose(pt, np.kron(a, b.T), atol=1e-14)
 
     def test_result_hermitian(self):
         rng = np.random.default_rng(9)

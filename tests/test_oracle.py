@@ -5,7 +5,7 @@ import pytest
 
 from depolqfi.correlated import correlated_qfi, final_state, prepared_state
 from depolqfi.errors import CapacityError, DomainError
-from depolqfi.linalg import I2, SIGMA_Y, kron, partial_trace
+from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace
 from depolqfi.oracle import (
     apply_depolarizing,
     apply_uprep,
@@ -121,8 +121,23 @@ class TestChannel:
         rho = apply_uprep(initial_product_state(2, 0.9), 2)
         out = apply_depolarizing(rho, 1, 0.0, 2)
         np.testing.assert_allclose(
-            out, kron(partial_trace(rho, 1, 2), I2 / 2), atol=1e-13
+            out, np.kron(partial_trace(rho, 1, 2), I2 / 2), atol=1e-13
         )
+        # and equal the Pauli twirl (rho + X rho X + Y rho Y + Z rho Z)/4
+        # with each Pauli embedded at the qubit's slot (qubit 1 rightmost)
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        for qubit in (1, 2, 3):
+            left, right = np.eye(2 ** (3 - qubit)), np.eye(2 ** (qubit - 1))
+            twirl = rho.copy()
+            for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+                op = np.kron(np.kron(left, pauli), right)
+                twirl += op @ rho @ op
+            np.testing.assert_allclose(
+                apply_depolarizing(rho, qubit, 0.0, 3), twirl / 4, atol=1e-14
+            )
 
     def test_qubit_out_of_range(self):
         with pytest.raises(DomainError):
@@ -142,24 +157,37 @@ class TestDerivative:
         assert abs(np.trace(d)) <= 1e-14
 
     def test_finite_difference(self):
-        rho = apply_uprep(initial_product_state(3, 0.6), 3)
-        lam, eps, m = 0.55, 1e-6, 3
+        lam, eps = 0.55, 1e-6
+        for n, m in ((3, 1), (3, 3), (4, 4)):
+            rho = apply_uprep(initial_product_state(n, 0.6), n)
 
-        def pipeline(lam_val):
-            out = rho
-            for qubit in range(1, m + 1):
-                out = apply_depolarizing(out, qubit, lam_val, 3)
-            return out
+            def pipeline(lam_val):
+                out = rho
+                for qubit in range(1, m + 1):
+                    out = apply_depolarizing(out, qubit, lam_val, n)
+                return out
 
-        fd = (pipeline(lam + eps) - pipeline(lam - eps)) / (2 * eps)
-        exact = channel_derivative(rho, m, lam, 3)
-        assert np.max(np.abs(fd - exact)) <= 1e-9
+            fd = (pipeline(lam + eps) - pipeline(lam - eps)) / (2 * eps)
+            exact = channel_derivative(rho, m, lam, n)
+            assert np.max(np.abs(fd - exact)) <= 1e-9
 
 
 class TestSpectralQfi:
     def test_zero_for_static_state(self):
+        # the rank-deficient diag(1, 0) too: no derivative, no divergence
+        for diag in ([0.6, 0.4], [1.0, 0.0]):
+            rho = np.diag(diag).astype(complex)
+            assert spectral_qfi(rho, np.zeros((2, 2), dtype=complex)) == 0.0
+
+    def test_homogeneous_of_degree_one(self):
+        # scaling (rho, drho) by c scales the QFI by c, down to tiny c;
+        # at c = 1: 2(0.1^2/1.2 + 0.1^2/0.8) + 2 * 2 * 0.05^2 = 31/600
         rho = np.diag([0.6, 0.4]).astype(complex)
-        assert spectral_qfi(rho, np.zeros((2, 2), dtype=complex)) == 0.0
+        drho = np.array([[0.1, 0.05j], [-0.05j, -0.1]])
+        for c in (1.0, 1e-12, 1e-20):
+            assert spectral_qfi(c * rho, c * drho) == pytest.approx(
+                c * 31 / 600, rel=1e-12, abs=0.0
+            )
 
     def test_reproduces_sqsc(self):
         for r in (0.2, 0.7, 1.0):
@@ -228,3 +256,25 @@ class TestVerify:
         p = params(4, 4, 0.7, 0.3)
         rho_f, _ = oracle_final_state(p)
         assert np.max(np.abs(final_state(p).to_dense() - rho_f)) <= 1e-13
+
+    def test_random_points_pass(self):
+        # lambda stops at 0.99: nearer 1 with r near 1 the oracle's inf test
+        # misfires on a finite QFI
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(
+            max_examples=50, derandomize=True, database=None, deadline=None
+        )
+        @hypothesis.given(
+            nm=st.integers(1, 7).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(1, n))
+            ),
+            r=st.floats(0.0, 1.0),
+            lam=st.floats(0.0, 0.99),
+        )
+        def check(nm, r, lam):
+            report = verify(params(*nm, r, lam))
+            assert report.pass_, report
+
+        check()
