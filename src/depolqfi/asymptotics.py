@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .protocols import _check_m, lam_pow
+from .protocols import check_params
 
 FLOOR_NUDGE = 1e-9
 
@@ -50,22 +50,22 @@ def lowr_sqsc(r: float) -> float:
 
 def lowr_sequential_per_channel(m: int, r: float, lam: float) -> float:
     """Sequential per-channel QFI to lowest order in r."""
-    _check_m(m)
-    return m * lam_pow(lam, 2 * m - 2) * r * r
+    check_params(m=m)
+    return m * lam ** (2 * m - 2) * r * r
 
 
 def lowr_correlated_per_channel(n: int, m: int, r: float, lam: float) -> float:
     """Correlated-protocol per-channel QFI to lowest order in r."""
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return m * n * lam_pow(lam, 2 * m - 2) * r * r
+    return m * n * lam ** (2 * m - 2) * r * r
 
 
 def sequential_cutoff(m: int) -> CutoffCurve:
     """Channel-parameter cutoff m^(1/(2-2m)) above which m sequential uses
     beat the SQSC baseline at low polarization; m = 1 reports the limit
     value e^(-1/2)."""
-    _check_m(m)
+    check_params(m=m)
     cutoff = math.exp(-0.5) if m == 1 else float(m) ** (1.0 / (2.0 - 2.0 * m))
     return CutoffCurve(m=m, cutoff=cutoff, squared_cutoff=cutoff * cutoff)
 
@@ -103,9 +103,9 @@ def optimal_invocations(lam: float, mode: str) -> OptimalInvocation:
     else:
         m_opt, tie = floored + 1, None
     if mode == "spectator":
-        coeff = m_opt * lam_pow(lam, 2 * m_opt - 2)
+        coeff = m_opt * lam ** (2 * m_opt - 2)
     else:
-        coeff = m_opt * m_opt * lam_pow(lam, 2 * m_opt - 2)
+        coeff = m_opt * m_opt * lam ** (2 * m_opt - 2)
     return OptimalInvocation(
         lam=lam, mode=mode, m_opt=m_opt, tie_partner=tie,
         optimal_gain_coefficient=coeff,

@@ -27,6 +27,8 @@ CSV_HEADER = (
     "gain_vs_sqsc,gain_vs_seq,crb_variance_bound,method"
 )
 
+CSV_COLUMNS = CSV_HEADER.split(",")
+
 PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
 
 
@@ -53,86 +55,82 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.9e}"
 
 
+def _csv_fields(row: ResultRow) -> list[str]:
+    return [
+        row.protocol,
+        str(row.n),
+        str(row.m),
+        _fmt(row.r),
+        _fmt(row.lam),
+        _fmt(row.qfi),
+        _fmt(row.qfi_per_channel),
+        _fmt(row.gain_vs_sqsc),
+        _fmt(row.gain_vs_seq),
+        _fmt(row.crb_variance_bound),
+        row.method,
+    ]
+
+
 def row_to_csv(row: ResultRow) -> str:
-    return ",".join(
-        [
-            row.protocol,
-            str(row.n),
-            str(row.m),
-            _fmt(row.r),
-            _fmt(row.lam),
-            _fmt(row.qfi),
-            _fmt(row.qfi_per_channel),
-            _fmt(row.gain_vs_sqsc),
-            _fmt(row.gain_vs_seq),
-            _fmt(row.crb_variance_bound),
-            row.method,
-        ]
-    )
+    return ",".join(_csv_fields(row))
 
 
 def row_to_dict(row: ResultRow) -> dict:
-    return {
-        "protocol": row.protocol,
-        "n": row.n,
-        "m": row.m,
-        "r": row.r,
-        "lambda": row.lam,
-        "qfi": _fmt(row.qfi),
-        "qfi_per_channel": _fmt(row.qfi_per_channel),
-        "gain_vs_sqsc": _fmt(row.gain_vs_sqsc),
-        "gain_vs_seq": _fmt(row.gain_vs_seq),
-        "crb_variance_bound": _fmt(row.crb_variance_bound),
-        "method": row.method,
-    }
+    """The CSV fields keyed by column, with n, m, r and lambda as numbers."""
+    data = dict(zip(CSV_COLUMNS, _csv_fields(row)))
+    data.update(n=row.n, m=row.m, r=row.r)
+    data["lambda"] = row.lam
+    return data
+
+
+def _gains(per_channel, ref, usable: np.ndarray) -> list[Optional[float]]:
+    """per_channel / ref where usable and ref != 0, None elsewhere."""
+    usable = usable & (ref != 0.0)
+    ratio = per_channel / np.where(usable, ref, 1.0)
+    return [
+        g if ok else None
+        for g, ok in zip(np.ravel(ratio).tolist(), np.ravel(usable).tolist())
+    ]
+
+
+def evaluate_grid(
+    protocol: str, n: int, m: int, r, lam, include_limit: bool = False
+) -> list[ResultRow]:
+    """Evaluate one protocol for one (n, m) at every point of the equally
+    shaped arrays r and lam, in their flat order. A gain is empty where
+    r = 0, where lambda = 1 or where its reference QFI is 0."""
+    if protocol not in PROTOCOLS:
+        raise DomainError(f"unknown protocol {protocol!r}")
+    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+    if protocol in ("sqsc", "independent"):
+        # sqsc is the independent protocol on one qubit
+        n = m = 1 if protocol == "sqsc" else m
+        report = independent_qfi(m, r, lam)
+    elif protocol == "sequential":
+        n = 1
+        report = sequential_qfi(m, r, lam)
+    else:  # correlated / corr_vs_seq
+        report = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
+    value, per_channel = report.value, report.per_channel
+
+    usable = (r > 0.0) & (lam < 1.0)
+    lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
+    refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref).per_channel
+    with np.errstate(divide="ignore"):
+        crb = np.divide(1.0, value)  # inf at a zero QFI, 0 at an infinite one
+    columns = [np.ravel(a).tolist() for a in (r, lam, value, per_channel)]
+    columns += [_gains(per_channel, ref, usable) for ref in refs]
+    columns.append(np.ravel(crb).tolist())
+    return [
+        ResultRow(protocol, n, m, *fields, "closed_form") for fields in zip(*columns)
+    ]
 
 
 def evaluate_point(
     protocol: str, n: int, m: int, r: float, lam: float, include_limit: bool = False
 ) -> ResultRow:
     """Evaluate one protocol at one parameter point."""
-    if protocol not in PROTOCOLS:
-        raise DomainError(f"unknown protocol {protocol!r}")
-    if protocol == "sqsc":
-        n, m = 1, 1
-        value = sqsc_qfi(r, lam)
-        per_channel = value
-    elif protocol == "independent":
-        n = m
-        report = independent_qfi(m, r, lam)
-        value, per_channel = report.value, report.per_channel
-    elif protocol == "sequential":
-        n = 1
-        report = sequential_qfi(m, r, lam)
-        value, per_channel = report.value, report.per_channel
-    else:  # correlated / corr_vs_seq
-        params = ProtocolParams(n=n, m=m, r=r, lam=lam, include_limit=include_limit)
-        report = correlated_qfi(params)
-        value, per_channel = report.value, report.per_channel
-
-    baseline = sqsc_qfi(r, lam) if lam < 1.0 else None
-    gain_vs_sqsc = None
-    if r > 0.0 and baseline:
-        gain_vs_sqsc = per_channel / baseline
-    gain_vs_seq = None
-    if r > 0.0:
-        seq_pc = sequential_qfi(m, r, lam).per_channel if lam < 1.0 else None
-        if seq_pc:
-            gain_vs_seq = per_channel / seq_pc
-    crb = math.inf if value == 0.0 else (0.0 if math.isinf(value) else 1.0 / value)
-    return ResultRow(
-        protocol=protocol,
-        n=n,
-        m=m,
-        r=r,
-        lam=lam,
-        qfi=value,
-        qfi_per_channel=per_channel,
-        gain_vs_sqsc=gain_vs_sqsc,
-        gain_vs_seq=gain_vs_seq,
-        crb_variance_bound=crb,
-        method="closed_form",
-    )
+    return evaluate_grid(protocol, n, m, r, lam, include_limit)[0]
 
 
 def sweep_rows(
@@ -143,29 +141,34 @@ def sweep_rows(
     lambda_grid: np.ndarray,
     include_limit: bool = False,
 ) -> list[ResultRow]:
-    """Evaluate a full grid; rows come back sorted by their own
-    (n, m, r, lambda), since evaluate_point overrides n for sqsc,
-    independent and sequential, and the grids may be unsorted."""
+    """Evaluate a full grid, one array evaluation per (n, m); rows come
+    back sorted by their own (n, m, r, lambda), since evaluate_grid
+    overrides n for sqsc, independent and sequential, and the grids may be
+    unsorted."""
+    r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
     rows = [
-        evaluate_point(protocol, n, m, float(r), float(lam), include_limit)
+        row
         for n in ns
         for m in ms
-        for r in r_grid
-        for lam in lambda_grid
+        for row in evaluate_grid(protocol, n, m, r, lam, include_limit)
     ]
     rows.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
     return rows
 
 
 def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok]
+    try:
+        return [int(tok) for tok in raw.split(",") if tok]
+    except ValueError:
+        raise DomainError(f"expected comma-separated integers, got {raw!r}") from None
 
 
 def _parse_grid(raw: str) -> np.ndarray:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"grid must be start:stop:count, got {raw!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = raw.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
     return np.linspace(start, stop, count)

@@ -9,7 +9,8 @@ finite combinatorial sum.
 A block depends on x only through the zero counts u (spectator bits) and
 v (channel bits). The m channel uses act on v as one (m+1)x(m+1) stochastic
 matrix T(lambda), so every block diagonal is an entry of H T^T with
-H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once.
+H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for a whole
+array of (r, lambda) points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PositivityError, UndefinedGainError
-from .protocols import ProtocolParams, QfiReport, lam_pow, sequential_qfi, sqsc_qfi
+from .protocols import ProtocolParams, QfiReport, check_params, sequential_qfi, sqsc_qfi
 
 MAX_CLOSED_FORM_N = 60
 # Relative to the block's diagonal entry d: the block QFI is homogeneous of
@@ -84,8 +85,6 @@ class GainRecord:
 
 
 def _check_n(n: int) -> None:
-    if n < 1 or int(n) != n:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
     if n > MAX_CLOSED_FORM_N:
         raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
 
@@ -103,11 +102,10 @@ def bit_profile(x: int, n: int, m: int) -> BitProfile:
     return BitProfile(x=x, j=u + v, u=u, v=v)
 
 
-def _unscaled_coefficients(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """2^(n+1) times the (d_j, c_j) of prep_coefficients."""
-    _check_n(n)
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """2^(n+1) times the (d_j, c_j) of prep_coefficients, along a last axis
+    j = 0..n appended to the shape of r."""
+    r = np.asarray(r, dtype=float)[..., np.newaxis]
     j = np.arange(n + 1)
     plus = (1.0 + r) ** j * (1.0 - r) ** (n - j)
     minus = (1.0 + r) ** (n - j) * (1.0 - r) ** j
@@ -116,6 +114,8 @@ def _unscaled_coefficients(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 def prep_coefficients(n: int, r: float) -> CoefficientTable:
     """Coefficients of the prepared state for n qubits of polarization r."""
+    check_params(n=n, r=r)
+    _check_n(n)
     d, c = _unscaled_coefficients(n, r)
     scale = 0.5 ** (n + 1)
     return CoefficientTable(n=n, r=r, d=scale * d, c=scale * c)
@@ -138,51 +138,57 @@ def final_counterdiag(j: int, n: int, m: int, r: float, lam: float) -> float:
     if not 1 <= m <= n:
         raise DomainError(f"m = {m} out of range 1..{n}")
     table = prep_coefficients(n, r)
-    return lam_pow(lam, m) * float(table.c[j])
+    return lam**m * float(table.c[j])
 
 
-def _transition(m: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _transition(m: int, lam) -> np.ndarray:
     """T(lambda) and dT/dlambda, acting on the zero count v of the m
-    channel bits.
+    channel bits, stacked with shape (2,) + lam.shape + (m+1, m+1).
 
     T[v, v'] sums the bit-flip terms C(v, l) C(m-v, f) q^k p^(m-k), where l
     of the v zeros and f of the m-v ones flip (k = l + f, v' = v - l + f).
-    All terms are positive, so T carries no cancellation.
+    (k, v, v') fixes l and f, so T = w @ flips and dT/dlambda = w' @ flips,
+    with w_k = q^k p^(m-k) and the lambda-free table
+    flips[k, v, v'] = C(v, l) C(m-v, f). All terms are positive, so T
+    carries no cancellation.
     """
-    p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     v, el, f = np.indices((m + 1,) * 3).reshape(3, -1)
     keep = (el <= v) & (f <= m - v)
     v, el, f = v[keep], el[keep], f[keep]
     binom = np.array(
         [[math.comb(a, b) for b in range(m + 1)] for a in range(m + 1)], dtype=float
     )
-    coef = binom[v, el] * binom[m - v, f]
+    flips = np.zeros((m + 1,) * 3)
+    flips[el + f, v, v - el + f] = binom[v, el] * binom[m - v, f]
+    flips = flips.reshape(m + 1, -1)
+    lam = np.asarray(lam, dtype=float)[..., np.newaxis]
+    p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     ks = np.arange(m + 1)
     q_pow, p_pow = q**ks, p ** (m - ks)  # q^k and p^(m-k)
     weight = q_pow * p_pow
-    # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2
-    p_pow_less = np.append(p_pow[1:], 0.0)  # p^(m-k-1); its factor m-k is 0 at k = m
-    q_pow_less = np.insert(q_pow[:-1], 0, 0.0)  # q^(k-1); its factor k is 0 at k = 0
-    d_weight = 0.5 * (m - ks) * q_pow * p_pow_less - 0.5 * ks * q_pow_less * p_pow
-    k = el + f
-    index = v * (m + 1) + v - el + f
-    size = (m + 1) ** 2
-    t = np.bincount(index, coef * weight[k], minlength=size)
-    dt = np.bincount(index, coef * d_weight[k], minlength=size)
-    return t.reshape(m + 1, m + 1), dt.reshape(m + 1, m + 1)
+    # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2;
+    # an exponent is clipped at 0 only where its factor m-k or k is 0
+    d_weight = 0.5 * (
+        (m - ks) * q_pow * p ** np.maximum(m - ks - 1, 0)
+        - ks * q ** np.maximum(ks - 1, 0) * p_pow
+    )
+    weights = np.stack([weight, d_weight])
+    return (weights @ flips).reshape(weights.shape[:-1] + (m + 1, m + 1))
 
 
 def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal d, prepared counter-diagonal c and d/dlambda of d for every
-    zero-count profile, as arrays indexed [u, v] with u in 0..n-m and v in
-    0..m. All three omit the state's scale 2^-(n+1)."""
+    zero-count profile, as arrays indexed [..., u, v] with u in 0..n-m and v
+    in 0..m. d and its derivative lead with the broadcast shape of r and
+    lam, c with the shape of r. All three omit the state's scale 2^-(n+1)."""
     n, m = params.n, params.m
+    _check_n(n)
     if m > n:
         raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
     d, c = _unscaled_coefficients(n, params.r)
-    t, dt = _transition(m, params.lam)
-    window = sliding_window_view(d, m + 1)  # window[u, v'] = d[u + v']
-    return window @ t.T, sliding_window_view(c, m + 1), window @ dt.T
+    window = sliding_window_view(d, m + 1, axis=-1)  # [..., u, v'] = d[..., u + v']
+    diag, slope = window @ np.swapaxes(_transition(m, params.lam), -1, -2)
+    return diag, sliding_window_view(c, m + 1, axis=-1), slope
 
 
 def _block_entry(u: int, v: int, params: ProtocolParams, which: int) -> float:
@@ -211,7 +217,7 @@ def final_state(params: ProtocolParams) -> PairedBlockState:
     diag, counter, _ = _blocks(params)
     scale = 0.5 ** (n + 1)
     diag = scale * diag
-    counter = lam_pow(params.lam, m) * (scale * counter)
+    counter = params.lam**m * (scale * counter)
     blocks: dict[int, tuple[float, float]] = {}
     for x in range(2 ** (n - 1)):
         prof = bit_profile(x, n, m)
@@ -227,11 +233,12 @@ def block_qfi(d, c, d_dot, m: int, lam: float):
     pdot^2 / p per branch. A branch below BLOCK_EPS * d has vanished: it
     contributes 0 when its derivative is also below BLOCK_EPS * d, +inf
     otherwise (a real rank drop, where the QFI is discontinuous). Takes
-    scalars, which give a float, or arrays, which give one value per block.
+    scalars, which give a float, or arrays, which give one value per block;
+    lam broadcasts against them too.
     """
     d, c, d_dot = np.broadcast_arrays(d, c, d_dot)
-    lm_c = lam_pow(lam, m) * c
-    slope = m * lam_pow(lam, m - 1) * c
+    lm_c = lam**m * c
+    slope = m * lam ** (m - 1) * c
     short = d < np.abs(lm_c) - 1e-12 * d
     if np.any(short):
         raise PositivityError(
@@ -248,19 +255,22 @@ def block_qfi(d, c, d_dot, m: int, lam: float):
 
 
 def correlated_qfi(params: ProtocolParams) -> QfiReport:
-    """Total QFI of the correlated-state protocol (closed form)."""
+    """Total QFI of the correlated-state protocol (closed form). Arrays of r
+    and lambda in params give values over their broadcast shape."""
     n, m = params.n, params.m
     diag, counter, slope = _blocks(params)
     # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
     # u >= 1 when that bit is a spectator (m < n), v >= 1 when it is not.
     if m < n:
-        present = np.s_[1:, :]
+        present = np.s_[..., 1:, :]
         weight = np.outer(_comb_row(n - m - 1), _comb_row(m))
     else:
-        present = np.s_[:, 1:]
+        present = np.s_[..., :, 1:]
         weight = _comb_row(n - 1)
-    h = block_qfi(diag[present], counter[present], slope[present], m, params.lam)
-    total = 0.5 ** (n + 1) * float(np.sum(weight * h))
+    lam_blocks = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
+    h = block_qfi(diag[present], counter[present], slope[present], m, lam_blocks)
+    total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
+    total = float(total) if total.ndim == 0 else total
     return QfiReport(
         value=total, per_channel=total / m, method="closed_form", params=params
     )

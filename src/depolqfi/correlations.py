@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .linalg import hermitian_eig, partial_transpose
-from .protocols import lam_pow
+from .protocols import check_params
 
 PPT_TOL = 1e-12
 
@@ -45,23 +44,14 @@ class CorrelationReport:
     discord_initial: float
 
 
-def _check(m: int, r: float, lam: float) -> None:
-    if m < 1 or int(m) != m:
-        raise DomainError(f"m must be an integer >= 1, got {m}")
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-
-
 def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
     """Final two-qubit state in the computational basis (n = 2).
 
     lam = 1 is accepted as a limit evaluation and yields the prepared
     (pre-channel) state.
     """
-    _check(m, r, lam)
-    lm = lam_pow(lam, m)
+    check_params(m=m, r=r, lam=lam, include_limit=True)
+    lm = lam**m
     diag_plus = (1.0 + lm * r * r) / 4.0
     diag_minus = (1.0 - lm * r * r) / 4.0
     corner = 2.0 * r * lm / 4.0
@@ -83,7 +73,6 @@ def separability_threshold(m: int, lam: float) -> float:
 
 def ppt_analysis(m: int, r: float, lam: float) -> tuple[float, bool]:
     """Minimum eigenvalue of the partial transpose and the separable flag."""
-    _check(m, r, lam)
     rho = two_qubit_final_matrix(m, r, lam)
     pt = partial_transpose(rho, 1, 2)
     min_eig = float(hermitian_eig(pt).eigenvalues[0])
@@ -98,8 +87,8 @@ def _xlog2x(x: float) -> float:
 
 
 def discord_intermediates(m: int, r: float, lam: float) -> DiscordIntermediates:
-    _check(m, r, lam)
-    lm = lam_pow(lam, m)
+    check_params(m=m, r=r, lam=lam, include_limit=True)
+    lm = lam**m
     return DiscordIntermediates(
         mu0=1.0 - lm * r * r,
         mu1=1.0 + 2.0 * r * lm + lm * r * r,
@@ -125,8 +114,7 @@ def discord(m: int, r: float, lam: float) -> float:
 
 def discord_initial(r: float) -> float:
     """Discord of the prepared two-qubit state before any channel use."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    check_params(r=r)
     return 0.5 * (_xlog2x(1.0 + r) + _xlog2x(1.0 - r))
 
 

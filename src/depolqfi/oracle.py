@@ -18,9 +18,8 @@ import numpy as np
 from .correlated import correlated_qfi, final_state
 from .errors import CapacityError, DomainError
 from .linalg import HADAMARD, I2, SIGMA_Y, dim_cap, hermitian_eig
-from .protocols import ProtocolParams
+from .protocols import ProtocolParams, check_params
 
-QFI_EIG_EPS = 1e-12
 QFI_ELEM_EPS = 1e-9
 
 
@@ -45,10 +44,7 @@ def _check_capacity(n: int) -> None:
 
 def initial_product_state(n: int, r: float) -> np.ndarray:
     """n-fold tensor power of (I + r sigma_y)/2."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    check_params(n=n, r=r)
     _check_capacity(n)
     single = (I2 + r * SIGMA_Y) / 2.0
     rho = single
@@ -91,8 +87,7 @@ def apply_depolarizing(rho: np.ndarray, qubit: int, lam: float, n: int) -> np.nd
     """One depolarizing-channel invocation on the given qubit."""
     if not 1 <= qubit <= n:
         raise DomainError(f"qubit {qubit} out of range 1..{n}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_params(lam=lam, include_limit=True)
     return lam * rho + (1.0 - lam) * _mix(rho, qubit, n)
 
 
@@ -130,8 +125,10 @@ def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     elems = v.conj().T @ drho @ v
     psum = p[:, np.newaxis] + p[np.newaxis, :]
     mags = np.abs(elems)
-    # both thresholds are relative, so the QFI scales with (rho, drho)
-    small = psum < QFI_EIG_EPS * p[-1]
+    # eigh resolves eigenvalues only to about len(p) * eps * p_max; pairs
+    # summing below that are zero. Both thresholds are relative, so the QFI
+    # scales with (rho, drho).
+    small = psum < len(p) * np.finfo(float).eps * p[-1]
     if np.any(small & (mags > QFI_ELEM_EPS * mags.max())):
         return math.inf
     safe = ~small

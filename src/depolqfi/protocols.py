@@ -18,11 +18,20 @@ from .linalg import is_hermitian
 SLD_ALPHA_TOL = 1e-14
 
 
-def lam_pow(lam: float, k: int) -> float:
-    """lam**k with the convention 0**0 = 1."""
-    if k == 0:
-        return 1.0
-    return lam**k
+def check_params(n=1, m=1, r=0.0, lam=0.0, include_limit: bool = False) -> None:
+    """Raise DomainError unless n and m are integers >= 1, r lies in [0, 1]
+    and lambda in [0, 1), or in [0, 1] with include_limit. r and lambda may
+    be arrays; every entry is checked, and NaN fails."""
+    for name, k in (("m", m), ("n", n)):
+        if not (k >= 1 and float(k).is_integer()):
+            raise DomainError(f"{name} must be an integer >= 1, got {k}")
+    for name, values, closed in (("r", r, True), ("lambda", lam, include_limit)):
+        values = np.asarray(values, dtype=float)
+        inside = (values >= 0.0) & ((values <= 1.0) if closed else (values < 1.0))
+        if not inside.all():
+            bound = "[0, 1]" if closed else "[0, 1)"
+            bad = values[~inside].flat[0]
+            raise DomainError(f"{name} must lie in {bound}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -38,16 +47,7 @@ class ProtocolParams:
     include_limit: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or int(self.n) != self.n:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
-        if self.m < 1 or int(self.m) != self.m:
-            raise DomainError(f"m must be an integer >= 1, got {self.m}")
-        if not 0.0 <= self.r <= 1.0:
-            raise DomainError(f"r must lie in [0, 1], got {self.r}")
-        lam_max_ok = self.lam <= 1.0 if self.include_limit else self.lam < 1.0
-        if not (0.0 <= self.lam and lam_max_ok):
-            bound = "[0, 1]" if self.include_limit else "[0, 1)"
-            raise DomainError(f"lambda must lie in {bound}, got {self.lam}")
+        check_params(self.n, self.m, self.r, self.lam, self.include_limit)
 
     @property
     def p(self) -> float:
@@ -70,6 +70,9 @@ class SldComputation:
 
 @dataclass(frozen=True)
 class QfiReport:
+    """A QFI and its value per channel use. Both are arrays when the
+    params carry arrays of r and lambda."""
+
     value: float
     per_channel: float
     method: str  # "closed_form" or "oracle"
@@ -77,21 +80,22 @@ class QfiReport:
 
 
 def sqsc_qfi(r: float, lam: float) -> float:
-    """Baseline QFI for a single qubit and a single channel invocation."""
-    _check_r_lam(r, lam)
+    """Baseline QFI for a single qubit and a single channel invocation;
+    r and lam may be arrays."""
+    check_params(r=r, lam=lam)
     return r * r / (1.0 - lam * lam * r * r)
 
 
 def pure_sqsc_qfi(lam: float) -> float:
     """SQSC baseline specialized to a pure input (r = 1)."""
-    _check_r_lam(1.0, lam)
+    check_params(lam=lam)
     return 1.0 / (1.0 - lam * lam)
 
 
 def pure_entangled_qfi(lam: float) -> float:
     """Optimal pure-state value: one channel use on half of a maximally
     entangled qubit pair (the isotropic-state family lam*Phi + (1-lam)I/4)."""
-    _check_r_lam(1.0, lam)
+    check_params(lam=lam)
     return 3.0 / ((1.0 + 3.0 * lam) * (1.0 - lam))
 
 
@@ -123,24 +127,19 @@ def qubit_sld(rho: np.ndarray, drho: np.ndarray) -> SldComputation:
 
 
 def independent_qfi(m: int, r: float, lam: float) -> QfiReport:
-    """m independent qubits, one channel use each: QFI is additive."""
-    _check_m(m)
-    base = sqsc_qfi(r, lam)
+    """m independent qubits, one channel use each: QFI is additive. r and
+    lam may be arrays."""
     params = ProtocolParams(n=m, m=m, r=r, lam=lam)
+    base = sqsc_qfi(r, lam)
     return QfiReport(
         value=m * base, per_channel=base, method="closed_form", params=params
     )
 
 
 def sequential_qfi(m: int, r: float, lam: float) -> QfiReport:
-    """m sequential channel uses on one qubit."""
-    _check_m(m)
-    _check_r_lam(r, lam)
-    value = (
-        m * m * lam_pow(lam, 2 * m - 2) * r * r
-        / (1.0 - lam_pow(lam, 2 * m) * r * r)
-    )
+    """m sequential channel uses on one qubit; r and lam may be arrays."""
     params = ProtocolParams(n=1, m=m, r=r, lam=lam)
+    value = m * m * lam ** (2 * m - 2) * r * r / (1.0 - lam ** (2 * m) * r * r)
     return QfiReport(
         value=value, per_channel=value / m, method="closed_form", params=params
     )
@@ -153,18 +152,14 @@ def sequential_gain(m: int, r: float, lam: float) -> float:
     reduced form m / sum_k y^k with y = 1/lam^2, which avoids the 0/0
     as lam -> 1.
     """
-    _check_m(m)
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1] for gains, got {lam}")
+    check_params(m=m, r=r, lam=lam, include_limit=True)
     if r == 1.0:
         if lam == 0.0:
             return 1.0 if m == 1 else 0.0
         y = 1.0 / (lam * lam)
         return m / sum(y**k for k in range(m))
-    num = m * (lam_pow(lam, 2 * m - 2) - lam_pow(lam, 2 * m) * r * r)
-    den = 1.0 - lam_pow(lam, 2 * m) * r * r
+    num = m * (lam ** (2 * m - 2) - lam ** (2 * m) * r * r)
+    den = 1.0 - lam ** (2 * m) * r * r
     return num / den
 
 
@@ -173,21 +168,8 @@ def sequential_extra_invocation_advantage(m: int, lam: float) -> float:
 
     Negative means no polarization benefits; lam = 0 returns -inf.
     """
-    _check_m(m)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_params(m=m, lam=lam, include_limit=True)
     if lam == 0.0:
         return -math.inf
     return (lam * lam * (m + 1) - m) / lam ** (2 * m + 2)
 
-
-def _check_m(m: int) -> None:
-    if m < 1 or int(m) != m:
-        raise DomainError(f"m must be an integer >= 1, got {m}")
-
-
-def _check_r_lam(r: float, lam: float) -> None:
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
-    if not 0.0 <= lam < 1.0:
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")

@@ -6,12 +6,15 @@ import pytest
 
 from depolqfi.cli import (
     CSV_HEADER,
+    PROTOCOLS,
     evaluate_point,
     main,
     row_to_csv,
+    row_to_dict,
     sweep_rows,
 )
 from depolqfi.correlated import correlated_qfi
+from depolqfi.errors import DomainError
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 
 
@@ -37,6 +40,15 @@ class TestEvaluatePoint:
         assert row.gain_vs_seq is None
         assert row.qfi == 0.0
         assert math.isinf(row.crb_variance_bound)
+
+    def test_gains_empty_at_zero_reference_and_lambda_one(self):
+        # the sequential reference vanishes at lambda = 0 for m >= 2
+        row = evaluate_point("correlated", 3, 2, 0.5, 0.0)
+        assert row.gain_vs_seq is None
+        assert row.gain_vs_sqsc is not None
+        row = evaluate_point("correlated", 3, 2, 0.5, 1.0, include_limit=True)
+        assert row.gain_vs_sqsc is None
+        assert row.gain_vs_seq is None
 
     def test_protocol_forces_shape(self):
         row = evaluate_point("sequential", 7, 3, 0.5, 0.5)
@@ -69,6 +81,15 @@ class TestCsvFormat:
         assert fields[header.index("gain_vs_seq")] == ""
         assert fields[header.index("crb_variance_bound")] == "inf"
 
+    def test_dict_holds_the_csv_fields(self):
+        row = evaluate_point("correlated", 3, 2, 0.5, 0.7)
+        data = row_to_dict(row)
+        assert list(data) == CSV_HEADER.split(",")
+        assert (data["n"], data["m"], data["r"], data["lambda"]) == (3, 2, 0.5, 0.7)
+        numbers = ("n", "m", "r", "lambda")
+        for key, field in zip(data, row_to_csv(row).split(",")):
+            assert key in numbers or data[key] == field
+
 
 class TestSweep:
     def test_sorted_and_complete(self):
@@ -89,6 +110,26 @@ class TestSweep:
         assert [(row.n, row.r) for row in rows] == [
             (1, 0.5), (1, 0.5), (1, 0.6), (1, 0.6)
         ]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_rows_match_evaluate_point(self, protocol):
+        # only the correlated protocols take lambda = 1, as a limit
+        limit = protocol in ("correlated", "corr_vs_seq")
+        ns, ms = [3, 4], [1, 3]
+        r_grid = np.array([0.0, 0.4, 1.0])
+        lam_grid = np.array([0.0, 0.5, 1.0 if limit else 0.9])
+        rows = sweep_rows(protocol, ns, ms, r_grid, lam_grid, include_limit=limit)
+        points = [
+            evaluate_point(protocol, n, m, r, lam, include_limit=limit)
+            for n in ns for m in ms for r in r_grid for lam in lam_grid
+        ]
+        points.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
+        assert list(map(row_to_csv, rows)) == list(map(row_to_csv, points))
+        if not limit:
+            with pytest.raises(DomainError):
+                sweep_rows(protocol, ns, ms, r_grid, np.array([1.0]), True)
+            with pytest.raises(DomainError):
+                evaluate_point(protocol, 3, 1, 0.4, 1.0, include_limit=True)
 
     def test_single_point_sweep_equals_eval(self):
         rows = sweep_rows(
@@ -223,14 +264,18 @@ class TestMain:
         )
         assert code == 3
 
-    def test_bad_grid_exit_2(self):
-        code = main(
-            [
-                "sweep", "--protocol", "sqsc", "--r-grid", "0:1",
-                "--lambda-grid", "0:0.5:2",
-            ]
-        )
-        assert code == 2
+    def test_bad_grid_exit_2(self, capsys):
+        for flags in (
+            ["--r-grid", "0:1"],
+            ["--r-grid", "0:1:x"],
+            ["--r-grid", "a:1:3"],
+            ["--lambda-grid", "0:0.5:2.5"],
+            ["--n", "abc"],
+            ["--m", "1,b"],
+        ):
+            code = main(["sweep", "--protocol", "sqsc", *flags])
+            assert code == 2, flags
+            assert "error:" in capsys.readouterr().err
 
     def test_verify_grid_small(self, capsys):
         code = main(["verify", "--grid", "--max-n", "2"])

@@ -314,6 +314,29 @@ class TestCorrelatedQfi:
         with pytest.raises(DomainError):
             correlated_qfi(params(3, 4, 0.5, 0.5))
 
+    def test_grid_matches_scalar_calls(self):
+        r, lam = np.meshgrid(
+            np.linspace(0.05, 1.0, 5), np.linspace(0.0, 0.99, 6), indexing="ij"
+        )
+        for n, m in [(1, 1), (2, 1), (5, 5), (11, 1), (14, 7), (30, 13), (60, 1),
+                     (60, 30), (60, 60)]:
+            grid = correlated_qfi(params(n, m, r, lam)).value
+            assert grid.shape == r.shape
+            scalar = [
+                correlated_qfi(params(n, m, a, b)).value
+                for a, b in zip(r.flat, lam.flat)
+            ]
+            # values below 1e-25 are round-off of a true 0 (lambda = 0, m = n)
+            np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-12, atol=1e-25)
+
+    def test_grid_admits_lambda_one_only_as_limit(self):
+        r, lam = np.array([0.3, 0.9]), np.array([0.5, 1.0])
+        with pytest.raises(DomainError):
+            params(3, 2, r, lam)
+        grid = correlated_qfi(params(3, 2, r, lam, include_limit=True)).value
+        limit = correlated_qfi(params(3, 2, 0.9, 1.0, include_limit=True)).value
+        assert grid[1] == pytest.approx(limit, rel=1e-12)
+
 
 def _double_sum_qfi(n, m, r, lam):
     """The QFI as the sum over blocks (u, v) of bit-flip double sums, at 50

@@ -8,8 +8,8 @@ from depolqfi.errors import DomainError
 from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from depolqfi.protocols import (
     ProtocolParams,
+    check_params,
     independent_qfi,
-    lam_pow,
     pure_entangled_qfi,
     pure_sqsc_qfi,
     qubit_sld,
@@ -49,10 +49,26 @@ class TestParams:
         params = ProtocolParams(n=1, m=1, r=0.5, lam=1.0, include_limit=True)
         assert params.lam == 1.0
 
-    def test_lam_pow_zero_convention(self):
-        assert lam_pow(0.0, 0) == 1.0
-        assert lam_pow(0.0, 3) == 0.0
-        assert lam_pow(0.7, 2) == pytest.approx(0.49)
+    def test_check_params_checks_every_array_entry(self):
+        good = np.linspace(0.0, 0.9, 7)
+        check_params(r=good, lam=good)
+        for bad in (math.nan, -0.1, 1.5):
+            values = good.copy()
+            values[3] = bad
+            for name in ("r", "lam"):
+                with pytest.raises(DomainError):
+                    check_params(**{name: values})
+        with_one = np.append(good, 1.0)
+        with pytest.raises(DomainError):
+            check_params(lam=with_one)
+        check_params(lam=with_one, include_limit=True)
+        with pytest.raises(DomainError):
+            check_params(lam=np.nextafter(1.0, 2.0), include_limit=True)
+        for k in (2.5, math.nan, 0):
+            with pytest.raises(DomainError):
+                check_params(n=k)
+            with pytest.raises(DomainError):
+                check_params(m=k)
 
 
 class TestSqsc:
