@@ -13,23 +13,7 @@ from .asymptotics import (
     optimal_invocations,
     sequential_cutoff,
 )
-from .correlated import (
-    BitProfile,
-    CoefficientTable,
-    GainRecord,
-    PairedBlockState,
-    bit_profile,
-    block_qfi,
-    corr_vs_seq_gain,
-    correlated_gain,
-    correlated_qfi,
-    final_counterdiag,
-    final_diag,
-    final_diag_derivative,
-    final_state,
-    prep_coefficients,
-    prepared_state,
-)
+from .correlated import block_qfi, correlated_qfi, final_state
 from .correlations import (
     CorrelationReport,
     DiscordIntermediates,
@@ -47,7 +31,6 @@ from .errors import (
     DomainError,
     NumericError,
     PositivityError,
-    UndefinedGainError,
 )
 from .linalg import Spectrum, hermitian_eig, partial_trace, partial_transpose
 from .oracle import (

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .protocols import check_params
 
@@ -43,20 +45,22 @@ class CutoffCurve:
 
 def lowr_sqsc(r: float) -> float:
     """SQSC QFI to lowest order in r."""
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    check_params(r=r)
     return r * r
 
 
 def lowr_sequential_per_channel(m: int, r: float, lam: float) -> float:
-    """Sequential per-channel QFI to lowest order in r."""
-    check_params(m=m)
+    """Sequential per-channel QFI to lowest order in r; lam = 1 is admitted
+    as a limit."""
+    check_params(m=m, r=r, lam=lam, include_limit=True)
     return m * lam ** (2 * m - 2) * r * r
 
 
 def lowr_correlated_per_channel(n: int, m: int, r: float, lam: float) -> float:
-    """Correlated-protocol per-channel QFI to lowest order in r."""
-    if not 1 <= m <= n:
+    """Correlated-protocol per-channel QFI to lowest order in r; lam = 1 is
+    admitted as a limit."""
+    check_params(n=n, m=m, r=r, lam=lam, include_limit=True)
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     return m * n * lam ** (2 * m - 2) * r * r
 
@@ -120,10 +124,13 @@ def optimal_invocation_table(mode: str) -> list[OptimalInvocation]:
     return [optimal_invocations(lam, mode) for lam in lams]
 
 
-def cramer_rao_bound(h: float) -> float:
-    """Variance lower bound 1/H; h = 0 maps to +inf."""
-    if h < 0.0:
-        raise DomainError(f"QFI must be nonnegative, got {h}")
-    if h == 0.0:
-        return math.inf
-    return 1.0 / h
+def cramer_rao_bound(h):
+    """Variance lower bound 1/H; h = 0 maps to +inf and h = inf to 0. h may
+    be an array, which gives one bound per entry; NaN is rejected."""
+    h = np.asarray(h, dtype=float)
+    valid = h >= 0.0
+    if not valid.all():
+        raise DomainError(f"QFI must be nonnegative, got {h[~valid].flat[0]}")
+    with np.errstate(divide="ignore"):
+        bound = 1.0 / h
+    return float(bound) if bound.ndim == 0 else bound

@@ -18,9 +18,15 @@ import numpy as np
 
 from . import asymptotics, correlations
 from .correlated import correlated_qfi
-from .errors import CapacityError, DomainError, UndefinedGainError
+from .errors import CapacityError, DomainError
 from .oracle import verify
-from .protocols import ProtocolParams, independent_qfi, sequential_qfi, sqsc_qfi
+from .protocols import (
+    ProtocolParams,
+    check_params,
+    independent_qfi,
+    sequential_qfi,
+    sqsc_qfi,
+)
 
 CSV_HEADER = (
     "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
@@ -101,6 +107,7 @@ def evaluate_grid(
     r = 0, where lambda = 1 or where its reference QFI is 0."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
+    check_params(n=n, m=m)
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     if protocol in ("sqsc", "independent"):
         # sqsc is the independent protocol on one qubit
@@ -116,8 +123,7 @@ def evaluate_grid(
     usable = (r > 0.0) & (lam < 1.0)
     lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
     refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref).per_channel
-    with np.errstate(divide="ignore"):
-        crb = np.divide(1.0, value)  # inf at a zero QFI, 0 at an infinite one
+    crb = asymptotics.cramer_rao_bound(value)
     columns = [np.ravel(a).tolist() for a in (r, lam, value, per_channel)]
     columns += [_gains(per_channel, ref, usable) for ref in refs]
     columns.append(np.ravel(crb).tolist())
@@ -381,7 +387,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UndefinedGainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -16,13 +16,13 @@ array of (r, lambda) points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, PositivityError, UndefinedGainError
-from .protocols import ProtocolParams, QfiReport, check_params, sequential_qfi, sqsc_qfi
+from .errors import DomainError, PositivityError
+from .linalg import check_capacity
+from .protocols import ProtocolParams, QfiReport
 
 MAX_CLOSED_FORM_N = 60
 # Relative to the block's diagonal entry d: the block QFI is homogeneous of
@@ -30,115 +30,20 @@ MAX_CLOSED_FORM_N = 60
 BLOCK_EPS = 1e-13
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Diagonal (d_j) and counter-diagonal (c_j) coefficients of the
-    prepared state, indexed by the zero-count j of the n-bit string."""
-
-    n: int
-    r: float
-    d: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
-class BitProfile:
-    """Zero-count profile of a basis index: j over all n bits, u over the
-    n-m spectator bits, v over the m channel bits."""
-
-    x: int
-    j: int
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class PairedBlockState:
-    """Sparse density matrix as blocks x -> (d_x, c_x) on span{|x>, |N-x>}:
-    rho = sum_x [d_x (|x><x| + |N-x><N-x|) + i c_x (|x><N-x| - |N-x><x|)].
-    """
-
-    n: int
-    blocks: dict[int, tuple[float, float]]
-
-    def trace(self) -> float:
-        return 2.0 * sum(d for d, _ in self.blocks.values())
-
-    def to_dense(self) -> np.ndarray:
-        dim = 2**self.n
-        big_n = dim - 1
-        rho = np.zeros((dim, dim), dtype=complex)
-        for x, (d, c) in self.blocks.items():
-            rho[x, x] += d
-            rho[big_n - x, big_n - x] += d
-            rho[x, big_n - x] += 1j * c
-            rho[big_n - x, x] += -1j * c
-        return rho
-
-
-@dataclass(frozen=True)
-class GainRecord:
-    value: float
-    numerator_protocol: str
-    denominator_protocol: str
-    params: ProtocolParams
-
-
 def _check_n(n: int) -> None:
     if n > MAX_CLOSED_FORM_N:
         raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
 
 
-def bit_profile(x: int, n: int, m: int) -> BitProfile:
-    """Zero counts of x's n-bit string, split at the m least significant bits."""
-    if not 0 <= x < 2**n:
-        raise DomainError(f"x = {x} out of range for {n} bits")
-    if not 1 <= m <= n:
-        raise DomainError(f"m = {m} out of range 1..{n}")
-    ones_total = bin(x).count("1")
-    ones_low = bin(x & ((1 << m) - 1)).count("1")
-    v = m - ones_low
-    u = (n - m) - (ones_total - ones_low)
-    return BitProfile(x=x, j=u + v, u=u, v=v)
-
-
 def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
-    """2^(n+1) times the (d_j, c_j) of prep_coefficients, along a last axis
-    j = 0..n appended to the shape of r."""
+    """2^(n+1) times the prepared state's diagonal (d_j) and counter-diagonal
+    (c_j) coefficients, indexed by the zero count j of the n-bit string along
+    a last axis appended to the shape of r."""
     r = np.asarray(r, dtype=float)[..., np.newaxis]
     j = np.arange(n + 1)
     plus = (1.0 + r) ** j * (1.0 - r) ** (n - j)
     minus = (1.0 + r) ** (n - j) * (1.0 - r) ** j
     return plus + minus, plus - minus
-
-
-def prep_coefficients(n: int, r: float) -> CoefficientTable:
-    """Coefficients of the prepared state for n qubits of polarization r."""
-    check_params(n=n, r=r)
-    _check_n(n)
-    d, c = _unscaled_coefficients(n, r)
-    scale = 0.5 ** (n + 1)
-    return CoefficientTable(n=n, r=r, d=scale * d, c=scale * c)
-
-
-def prepared_state(n: int, r: float) -> PairedBlockState:
-    """Paired-block form of the state right after the preparatory circuit."""
-    table = prep_coefficients(n, r)
-    blocks: dict[int, tuple[float, float]] = {}
-    for x in range(2 ** (n - 1)):
-        j = n - bin(x).count("1")
-        blocks[x] = (float(table.d[j]), float(table.c[j]))
-    return PairedBlockState(n=n, blocks=blocks)
-
-
-def final_counterdiag(j: int, n: int, m: int, r: float, lam: float) -> float:
-    """Counter-diagonal coefficient after m channel uses: lambda^m * c_j."""
-    if not 0 <= j <= n:
-        raise DomainError(f"j = {j} out of range 0..{n}")
-    if not 1 <= m <= n:
-        raise DomainError(f"m = {m} out of range 1..{n}")
-    table = prep_coefficients(n, r)
-    return lam**m * float(table.c[j])
 
 
 def _transition(m: int, lam) -> np.ndarray:
@@ -191,38 +96,30 @@ def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return diag, sliding_window_view(c, m + 1, axis=-1), slope
 
 
-def _block_entry(u: int, v: int, params: ProtocolParams, which: int) -> float:
+def final_state(params: ProtocolParams) -> np.ndarray:
+    """Dense 2^n x 2^n final (post-channel) state for scalar r and lambda,
+    sum_x [d_x (|x><x| + |N-x><N-x|) + i lambda^m c_x (|x><N-x| - |N-x><x|)]
+    over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
     n, m = params.n, params.m
-    if not 0 <= u <= n - m:
-        raise DomainError(f"u = {u} out of range 0..{n - m}")
-    if not 0 <= v <= m:
-        raise DomainError(f"v = {v} out of range 0..{m}")
-    return 0.5 ** (n + 1) * float(_blocks(params)[which][u, v])
-
-
-def final_diag(u: int, v: int, params: ProtocolParams) -> float:
-    """Diagonal entry of the final state for zero-count profile (u, v)."""
-    return _block_entry(u, v, params, 0)
-
-
-def final_diag_derivative(u: int, v: int, params: ProtocolParams) -> float:
-    """Analytic d/dlambda of final_diag, using dp/dlambda = 1/2 and
-    dq/dlambda = -1/2."""
-    return _block_entry(u, v, params, 2)
-
-
-def final_state(params: ProtocolParams) -> PairedBlockState:
-    """Paired-block form of the final (post-channel) state."""
-    n, m = params.n, params.m
+    check_capacity(n)
     diag, counter, _ = _blocks(params)
     scale = 0.5 ** (n + 1)
     diag = scale * diag
     counter = params.lam**m * (scale * counter)
-    blocks: dict[int, tuple[float, float]] = {}
-    for x in range(2 ** (n - 1)):
-        prof = bit_profile(x, n, m)
-        blocks[x] = (float(diag[prof.u, prof.v]), float(counter[prof.u, prof.v]))
-    return PairedBlockState(n=n, blocks=blocks)
+    dim = 2**n
+    x = np.arange(dim)
+    # Read every x through the member of {x, N-x} with top bit 0, so both
+    # halves of a pair carry the same d: diag at the mirrored profile
+    # (n-m-u, m-v) can differ from it in the last bit.
+    mirrored = x >= dim // 2
+    rep = np.where(mirrored, dim - 1 - x, x)
+    ones = (rep[:, np.newaxis] >> np.arange(n)) & 1
+    u = (n - m) - ones[:, m:].sum(axis=1)
+    v = m - ones[:, :m].sum(axis=1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[x, x] = diag[u, v]
+    rho[x, dim - 1 - x] = np.where(mirrored, -1j, 1j) * counter[u, v]
+    return rho
 
 
 def block_qfi(d, c, d_dot, m: int, lam: float):
@@ -279,34 +176,3 @@ def correlated_qfi(params: ProtocolParams) -> QfiReport:
 def _comb_row(k: int) -> np.ndarray:
     """C(k, 0..k) as floats."""
     return np.array([math.comb(k, i) for i in range(k + 1)], dtype=float)
-
-
-def correlated_gain(params: ProtocolParams) -> GainRecord:
-    """Per-channel QFI of the correlated protocol over the SQSC baseline."""
-    if params.r == 0.0:
-        raise UndefinedGainError("gain is 0/0 at r = 0")
-    value = correlated_qfi(params).per_channel / sqsc_qfi(params.r, params.lam)
-    return GainRecord(
-        value=value,
-        numerator_protocol="correlated",
-        denominator_protocol="sqsc",
-        params=params,
-    )
-
-
-def corr_vs_seq_gain(params: ProtocolParams) -> GainRecord:
-    """Per-channel QFI of the correlated protocol over the sequential one."""
-    if params.r == 0.0:
-        raise UndefinedGainError("gain is 0/0 at r = 0")
-    seq = sequential_qfi(params.m, params.r, params.lam).per_channel
-    if seq == 0.0:
-        raise UndefinedGainError(
-            "sequential per-channel QFI vanishes (lambda = 0, m >= 2)"
-        )
-    value = correlated_qfi(params).per_channel / seq
-    return GainRecord(
-        value=value,
-        numerator_protocol="correlated",
-        denominator_protocol="sequential",
-        params=params,
-    )

@@ -20,6 +20,3 @@ class NumericError(DepolQfiError):
 class PositivityError(DepolQfiError):
     """A 2x2 block violates positivity (d < |lambda^m c|) beyond tolerance."""
 
-
-class UndefinedGainError(DepolQfiError):
-    """A gain ratio is 0/0 and has no defined value (e.g. r = 0)."""

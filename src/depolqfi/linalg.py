@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError
 
 DEFAULT_DIM_CAP = 2**12
 HERMITIAN_TOL = 1e-12
@@ -37,6 +37,12 @@ def dim_cap() -> int:
     if cap < 2:
         raise DomainError(f"DEPOLQFI_MAX_DIM must be >= 2, got {cap}")
     return cap
+
+
+def check_capacity(n: int) -> None:
+    """Raise CapacityError if a dense n-qubit matrix exceeds dim_cap()."""
+    if 2**n > dim_cap():
+        raise CapacityError(f"dimension 2**{n} exceeds cap {dim_cap()}")
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> int:

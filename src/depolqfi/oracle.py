@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlated import correlated_qfi, final_state
-from .errors import CapacityError, DomainError
-from .linalg import HADAMARD, I2, SIGMA_Y, dim_cap, hermitian_eig
+from .errors import DomainError
+from .linalg import HADAMARD, I2, SIGMA_Y, _qubit_axes, check_capacity, hermitian_eig
 from .protocols import ProtocolParams, check_params
 
 QFI_ELEM_EPS = 1e-9
@@ -37,15 +37,10 @@ class VerificationReport:
     pass_: bool
 
 
-def _check_capacity(n: int) -> None:
-    if 2**n > dim_cap():
-        raise CapacityError(f"dimension 2**{n} exceeds cap {dim_cap()}")
-
-
 def initial_product_state(n: int, r: float) -> np.ndarray:
     """n-fold tensor power of (I + r sigma_y)/2."""
     check_params(n=n, r=r)
-    _check_capacity(n)
+    check_capacity(n)
     single = (I2 + r * SIGMA_Y) / 2.0
     rho = single
     for _ in range(n - 1):
@@ -56,7 +51,7 @@ def initial_product_state(n: int, r: float) -> np.ndarray:
 def prep_unitary(n: int) -> np.ndarray:
     """Preparatory circuit: controlled-Z on every distinct qubit pair,
     then a Hadamard on every qubit."""
-    _check_capacity(n)
+    check_capacity(n)
     dim = 2**n
     # CZ product is diagonal with sign (-1)^(number of 1-bit pairs)
     signs = np.array(
@@ -75,8 +70,7 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
 
 def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """I/2 tensor Tr_qubit rho, with I/2 at the qubit's slot."""
-    # axis 0 of the tensor is the row bit of qubit n (qubit 1 = least significant)
-    axes = (n - qubit, 2 * n - qubit)
+    axes = _qubit_axes(rho, qubit, n)
     t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, (0, 1))
     out = np.zeros_like(t)
     out[0, 0] = out[1, 1] = 0.5 * (t[0, 0] + t[1, 1])
@@ -85,8 +79,6 @@ def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
 
 def apply_depolarizing(rho: np.ndarray, qubit: int, lam: float, n: int) -> np.ndarray:
     """One depolarizing-channel invocation on the given qubit."""
-    if not 1 <= qubit <= n:
-        raise DomainError(f"qubit {qubit} out of range 1..{n}")
     check_params(lam=lam, include_limit=True)
     return lam * rho + (1.0 - lam) * _mix(rho, qubit, n)
 
@@ -140,7 +132,7 @@ def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     n, m, lam = params.n, params.m, params.lam
     if m > n:
         raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
-    _check_capacity(n)
+    check_capacity(n)
     rho_i = apply_uprep(initial_product_state(n, params.r), n)
     return _channels(rho_i, m, lam, n)
 
@@ -151,12 +143,15 @@ def verify(
     state_tolerance: float = 1e-12,
 ) -> VerificationReport:
     """Compare the closed-form QFI and reconstructed state against the
-    brute-force pipeline."""
+    brute-force pipeline. Both tolerances must be finite and >= 0."""
+    for name, tol in (("tolerance", tolerance), ("state_tolerance", state_tolerance)):
+        if not 0.0 <= tol < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {tol}")
     rho_f, drho = oracle_final_state(params)
     oracle_value = spectral_qfi(rho_f, drho)
     closed = correlated_qfi(params).value
 
-    dense_closed = final_state(params).to_dense()
+    dense_closed = final_state(params)
     max_state_err = float(np.max(np.abs(dense_closed - rho_f)))
 
     diag = np.real(np.diag(rho_f))

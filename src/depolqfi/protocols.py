@@ -49,14 +49,6 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         check_params(self.n, self.m, self.r, self.lam, self.include_limit)
 
-    @property
-    def p(self) -> float:
-        return (1.0 + self.lam) / 2.0
-
-    @property
-    def q(self) -> float:
-        return (1.0 - self.lam) / 2.0
-
 
 @dataclass(frozen=True)
 class SldComputation:

@@ -44,6 +44,28 @@ class TestLowrLimits:
         with pytest.raises(DomainError):
             lowr_correlated_per_channel(2, 3, 0.1, 0.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lowr_sqsc(math.nan),
+            lambda: lowr_sqsc(2.0),
+            lambda: lowr_sqsc(-0.1),
+            lambda: lowr_sequential_per_channel(2, 5.0, -3.0),
+            lambda: lowr_sequential_per_channel(2, 0.5, 1.5),
+            lambda: lowr_sequential_per_channel(0, 0.5, 0.5),
+            lambda: lowr_correlated_per_channel(3, 2, math.nan, 0.5),
+            lambda: lowr_correlated_per_channel(3, 2, 0.5, -0.1),
+            lambda: lowr_correlated_per_channel(0, 1, 0.5, 0.5),
+        ],
+    )
+    def test_domain(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_lambda_one_limit(self):
+        assert lowr_sequential_per_channel(3, 0.1, 1.0) == pytest.approx(0.03)
+        assert lowr_correlated_per_channel(4, 3, 0.1, 1.0) == pytest.approx(0.12)
+
 
 class TestCutoffs:
     def test_m1_limit_value(self):
@@ -141,7 +163,12 @@ class TestCramerRao:
         assert cramer_rao_bound(4.0) == 0.25
         assert cramer_rao_bound(0.0) == math.inf
         assert cramer_rao_bound(math.inf) == 0.0
+        bounds = cramer_rao_bound(np.array([[4.0, 0.0], [math.inf, 0.5]]))
+        np.testing.assert_array_equal(bounds, [[0.25, math.inf], [0.0, 2.0]])
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             cramer_rao_bound(-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                cramer_rao_bound(np.array([1.0, bad]))

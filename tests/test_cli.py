@@ -272,10 +272,31 @@ class TestMain:
             ["--lambda-grid", "0:0.5:2.5"],
             ["--n", "abc"],
             ["--m", "1,b"],
+            # sqsc, independent and sequential fix n or m, but only after
+            # the given ones are checked
+            ["--m", "0"],
+            ["--n", "0"],
         ):
             code = main(["sweep", "--protocol", "sqsc", *flags])
             assert code == 2, flags
             assert "error:" in capsys.readouterr().err
+        for protocol in ("sqsc", "independent", "sequential"):
+            code = main(
+                ["eval", "--protocol", protocol, "--n", "0", "--r", ".5", "--lambda", ".5"]
+            )
+            assert code == 2, protocol
+            assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_verify_tol_exit_2(self, tol, capsys):
+        code = main(
+            [
+                "verify", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5",
+                "--tol", tol,
+            ]
+        )
+        assert code == 2
+        assert "error: tolerance" in capsys.readouterr().err
 
     def test_verify_grid_small(self, capsys):
         code = main(["verify", "--grid", "--max-n", "2"])

@@ -3,113 +3,142 @@ import math
 import numpy as np
 import pytest
 
+from depolqfi.cli import evaluate_point
 from depolqfi.correlated import (
     MAX_CLOSED_FORM_N,
-    bit_profile,
+    _blocks,
+    _unscaled_coefficients,
     block_qfi,
-    corr_vs_seq_gain,
-    correlated_gain,
     correlated_qfi,
-    final_counterdiag,
-    final_diag,
-    final_diag_derivative,
     final_state,
-    prep_coefficients,
-    prepared_state,
 )
-from depolqfi.errors import DomainError, PositivityError, UndefinedGainError
+from depolqfi.errors import CapacityError, DomainError, PositivityError
 from depolqfi.linalg import hermitian_eig
-from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
+from depolqfi.protocols import ProtocolParams, sqsc_qfi
 
 
 def params(n, m, r, lam, **kw):
     return ProtocolParams(n=n, m=m, r=r, lam=lam, **kw)
 
 
+def zero_counts(x, n, m):
+    """(u, v): zeros among the n-m spectator bits and the m channel bits of
+    x's n-bit string (qubit 1 is the least significant bit)."""
+    bits = format(x, f"0{n}b")
+    return bits[: n - m].count("0"), bits[n - m :].count("0")
+
+
+def scaled_blocks(p):
+    """diag, prepared counter-diagonal and d/dlambda of diag, with the
+    state's scale 2^-(n+1) applied."""
+    return tuple(0.5 ** (p.n + 1) * a for a in _blocks(p))
+
+
+def prepared(n, r):
+    """The state right after the preparatory circuit: lambda = 1."""
+    return final_state(params(n, 1, r, 1.0, include_limit=True))
+
+
 class TestBitProfile:
     def test_splits_zero_counts(self):
         # n=5, m=2, x = 0b01101: low bits '01' has one zero, high '011' has one
-        prof = bit_profile(0b01101, 5, 2)
-        assert (prof.u, prof.v, prof.j) == (1, 1, 2)
+        x, p = 0b01101, params(5, 2, 0.6, 0.7)
+        assert zero_counts(x, 5, 2) == (1, 1)
+        diag, counter, _ = scaled_blocks(p)
+        rho = final_state(p)
+        assert rho[x, x] == pytest.approx(diag[1, 1], rel=1e-14)
+        assert rho[x, 31 - x] == pytest.approx(0.49j * counter[1, 1], rel=1e-14)
 
     def test_all_zeros_and_all_ones(self):
-        assert bit_profile(0, 4, 2).j == 4
-        assert bit_profile(15, 4, 2).j == 0
+        # x = 0 has profile (n-m, m); x = N shares its block, with -c
+        n, m = 4, 2
+        p = params(n, m, 0.6, 0.7)
+        diag, counter, _ = scaled_blocks(p)
+        rho = final_state(p)
+        assert rho[0, 0] == rho[15, 15] == diag[n - m, m]
+        assert rho[0, 15] == pytest.approx(0.49j * counter[n - m, m], rel=1e-14)
+        assert rho[15, 0] == pytest.approx(-rho[0, 15], rel=1e-14)
 
     def test_counting_multiplicities(self):
-        # number of x with profile (u, v) and x < 2^(n-1) is
-        # C(n-m-1, u-1) * C(m, v) for m < n
-        n, m = 5, 2
-        counts = {}
-        for x in range(2 ** (n - 1)):
-            prof = bit_profile(x, n, m)
-            counts[(prof.u, prof.v)] = counts.get((prof.u, prof.v), 0) + 1
-        for (u, v), count in counts.items():
-            assert count == math.comb(n - m - 1, u - 1) * math.comb(m, v)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bit_profile(16, 4, 2)
-        with pytest.raises(DomainError):
-            bit_profile(0, 4, 5)
+        # the x < 2^(n-1) with profile (u, v) number C(n-m-1, u-1) C(m, v)
+        # for m < n and C(n-1, v-1) for m = n, so the per-x trace of the
+        # dense state equals the binomial-weighted sum over (u, v)
+        for n, m in [(5, 2), (4, 1), (4, 4), (6, 3)]:
+            diag = scaled_blocks(params(n, m, 0.65, 0.45))[0]
+            if m < n:
+                weighted = sum(
+                    2 * math.comb(n - m - 1, u - 1) * math.comb(m, v) * diag[u, v]
+                    for u in range(1, n - m + 1)
+                    for v in range(m + 1)
+                )
+            else:
+                weighted = sum(
+                    2 * math.comb(n - 1, v - 1) * diag[0, v] for v in range(1, n + 1)
+                )
+            trace = np.trace(final_state(params(n, m, 0.65, 0.45))).real
+            assert trace == pytest.approx(weighted, rel=1e-14)
+            assert weighted == pytest.approx(1.0, rel=1e-13)
 
 
 class TestPrepCoefficients:
+    """The prepared state's (d_j, c_j), indexed by the zero count j."""
+
+    @staticmethod
+    def coefficients(n, r):
+        d, c = _unscaled_coefficients(n, r)
+        return 0.5 ** (n + 1) * d, 0.5 ** (n + 1) * c
+
     def test_n1_values(self):
-        table = prep_coefficients(1, 0.5)
-        np.testing.assert_allclose(table.d, [0.5, 0.5])
-        np.testing.assert_allclose(table.c, [-0.25, 0.25])
+        d, c = self.coefficients(1, 0.5)
+        np.testing.assert_allclose(d, [0.5, 0.5])
+        np.testing.assert_allclose(c, [-0.25, 0.25])
 
     def test_pure_limit(self):
-        table = prep_coefficients(3, 1.0)
-        np.testing.assert_allclose(table.d, [0.5, 0, 0, 0.5])
-        np.testing.assert_allclose(table.c, [-0.5, 0, 0, 0.5])
+        d, c = self.coefficients(3, 1.0)
+        np.testing.assert_allclose(d, [0.5, 0, 0, 0.5])
+        np.testing.assert_allclose(c, [-0.5, 0, 0, 0.5])
 
     def test_unpolarized(self):
-        table = prep_coefficients(4, 0.0)
-        np.testing.assert_allclose(table.d, np.full(5, 1 / 16))
-        np.testing.assert_allclose(table.c, np.zeros(5), atol=1e-16)
+        d, c = self.coefficients(4, 0.0)
+        np.testing.assert_allclose(d, np.full(5, 1 / 16))
+        np.testing.assert_allclose(c, np.zeros(5), atol=1e-16)
 
     def test_antisymmetry_and_trace(self):
         for n in (1, 2, 5):
             for r in (0.2, 0.7, 1.0):
-                t = prep_coefficients(n, r)
-                np.testing.assert_allclose(t.c, -t.c[::-1], atol=1e-15)
-                np.testing.assert_allclose(t.d, t.d[::-1], atol=1e-15)
+                d, c = self.coefficients(n, r)
+                np.testing.assert_allclose(c, -c[::-1], atol=1e-15)
+                np.testing.assert_allclose(d, d[::-1], atol=1e-15)
                 # trace: sum over all 2^n strings of d_{j(x)} = 1
-                total = sum(
-                    math.comb(n, j) * t.d[j] for j in range(n + 1)
-                )
+                total = sum(math.comb(n, j) * d[j] for j in range(n + 1))
                 assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_block_positivity(self):
         for n in (2, 4, 7):
             for r in (0.0, 0.3, 0.9, 1.0):
-                t = prep_coefficients(n, r)
-                assert np.all(t.d >= np.abs(t.c) - 1e-15)
+                d, c = self.coefficients(n, r)
+                assert np.all(d >= np.abs(c) - 1e-15)
 
     def test_cap(self):
         with pytest.raises(DomainError):
-            prep_coefficients(MAX_CLOSED_FORM_N + 1, 0.5)
+            correlated_qfi(params(MAX_CLOSED_FORM_N + 1, 1, 0.5, 0.5))
 
 
 class TestPreparedState:
     def test_n2_pure_block_values(self):
-        state = prepared_state(2, 1.0)
-        d0, c0 = state.blocks[0]
-        assert d0 == pytest.approx(0.5)
-        assert c0 == pytest.approx(0.5)
-        d1, c1 = state.blocks[1]
-        assert d1 == pytest.approx(0.0, abs=1e-15)
-        assert c1 == pytest.approx(0.0, abs=1e-15)
+        rho = prepared(2, 1.0)
+        assert rho[0, 0] == pytest.approx(0.5)
+        assert rho[0, 3] == pytest.approx(0.5j)
+        assert abs(rho[1, 1]) <= 1e-15
+        assert abs(rho[1, 2]) <= 1e-15
 
     def test_trace_one(self):
         for n in (1, 3, 6):
             for r in (0.0, 0.5, 1.0):
-                assert prepared_state(n, r).trace() == pytest.approx(1.0, abs=1e-13)
+                assert np.trace(prepared(n, r)).real == pytest.approx(1.0, abs=1e-13)
 
     def test_dense_is_valid_density_matrix(self):
-        rho = prepared_state(3, 0.6).to_dense()
+        rho = prepared(3, 0.6)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-15)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert hermitian_eig(rho).eigenvalues[0] >= -1e-14
@@ -117,86 +146,84 @@ class TestPreparedState:
 
 class TestFinalEntries:
     def test_counterdiag_scaling(self):
-        t = prep_coefficients(3, 0.4)
-        for j in range(4):
-            assert final_counterdiag(j, 3, 2, 0.4, 0.7) == pytest.approx(
-                0.49 * t.c[j], rel=1e-14
-            )
+        # the channel scales the counter-diagonal by lambda^m
+        flip = np.fliplr(np.eye(8, dtype=bool))
+        pre = prepared(3, 0.4)[flip]
+        post = final_state(params(3, 2, 0.4, 0.7))[flip]
+        np.testing.assert_allclose(post, 0.49 * pre, rtol=1e-14)
 
     def test_n2_m1_diag_matches_two_qubit_matrix(self):
-        # (u=1, v=1) block carries |00>: entry (1 + lam r^2)/4
+        # x = 0 is block (u=1, v=1): entry (1 + lam r^2)/4; x = 1 is (1, 0)
         r, lam = 0.8, 0.6
-        p = params(2, 1, r, lam)
-        assert final_diag(1, 1, p) == pytest.approx((1 + lam * r * r) / 4, rel=1e-14)
-        assert final_diag(1, 0, p) == pytest.approx((1 - lam * r * r) / 4, rel=1e-14)
+        rho = final_state(params(2, 1, r, lam))
+        assert rho[0, 0].real == pytest.approx((1 + lam * r * r) / 4, rel=1e-14)
+        assert rho[1, 1].real == pytest.approx((1 - lam * r * r) / 4, rel=1e-14)
 
     def test_n2_m2_diag(self):
         r, lam = 0.8, 0.6
-        p = params(2, 2, r, lam)
-        assert final_diag(0, 2, p) == pytest.approx(
-            (1 + lam * lam * r * r) / 4, rel=1e-14
-        )
+        rho = final_state(params(2, 2, r, lam))
+        assert rho[0, 0].real == pytest.approx((1 + lam * lam * r * r) / 4, rel=1e-14)
 
     def test_n1_m1_diag_is_half(self):
-        p = params(1, 1, 0.9, 0.3)
-        assert final_diag(0, 1, p) == pytest.approx(0.5, abs=1e-15)
-        assert final_diag(0, 0, p) == pytest.approx(0.5, abs=1e-15)
+        rho = final_state(params(1, 1, 0.9, 0.3))
+        np.testing.assert_allclose(np.diag(rho), [0.5, 0.5], atol=1e-15)
 
     def test_lambda_one_recovers_prepared(self):
-        p = params(3, 2, 0.7, 1.0, include_limit=True)
-        t = prep_coefficients(3, 0.7)
-        for u in range(2):
-            for v in range(3):
-                assert final_diag(u, v, p) == pytest.approx(
-                    float(t.d[u + v]), rel=1e-13
-                )
+        # at the lambda = 1 limit the state is the prepared one, d_j on the
+        # diagonal and i c_j on the counter-diagonal of the x with top bit 0
+        n, r = 3, 0.7
+        d, c = _unscaled_coefficients(n, r)
+        rho = final_state(params(n, 2, r, 1.0, include_limit=True))
+        for x in range(2 ** (n - 1)):
+            j = sum(zero_counts(x, n, 0))
+            assert rho[x, x].real == pytest.approx(d[j] / 16, rel=1e-13)
+            assert rho[x, 7 - x] == pytest.approx(1j * c[j] / 16, rel=1e-13)
 
     def test_derivative_against_finite_difference(self):
         eps = 1e-6
         for (n, m, u, v) in [(2, 1, 1, 1), (4, 2, 2, 1), (5, 5, 0, 3)]:
             for r in (0.3, 0.9):
                 lam = 0.55
-                hi = final_diag(u, v, params(n, m, r, lam + eps))
-                lo = final_diag(u, v, params(n, m, r, lam - eps))
-                exact = final_diag_derivative(u, v, params(n, m, r, lam))
+                hi = scaled_blocks(params(n, m, r, lam + eps))[0][u, v]
+                lo = scaled_blocks(params(n, m, r, lam - eps))[0][u, v]
+                exact = scaled_blocks(params(n, m, r, lam))[2][u, v]
                 assert exact == pytest.approx((hi - lo) / (2 * eps), abs=1e-9)
 
     def test_n2_m1_derivative_value(self):
         # d/dlam (1 + lam r^2)/4 = r^2/4
-        p = params(2, 1, 0.8, 0.6)
-        assert final_diag_derivative(1, 1, p) == pytest.approx(0.16, rel=1e-13)
-
-    def test_domain(self):
-        p = params(3, 2, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            final_diag(2, 0, p)
-        with pytest.raises(DomainError):
-            final_diag(0, 3, p)
+        slope = scaled_blocks(params(2, 1, 0.8, 0.6))[2]
+        assert slope[1, 1] == pytest.approx(0.16, rel=1e-13)
 
 
 class TestFinalState:
     def test_n2_m1_pure_blocks(self):
-        state = final_state(params(2, 1, 1.0, 0.5))
-        d0, c0 = state.blocks[0]
-        assert d0 == pytest.approx(0.375)
-        assert c0 == pytest.approx(0.25)
-        d1, c1 = state.blocks[1]
-        assert d1 == pytest.approx(0.125)
-        assert c1 == pytest.approx(0.0, abs=1e-15)
+        rho = final_state(params(2, 1, 1.0, 0.5))
+        assert rho[0, 0] == pytest.approx(0.375)
+        assert rho[0, 3] == pytest.approx(0.25j)
+        assert rho[1, 1] == pytest.approx(0.125)
+        assert abs(rho[1, 2]) <= 1e-15
 
     def test_trace_preserved(self):
         for n in (1, 2, 4, 6):
             for m in range(1, n + 1):
-                state = final_state(params(n, m, 0.7, 0.4))
-                assert state.trace() == pytest.approx(1.0, abs=1e-12)
+                rho = final_state(params(n, m, 0.7, 0.4))
+                assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_positive(self):
-        rho = final_state(params(4, 3, 0.9, 0.2)).to_dense()
+        rho = final_state(params(4, 3, 0.9, 0.2))
         assert hermitian_eig(rho).eigenvalues[0] >= -1e-13
 
     def test_m_exceeds_n_rejected(self):
         with pytest.raises(DomainError):
             final_state(params(2, 3, 0.5, 0.5))
+
+    def test_capacity(self, monkeypatch):
+        with pytest.raises(CapacityError):
+            final_state(params(30, 3, 0.5, 0.5))
+        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
+        final_state(params(3, 3, 0.5, 0.5))
+        with pytest.raises(CapacityError):
+            final_state(params(4, 3, 0.5, 0.5))
 
 
 class TestBlockQfi:
@@ -283,21 +310,13 @@ class TestCorrelatedQfi:
     def test_direct_per_x_sum(self):
         # counting identity: summing blocks over x < 2^(n-1) directly equals
         # the (u, v) binomial-weighted sum
-        from depolqfi.correlated import prep_coefficients as coeffs
-
         for (n, m) in [(3, 1), (4, 2), (5, 5), (6, 3)]:
             p = params(n, m, 0.65, 0.45)
-            t = coeffs(n, p.r)
+            diag, counter, slope = scaled_blocks(p)
             direct = 0.0
             for x in range(2 ** (n - 1)):
-                prof = bit_profile(x, n, m)
-                direct += block_qfi(
-                    final_diag(prof.u, prof.v, p),
-                    float(t.c[prof.j]),
-                    final_diag_derivative(prof.u, prof.v, p),
-                    m,
-                    p.lam,
-                )
+                u, v = zero_counts(x, n, m)
+                direct += block_qfi(diag[u, v], counter[u, v], slope[u, v], m, p.lam)
             assert correlated_qfi(p).value == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
@@ -412,32 +431,21 @@ class TestHighPrecisionReference:
 
 
 class TestGains:
+    """Gains are defined by cli.evaluate_grid, which leaves undefined ones
+    empty."""
+
     def test_low_r_gain_approaches_n(self):
         for n in (2, 3, 5):
-            g = correlated_gain(params(n, 1, 1e-4, 0.8)).value
+            g = evaluate_point("correlated", n, 1, 1e-4, 0.8).gain_vs_sqsc
             assert g == pytest.approx(n, abs=1e-4)
 
     def test_corr_vs_seq_low_r_approaches_n(self):
         for n in (2, 4):
-            g = corr_vs_seq_gain(params(n, 2, 1e-4, 0.8)).value
+            g = evaluate_point("corr_vs_seq", n, 2, 1e-4, 0.8).gain_vs_seq
             assert g == pytest.approx(n, abs=1e-4)
 
     def test_undefined_at_r_zero(self):
-        with pytest.raises(UndefinedGainError):
-            correlated_gain(params(2, 1, 0.0, 0.5))
-        with pytest.raises(UndefinedGainError):
-            corr_vs_seq_gain(params(2, 2, 0.0, 0.5))
-
-    def test_undefined_when_sequential_vanishes(self):
-        with pytest.raises(UndefinedGainError):
-            corr_vs_seq_gain(params(3, 2, 0.5, 0.0))
-
-    def test_record_metadata(self):
-        rec = correlated_gain(params(3, 2, 0.5, 0.6))
-        assert rec.numerator_protocol == "correlated"
-        assert rec.denominator_protocol == "sqsc"
-        seq = sequential_qfi(2, 0.5, 0.6).per_channel
-        rec2 = corr_vs_seq_gain(params(3, 2, 0.5, 0.6))
-        assert rec2.value == pytest.approx(
-            correlated_qfi(params(3, 2, 0.5, 0.6)).per_channel / seq, rel=1e-14
-        )
+        for protocol, m in (("correlated", 1), ("corr_vs_seq", 2)):
+            row = evaluate_point(protocol, 2, m, 0.0, 0.5)
+            assert row.gain_vs_sqsc is None
+            assert row.gain_vs_seq is None

@@ -25,9 +25,7 @@ class TestFinalMatrix:
         for m in (1, 2):
             for r in (0.0, 0.5, 1.0):
                 for lam in (0.0, 0.4, 0.9):
-                    dense = final_state(
-                        ProtocolParams(2, m, r, lam)
-                    ).to_dense()
+                    dense = final_state(ProtocolParams(2, m, r, lam))
                     explicit = two_qubit_final_matrix(m, r, lam)
                     assert np.max(np.abs(dense - explicit)) <= 1e-14
 
@@ -37,9 +35,7 @@ class TestFinalMatrix:
 
     def test_lambda_one_is_prepared_state(self):
         pre = two_qubit_final_matrix(3, 0.7, 1.0)
-        dense = final_state(
-            ProtocolParams(2, 2, 0.7, 1.0, include_limit=True)
-        ).to_dense()
+        dense = final_state(ProtocolParams(2, 2, 0.7, 1.0, include_limit=True))
         assert np.max(np.abs(pre - dense)) <= 1e-14
 
     def test_entries(self):
@@ -75,6 +71,13 @@ class TestPpt:
         assert separability_threshold(1, 0.0) == 1.0
         # deep in the noisy regime every polarization stays separable
         assert separability_threshold(4, 0.3) == 1.0
+
+    @pytest.mark.parametrize(
+        "m, lam", [(1, -0.5), (1, 1.5), (1, math.nan), (0, 0.5), (1.5, 0.5)]
+    )
+    def test_threshold_domain(self, m, lam):
+        with pytest.raises(DomainError):
+            separability_threshold(m, lam)
 
     def test_threshold_matches_ppt_flag(self):
         for m in (1, 2):

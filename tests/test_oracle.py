@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from depolqfi.correlated import correlated_qfi, final_state, prepared_state
+from depolqfi.correlated import correlated_qfi, final_state
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace
 from depolqfi.oracle import (
@@ -75,10 +75,11 @@ class TestPrepCircuit:
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_coefficient_table(self):
+        # the closed form's lambda = 1 limit is the prepared state
         for n in (1, 2, 3, 5):
             for r in (0.0, 0.5, 1.0):
                 circuit = apply_uprep(initial_product_state(n, r), n)
-                closed = prepared_state(n, r).to_dense()
+                closed = final_state(params(n, 1, r, 1.0, include_limit=True))
                 assert np.max(np.abs(circuit - closed)) <= 1e-14
 
 
@@ -255,7 +256,7 @@ class TestVerify:
     def test_final_state_agreement_dense(self):
         p = params(4, 4, 0.7, 0.3)
         rho_f, _ = oracle_final_state(p)
-        assert np.max(np.abs(final_state(p).to_dense() - rho_f)) <= 1e-13
+        assert np.max(np.abs(final_state(p) - rho_f)) <= 1e-13
 
     @pytest.mark.parametrize(
         "n, m, r, lam",

@@ -25,11 +25,6 @@ def bloch_state(rx, ry, rz):
 
 
 class TestParams:
-    def test_p_q(self):
-        params = ProtocolParams(n=2, m=1, r=0.5, lam=0.6)
-        assert params.p == pytest.approx(0.8)
-        assert params.q == pytest.approx(0.2)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
