@@ -37,7 +37,6 @@ from .oracle import (
     VerificationReport,
     apply_depolarizing,
     apply_uprep,
-    channel_derivative,
     initial_product_state,
     oracle_final_state,
     spectral_qfi,

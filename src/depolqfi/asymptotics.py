@@ -77,11 +77,10 @@ def sequential_cutoff(m: int) -> CutoffCurve:
 def correlated_cutoff(n: int, m: int) -> float:
     """Cutoff (m*n)^(1/(2-2m)) for the correlated protocol; m = 1 returns 0
     since the low-polarization gain is n >= 1 for every lambda."""
+    check_params(n=n, m=m)
     if m == 1:
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
         return 0.0
-    if not 2 <= m <= n:
+    if m > n:
         raise DomainError(f"need 2 <= m <= n, got m={m}, n={n}")
     return float(m * n) ** (1.0 / (2.0 - 2.0 * m))
 

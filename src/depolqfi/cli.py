@@ -19,6 +19,7 @@ import numpy as np
 from . import asymptotics, correlations
 from .correlated import correlated_qfi
 from .errors import CapacityError, DomainError
+from .linalg import check_capacity
 from .oracle import verify
 from .protocols import (
     ProtocolParams,
@@ -258,6 +259,8 @@ def _verify_report_dict(report) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     if args.grid:
+        check_params(n=args.max_n)
+        check_capacity(args.max_n)
         r_values = (0.0, 0.1, 0.5, 0.9, 1.0)
         lam_values = (0.0, 0.3, 0.7, 0.99)
         for n in range(1, args.max_n + 1):

@@ -22,7 +22,6 @@ I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def dim_cap() -> int:
@@ -52,7 +51,9 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    """max|a - a^dagger| <= tol * max|a|: relative to a's own scale, so the
+    zero matrix passes."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol * np.max(np.abs(a)))
 
 
 def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
@@ -99,7 +100,9 @@ def hermitian_eig(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian-flagged matrix."""
     _check_square(a, "matrix")
     if not is_hermitian(a):
-        raise DomainError("matrix is not Hermitian within tolerance 1e-12")
+        raise DomainError(
+            f"matrix is not Hermitian within relative tolerance {HERMITIAN_TOL:g}"
+        )
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

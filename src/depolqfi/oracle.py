@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlated import correlated_qfi, final_state
 from .errors import DomainError
-from .linalg import HADAMARD, I2, SIGMA_Y, _qubit_axes, check_capacity, hermitian_eig
+from .linalg import I2, SIGMA_Y, _qubit_axes, check_capacity, hermitian_eig
 from .protocols import ProtocolParams, check_params
 
 QFI_ELEM_EPS = 1e-9
@@ -48,24 +48,27 @@ def initial_product_state(n: int, r: float) -> np.ndarray:
     return rho
 
 
-def prep_unitary(n: int) -> np.ndarray:
-    """Preparatory circuit: controlled-Z on every distinct qubit pair,
-    then a Hadamard on every qubit."""
+def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
+    """U rho U^dagger for the preparatory circuit U (controlled-Z on every
+    qubit pair, then a Hadamard on every qubit): the CZ signs (-1)^C(popcount
+    x, 2) on both sides, then a sum/difference butterfly on each of the 2n
+    row and column axes, O(n 4^n) with no 2^n x 2^n unitary."""
     check_capacity(n)
     dim = 2**n
-    # CZ product is diagonal with sign (-1)^(number of 1-bit pairs)
-    signs = np.array(
-        [(-1.0) ** math.comb(bin(x).count("1"), 2) for x in range(dim)]
-    )
-    had = HADAMARD
-    for _ in range(n - 1):
-        had = np.kron(had, HADAMARD)
-    return had * signs[np.newaxis, :]
-
-
-def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
-    u = prep_unitary(n)
-    return u @ rho @ u.conj().T
+    if rho.shape != (dim, dim):
+        raise DomainError(f"rho must have shape ({dim}, {dim}), got {rho.shape}")
+    ones = ((np.arange(dim)[:, np.newaxis] >> np.arange(n)) & 1).sum(axis=1)
+    signs = np.where(ones * (ones - 1) // 2 % 2, -1.0, 1.0)
+    # each of the 2n Hadamards carries 1/sqrt(2)
+    t = rho * (0.5**n * signs)[:, np.newaxis]
+    t *= signs
+    t = t.reshape((2,) * (2 * n))
+    for axis in range(2 * n):
+        low, high = np.moveaxis(t, axis, 0)
+        diff = low - high
+        low += high
+        high[...] = diff
+    return t.reshape(dim, dim)
 
 
 def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -98,14 +101,6 @@ def _channels(
     return rho, drho
 
 
-def channel_derivative(rho_i: np.ndarray, m: int, lam: float, n: int) -> np.ndarray:
-    """Exact d rho_f / d lambda with the channel acting once on each of
-    qubits 1..m."""
-    if not 1 <= m <= n:
-        raise DomainError(f"m = {m} out of range 1..{n}")
-    return _channels(rho_i, m, lam, n)[1]
-
-
 def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the eigenbasis matrix-element form
     H = sum_{j,k} 2 |<phi_j| drho |phi_k>|^2 / (p_j + p_k)."""
@@ -132,7 +127,6 @@ def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     n, m, lam = params.n, params.m, params.lam
     if m > n:
         raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
-    check_capacity(n)
     rho_i = apply_uprep(initial_product_state(n, params.r), n)
     return _channels(rho_i, m, lam, n)
 

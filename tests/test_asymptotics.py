@@ -96,6 +96,11 @@ class TestCutoffs:
         with pytest.raises(DomainError):
             correlated_cutoff(2, 3)
 
+    @pytest.mark.parametrize("n, m", [(1.5, 1), (3, 2.5), (math.nan, 1)])
+    def test_correlated_cutoff_domain(self, n, m):
+        with pytest.raises(DomainError):
+            correlated_cutoff(n, m)
+
     def test_correlated_below_sequential(self):
         for n in (3, 4, 6):
             for m in range(2, n + 1):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from depolqfi import cli
 from depolqfi.cli import (
     CSV_HEADER,
     PROTOCOLS,
@@ -297,6 +298,23 @@ class TestMain:
         )
         assert code == 2
         assert "error: tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_verify_grid_bad_max_n_exit_2(self, max_n, capsys):
+        code = main(["verify", "--grid", "--max-n", max_n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_verify_grid_checks_cap_before_verifying(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "16")
+        code = main(["verify", "--grid", "--max-n", "5"])
+        assert code == 4
+        assert calls == []
+        assert "error: dimension 2**5" in capsys.readouterr().err
 
     def test_verify_grid_small(self, capsys):
         code = main(["verify", "--grid", "--max-n", "2"])

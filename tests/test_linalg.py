@@ -103,8 +103,14 @@ class TestHermitianEig:
         )
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(DomainError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        # the asymmetry is judged against the matrix's own scale
+        for scale in (1.0, 1e-13):
+            with pytest.raises(DomainError):
+                hermitian_eig(scale * np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_zero_matrix(self):
+        spec = hermitian_eig(np.zeros((2, 2), dtype=complex))
+        np.testing.assert_array_equal(spec.eigenvalues, [0.0, 0.0])
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(21)

@@ -7,12 +7,11 @@ from depolqfi.correlated import correlated_qfi, final_state
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace
 from depolqfi.oracle import (
+    _channels,
     apply_depolarizing,
     apply_uprep,
-    channel_derivative,
     initial_product_state,
     oracle_final_state,
-    prep_unitary,
     spectral_qfi,
     verify,
 )
@@ -49,12 +48,32 @@ class TestInitialState:
 
 
 class TestPrepCircuit:
-    def test_unitary(self):
-        for n in (1, 2, 3):
-            u = prep_unitary(n)
+    def test_matches_dense_circuit(self):
+        # U = H^(x)n times the CZ product's signs (-1)^C(popcount x, 2);
+        # non-Hermitian inputs tell a row axis from a column axis
+        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 5, 7):
+            dim = 2**n
+            had = np.ones((1, 1))
+            for _ in range(n):
+                had = np.kron(had, hadamard)
+            signs = [(-1.0) ** math.comb(bin(x).count("1"), 2) for x in range(dim)]
+            u = had * np.array(signs)
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             np.testing.assert_allclose(
-                u @ u.conj().T, np.eye(2**n), atol=1e-13
+                apply_uprep(a, n), u @ a @ u.conj().T, rtol=0, atol=1e-12
             )
+
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
+        with pytest.raises(CapacityError):
+            apply_uprep(np.eye(16, dtype=complex) / 16, 4)
+
+    def test_wrong_shape(self):
+        for shape in ((8, 8), (4, 8), (2, 2), (16,)):
+            with pytest.raises(DomainError):
+                apply_uprep(np.zeros(shape, dtype=complex), 2)
 
     def test_n2_bell_projector_from_zero(self):
         # |00> -> CZ leaves it, Hadamards spread it: all entries 1/4
@@ -149,12 +168,11 @@ class TestDerivative:
     def test_single_use_bloch_form(self):
         # d/dlam [(I + lam r sigma_y)/2] = r sigma_y / 2
         rho = (I2 + 0.8 * SIGMA_Y) / 2
-        d = channel_derivative(rho, 1, 0.37, 1)
+        _, d = _channels(rho, 1, 0.37, 1)
         np.testing.assert_allclose(d, 0.8 * SIGMA_Y / 2, atol=1e-14)
 
     def test_traceless(self):
-        rho = apply_uprep(initial_product_state(3, 0.6), 3)
-        d = channel_derivative(rho, 2, 0.5, 3)
+        _, d = oracle_final_state(params(3, 2, 0.6, 0.5))
         assert abs(np.trace(d)) <= 1e-14
 
     def test_finite_difference(self):
@@ -169,7 +187,7 @@ class TestDerivative:
                 return out
 
             fd = (pipeline(lam + eps) - pipeline(lam - eps)) / (2 * eps)
-            exact = channel_derivative(rho, m, lam, n)
+            _, exact = oracle_final_state(params(n, m, 0.6, lam))
             assert np.max(np.abs(fd - exact)) <= 1e-9
 
 
@@ -181,11 +199,14 @@ class TestSpectralQfi:
             assert spectral_qfi(rho, np.zeros((2, 2), dtype=complex)) == 0.0
 
     def test_homogeneous_of_degree_one(self):
-        # scaling (rho, drho) by c scales the QFI by c, down to tiny c;
-        # at c = 1: 2(0.1^2/1.2 + 0.1^2/0.8) + 2 * 2 * 0.05^2 = 31/600
-        rho = np.diag([0.6, 0.4]).astype(complex)
-        drho = np.array([[0.1, 0.05j], [-0.05j, -0.1]])
-        for c in (1.0, 1e-12, 1e-20):
+        # scaling (rho, drho) by c scales the QFI by c, down to tiny c and up
+        # to large c; at c = 1: 2(0.1^2/1.2 + 0.1^2/0.8) + 2 * 2 * 0.05^2
+        # = 31/600. The unitary rotation leaves the QFI as it is but makes
+        # rho and drho Hermitian only to round-off, as computed states are.
+        u = np.array([[0.8, -0.6], [0.6, 0.8]]) @ np.diag([1.0, np.exp(0.7j)])
+        rho = u @ np.diag([0.6, 0.4]) @ u.conj().T
+        drho = u @ np.array([[0.1, 0.05j], [-0.05j, -0.1]]) @ u.conj().T
+        for c in (1.0, 1e-12, 1e-20, 1e8):
             assert spectral_qfi(c * rho, c * drho) == pytest.approx(
                 c * 31 / 600, rel=1e-12, abs=0.0
             )
