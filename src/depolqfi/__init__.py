@@ -44,11 +44,9 @@ from .oracle import (
 )
 from .protocols import (
     ProtocolParams,
-    QfiReport,
     SldComputation,
     independent_qfi,
     pure_entangled_qfi,
-    pure_sqsc_qfi,
     qubit_sld,
     sequential_extra_invocation_advantage,
     sequential_gain,

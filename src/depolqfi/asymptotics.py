@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .protocols import check_params
+from .protocols import ProtocolParams, check_params
 
 FLOOR_NUDGE = 1e-9
 
@@ -59,9 +59,7 @@ def lowr_sequential_per_channel(m: int, r: float, lam: float) -> float:
 def lowr_correlated_per_channel(n: int, m: int, r: float, lam: float) -> float:
     """Correlated-protocol per-channel QFI to lowest order in r; lam = 1 is
     admitted as a limit."""
-    check_params(n=n, m=m, r=r, lam=lam, include_limit=True)
-    if m > n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    ProtocolParams(n, m, r, lam, include_limit=True)
     return m * n * lam ** (2 * m - 2) * r * r
 
 
@@ -77,11 +75,9 @@ def sequential_cutoff(m: int) -> CutoffCurve:
 def correlated_cutoff(n: int, m: int) -> float:
     """Cutoff (m*n)^(1/(2-2m)) for the correlated protocol; m = 1 returns 0
     since the low-polarization gain is n >= 1 for every lambda."""
-    check_params(n=n, m=m)
+    ProtocolParams(n, m, r=0.0, lam=0.0)  # checks n, m and m <= n
     if m == 1:
         return 0.0
-    if m > n:
-        raise DomainError(f"need 2 <= m <= n, got m={m}, n={n}")
     return float(m * n) ** (1.0 / (2.0 - 2.0 * m))
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: single evaluations, parameter sweeps, optimal
 invocation tables, oracle verification, and two-qubit correlation reports.
 
-Exit codes: 0 ok, 2 domain violation, 3 I/O failure, 4 capacity exceeded.
+Exit codes: 0 ok, 2 domain violation, 3 I/O failure, 4 capacity exceeded
+(the dense cap, or memory running out).
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from .correlated import correlated_qfi
 from .errors import CapacityError, DomainError
 from .linalg import check_capacity
 from .oracle import verify
-from .protocols import (
-    ProtocolParams,
-    check_params,
-    independent_qfi,
-    sequential_qfi,
-    sqsc_qfi,
-)
+from .protocols import ProtocolParams, check_params, sequential_qfi, sqsc_qfi
 
 CSV_HEADER = (
     "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
@@ -111,19 +106,23 @@ def evaluate_grid(
     check_params(n=n, m=m)
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     if protocol in ("sqsc", "independent"):
-        # sqsc is the independent protocol on one qubit
+        # sqsc is the independent protocol on one qubit. Its per-channel QFI
+        # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the
+        # last printed digit.
         n = m = 1 if protocol == "sqsc" else m
-        report = independent_qfi(m, r, lam)
-    elif protocol == "sequential":
-        n = 1
-        report = sequential_qfi(m, r, lam)
-    else:  # correlated / corr_vs_seq
-        report = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
-    value, per_channel = report.value, report.per_channel
+        per_channel = sqsc_qfi(r, lam)
+        value = m * per_channel
+    else:
+        if protocol == "sequential":
+            n = 1
+            value = sequential_qfi(m, r, lam)
+        else:  # correlated / corr_vs_seq
+            value = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
+        per_channel = value / m
 
     usable = (r > 0.0) & (lam < 1.0)
     lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
-    refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref).per_channel
+    refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref) / m
     crb = asymptotics.cramer_rao_bound(value)
     columns = [np.ravel(a).tolist() for a in (r, lam, value, per_channel)]
     columns += [_gains(per_channel, ref, usable) for ref in refs]
@@ -165,9 +164,12 @@ def sweep_rows(
 
 def _parse_int_list(raw: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok]
+        values = [int(tok) for tok in raw.split(",") if tok]
     except ValueError:
-        raise DomainError(f"expected comma-separated integers, got {raw!r}") from None
+        values = []
+    if not values:
+        raise DomainError(f"expected comma-separated integers, got {raw!r}")
+    return values
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -329,17 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_point_flags(p, with_n=True, with_m=True):
-        if with_n:
-            p.add_argument("--n", type=int, default=1)
-        if with_m:
-            p.add_argument("--m", type=int, default=1)
-        p.add_argument("--r", type=float, required=True)
-        p.add_argument("--lambda", dest="lam", type=float, required=True)
-
     p_eval = sub.add_parser("eval", help="evaluate one protocol at one point")
     p_eval.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    add_point_flags(p_eval)
+    p_eval.add_argument("--n", type=int, default=1)
+    p_eval.add_argument("--m", type=int, default=1)
+    p_eval.add_argument("--r", type=float, required=True)
+    p_eval.add_argument("--lambda", dest="lam", type=float, required=True)
     p_eval.add_argument("--include-limit", action="store_true")
     p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.set_defaults(func=cmd_eval)
@@ -393,8 +390,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PositivityError
 from .linalg import check_capacity
-from .protocols import ProtocolParams, QfiReport
+from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
 # Relative to the block's diagonal entry d: the block QFI is homogeneous of
@@ -88,8 +88,6 @@ def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     lam, c with the shape of r. All three omit the state's scale 2^-(n+1)."""
     n, m = params.n, params.m
     _check_n(n)
-    if m > n:
-        raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
     d, c = _unscaled_coefficients(n, params.r)
     window = sliding_window_view(d, m + 1, axis=-1)  # [..., u, v'] = d[..., u + v']
     diag, slope = window @ np.swapaxes(_transition(m, params.lam), -1, -2)
@@ -151,9 +149,10 @@ def block_qfi(d, c, d_dot, m: int, lam: float):
     return float(total) if total.ndim == 0 else total
 
 
-def correlated_qfi(params: ProtocolParams) -> QfiReport:
-    """Total QFI of the correlated-state protocol (closed form). Arrays of r
-    and lambda in params give values over their broadcast shape."""
+def correlated_qfi(params: ProtocolParams):
+    """Total QFI of the correlated-state protocol (closed form): a float, or
+    an array over the broadcast shape when params carry arrays of r and
+    lambda."""
     n, m = params.n, params.m
     diag, counter, slope = _blocks(params)
     # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
@@ -167,10 +166,7 @@ def correlated_qfi(params: ProtocolParams) -> QfiReport:
     lam_blocks = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
     h = block_qfi(diag[present], counter[present], slope[present], m, lam_blocks)
     total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
-    total = float(total) if total.ndim == 0 else total
-    return QfiReport(
-        value=total, per_channel=total / m, method="closed_form", params=params
-    )
+    return float(total) if total.ndim == 0 else total
 
 
 def _comb_row(k: int) -> np.ndarray:

@@ -124,11 +124,8 @@ def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
 
 def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Run the full pipeline; returns (rho_f, d rho_f / d lambda)."""
-    n, m, lam = params.n, params.m, params.lam
-    if m > n:
-        raise DomainError(f"correlated protocol requires m <= n, got m={m}, n={n}")
-    rho_i = apply_uprep(initial_product_state(n, params.r), n)
-    return _channels(rho_i, m, lam, n)
+    rho_i = apply_uprep(initial_product_state(params.n, params.r), params.n)
+    return _channels(rho_i, params.m, params.lam, params.n)
 
 
 def verify(
@@ -143,7 +140,7 @@ def verify(
             raise DomainError(f"{name} must be finite and >= 0, got {tol}")
     rho_f, drho = oracle_final_state(params)
     oracle_value = spectral_qfi(rho_f, drho)
-    closed = correlated_qfi(params).value
+    closed = correlated_qfi(params)
 
     dense_closed = final_state(params)
     max_state_err = float(np.max(np.abs(dense_closed - rho_f)))

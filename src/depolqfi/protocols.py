@@ -1,8 +1,8 @@
 """Closed-form single-qubit protocols for depolarizing-channel estimation.
 
-Covers the single-qubit single-channel (SQSC) baseline, its pure-state and
-entangled-pair reference values, the independent and sequential multi-use
-protocols, and the sequential-use gain with its limit evaluations.
+Covers the single-qubit single-channel (SQSC) baseline, its entangled-pair
+reference value, the independent and sequential multi-use protocols, and the
+sequential-use gain with its limit evaluations.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def check_params(n=1, m=1, r=0.0, lam=0.0, include_limit: bool = False) -> None:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Parameter bundle (n qubits, m channel invocations, polarization r,
-    channel parameter lambda). lam = 1 is only admitted for explicit limit
-    evaluations via include_limit=True."""
+    """A validated correlated-protocol point: n qubits, m <= n channel
+    invocations, polarization r and channel parameter lambda. lam = 1 is
+    only admitted for explicit limit evaluations via include_limit=True."""
 
     n: int
     m: int
@@ -48,6 +48,10 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         check_params(self.n, self.m, self.r, self.lam, self.include_limit)
+        if self.m > self.n:
+            raise DomainError(
+                f"correlated protocol requires m <= n, got m={self.m}, n={self.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -60,28 +64,11 @@ class SldComputation:
     branch: str  # "alpha_zero" or "alpha_nonzero"
 
 
-@dataclass(frozen=True)
-class QfiReport:
-    """A QFI and its value per channel use. Both are arrays when the
-    params carry arrays of r and lambda."""
-
-    value: float
-    per_channel: float
-    method: str  # "closed_form" or "oracle"
-    params: ProtocolParams
-
-
 def sqsc_qfi(r: float, lam: float) -> float:
     """Baseline QFI for a single qubit and a single channel invocation;
     r and lam may be arrays."""
     check_params(r=r, lam=lam)
     return r * r / (1.0 - lam * lam * r * r)
-
-
-def pure_sqsc_qfi(lam: float) -> float:
-    """SQSC baseline specialized to a pure input (r = 1)."""
-    check_params(lam=lam)
-    return 1.0 / (1.0 - lam * lam)
 
 
 def pure_entangled_qfi(lam: float) -> float:
@@ -118,23 +105,18 @@ def qubit_sld(rho: np.ndarray, drho: np.ndarray) -> SldComputation:
     return SldComputation(alpha=alpha, sld=sld, branch=branch)
 
 
-def independent_qfi(m: int, r: float, lam: float) -> QfiReport:
-    """m independent qubits, one channel use each: QFI is additive. r and
-    lam may be arrays."""
-    params = ProtocolParams(n=m, m=m, r=r, lam=lam)
-    base = sqsc_qfi(r, lam)
-    return QfiReport(
-        value=m * base, per_channel=base, method="closed_form", params=params
-    )
+def independent_qfi(m: int, r: float, lam: float) -> float:
+    """QFI of m independent qubits, one channel use each: QFI is additive.
+    r and lam may be arrays."""
+    check_params(m=m)
+    return m * sqsc_qfi(r, lam)
 
 
-def sequential_qfi(m: int, r: float, lam: float) -> QfiReport:
-    """m sequential channel uses on one qubit; r and lam may be arrays."""
-    params = ProtocolParams(n=1, m=m, r=r, lam=lam)
-    value = m * m * lam ** (2 * m - 2) * r * r / (1.0 - lam ** (2 * m) * r * r)
-    return QfiReport(
-        value=value, per_channel=value / m, method="closed_form", params=params
-    )
+def sequential_qfi(m: int, r: float, lam: float) -> float:
+    """QFI of m sequential channel uses on one qubit; r and lam may be
+    arrays."""
+    check_params(m=m, r=r, lam=lam)
+    return m * m * lam ** (2 * m - 2) * r * r / (1.0 - lam ** (2 * m) * r * r)
 
 
 def sequential_gain(m: int, r: float, lam: float) -> float:

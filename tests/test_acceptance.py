@@ -105,7 +105,7 @@ def test_criterion_4_reduction_identities():
     for _ in range(40):
         r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
         base = sqsc_qfi(r, lam)
-        corr = correlated_qfi(ProtocolParams(1, 1, r, lam)).value
+        corr = correlated_qfi(ProtocolParams(1, 1, r, lam))
         seq = base * sequential_gain(1, r, lam) if r > 0 else 0.0
         ok = ok and abs(corr - base) <= 1e-12 * max(1.0, base)
         ok = ok and abs(seq - base) <= 1e-12 * max(1.0, base)
@@ -114,7 +114,7 @@ def test_criterion_4_reduction_identities():
     # 3/((1+3*lam)(1-lam)) (verified independently against the brute-force
     # oracle and the isotropic-state spectral decomposition)
     for lam in np.linspace(0.1, 0.9, 9):
-        corr = correlated_qfi(ProtocolParams(2, 1, 1.0, lam)).value
+        corr = correlated_qfi(ProtocolParams(2, 1, 1.0, lam))
         ok = ok and abs(corr - pure_entangled_qfi(lam)) <= 1e-10
     report(4, ok, "reduction identities and entangled-pair value")
 
@@ -125,14 +125,14 @@ def test_criterion_5_low_polarization_limits():
     for n in (2, 4, 6):
         for m in (1, 2, n):
             for lam in (0.5, 0.8, 0.95):
-                exact = correlated_qfi(ProtocolParams(n, m, r, lam)).per_channel
+                exact = correlated_qfi(ProtocolParams(n, m, r, lam)) / m
                 approx = m * n * lam ** (2 * m - 2) * r * r
                 ok = ok and abs(exact / approx - 1.0) <= 1e-3
     rs = np.array([1e-2, 1e-3, 1e-4])
     errs = np.array(
         [
             abs(
-                correlated_qfi(ProtocolParams(4, 2, rv, 0.8)).per_channel
+                correlated_qfi(ProtocolParams(4, 2, rv, 0.8)) / 2
                 / (2 * 4 * 0.8**2 * rv * rv)
                 - 1.0
             )

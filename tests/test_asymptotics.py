@@ -28,20 +28,20 @@ class TestLowrLimits:
 
     def test_sequential(self):
         m, r, lam = 3, 1e-4, 0.8
-        exact = sequential_qfi(m, r, lam).per_channel
+        exact = sequential_qfi(m, r, lam) / m
         assert exact == pytest.approx(
             lowr_sequential_per_channel(m, r, lam), rel=1e-7
         )
 
     def test_correlated(self):
         n, m, r, lam = 4, 2, 1e-4, 0.8
-        exact = correlated_qfi(ProtocolParams(n, m, r, lam)).per_channel
+        exact = correlated_qfi(ProtocolParams(n, m, r, lam)) / m
         assert exact == pytest.approx(
             lowr_correlated_per_channel(n, m, r, lam), rel=1e-6
         )
 
     def test_correlated_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="requires m <= n"):
             lowr_correlated_per_channel(2, 3, 0.1, 0.5)
 
     @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ class TestCutoffs:
     def test_correlated_cutoff(self):
         assert correlated_cutoff(4, 2) == pytest.approx(8 ** (-0.5), rel=1e-14)
         assert correlated_cutoff(5, 1) == 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="requires m <= n"):
             correlated_cutoff(2, 3)
 
     @pytest.mark.parametrize("n, m", [(1.5, 1), (3, 2.5), (math.nan, 1)])

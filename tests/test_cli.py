@@ -30,10 +30,10 @@ class TestEvaluatePoint:
 
     def test_correlated_row(self):
         row = evaluate_point("correlated", 4, 2, 0.5, 0.7)
-        report = correlated_qfi(ProtocolParams(4, 2, 0.5, 0.7))
-        assert row.qfi == pytest.approx(report.value, rel=1e-14)
-        seq = sequential_qfi(2, 0.5, 0.7).per_channel
-        assert row.gain_vs_seq == pytest.approx(report.per_channel / seq, rel=1e-13)
+        qfi = correlated_qfi(ProtocolParams(4, 2, 0.5, 0.7))
+        assert row.qfi == pytest.approx(qfi, rel=1e-14)
+        seq = sequential_qfi(2, 0.5, 0.7) / 2
+        assert row.gain_vs_seq == pytest.approx(qfi / 2 / seq, rel=1e-13)
 
     def test_gains_empty_at_r_zero(self):
         row = evaluate_point("sequential", 1, 3, 0.0, 0.5)
@@ -247,6 +247,17 @@ class TestMain:
         )
         assert code == 4
 
+    def test_out_of_memory_exit_4(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "sweep_rows", exhausted)
+        code = main(["sweep", "--protocol", "correlated", "--n", "4", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 74.5 GiB\n"
+
     def test_malformed_dim_cap_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("DEPOLQFI_MAX_DIM", "abc")
         code = main(
@@ -273,6 +284,8 @@ class TestMain:
             ["--lambda-grid", "0:0.5:2.5"],
             ["--n", "abc"],
             ["--m", "1,b"],
+            ["--n", ""],
+            ["--m", ","],
             # sqsc, independent and sequential fix n or m, but only after
             # the given ones are checked
             ["--m", "0"],
@@ -287,6 +300,30 @@ class TestMain:
             )
             assert code == 2, protocol
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--protocol", "correlated"],
+            ["eval", "--protocol", "corr_vs_seq"],
+            ["verify"],
+        ],
+    )
+    def test_m_above_n_exit_2(self, argv, capsys):
+        code = main([*argv, "--n", "2", "--m", "3", "--r", "0.5", "--lambda", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: correlated protocol requires m <= n, got m=3, n=2\n"
+        )
+
+    def test_sequential_takes_m_above_default_n(self, capsys):
+        code = main(
+            ["eval", "--protocol", "sequential", "--m", "3", "--r", ".5", "--lambda", ".5"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("sequential,1,3,")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_verify_tol_exit_2(self, tol, capsys):

@@ -297,14 +297,14 @@ class TestCorrelatedQfi:
         rng = np.random.default_rng(41)
         for _ in range(25):
             r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            h = correlated_qfi(params(1, 1, r, lam)).value
+            h = correlated_qfi(params(1, 1, r, lam))
             assert h == pytest.approx(sqsc_qfi(r, lam), abs=1e-12, rel=1e-12)
 
     def test_n2_m1_pure_is_entangled_pair_value(self):
         from depolqfi.protocols import pure_entangled_qfi
 
         for lam in np.linspace(0.1, 0.9, 9):
-            h = correlated_qfi(params(2, 1, 1.0, lam)).value
+            h = correlated_qfi(params(2, 1, 1.0, lam))
             assert h == pytest.approx(pure_entangled_qfi(lam), rel=1e-12)
 
     def test_direct_per_x_sum(self):
@@ -317,17 +317,17 @@ class TestCorrelatedQfi:
             for x in range(2 ** (n - 1)):
                 u, v = zero_counts(x, n, m)
                 direct += block_qfi(diag[u, v], counter[u, v], slope[u, v], m, p.lam)
-            assert correlated_qfi(p).value == pytest.approx(direct, rel=1e-12)
+            assert correlated_qfi(p) == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
-        assert correlated_qfi(params(5, 3, 0.0, 0.7)).value == pytest.approx(
+        assert correlated_qfi(params(5, 3, 0.0, 0.7)) == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_per_channel_field(self):
-        rep = correlated_qfi(params(4, 2, 0.5, 0.7))
-        assert rep.per_channel == pytest.approx(rep.value / 2, rel=1e-15)
-        assert rep.method == "closed_form"
+        row = evaluate_point("correlated", 4, 2, 0.5, 0.7)
+        assert row.qfi == correlated_qfi(params(4, 2, 0.5, 0.7))
+        assert row.qfi_per_channel == pytest.approx(row.qfi / 2, rel=1e-15)
 
     def test_m_greater_than_n_rejected(self):
         with pytest.raises(DomainError):
@@ -339,10 +339,11 @@ class TestCorrelatedQfi:
         )
         for n, m in [(1, 1), (2, 1), (5, 5), (11, 1), (14, 7), (30, 13), (60, 1),
                      (60, 30), (60, 60)]:
-            grid = correlated_qfi(params(n, m, r, lam)).value
+            grid = correlated_qfi(params(n, m, r, lam))
             assert grid.shape == r.shape
+            assert type(correlated_qfi(params(n, m, 0.5, 0.5))) is float
             scalar = [
-                correlated_qfi(params(n, m, a, b)).value
+                correlated_qfi(params(n, m, a, b))
                 for a, b in zip(r.flat, lam.flat)
             ]
             # values below 1e-25 are round-off of a true 0 (lambda = 0, m = n)
@@ -352,8 +353,8 @@ class TestCorrelatedQfi:
         r, lam = np.array([0.3, 0.9]), np.array([0.5, 1.0])
         with pytest.raises(DomainError):
             params(3, 2, r, lam)
-        grid = correlated_qfi(params(3, 2, r, lam, include_limit=True)).value
-        limit = correlated_qfi(params(3, 2, 0.9, 1.0, include_limit=True)).value
+        grid = correlated_qfi(params(3, 2, r, lam, include_limit=True))
+        limit = correlated_qfi(params(3, 2, 0.9, 1.0, include_limit=True))
         assert grid[1] == pytest.approx(limit, rel=1e-12)
 
 
@@ -411,7 +412,7 @@ class TestHighPrecisionReference:
         ],
     )
     def test_mid_size(self, n, m, r, lam):
-        value = correlated_qfi(params(n, m, r, lam)).value
+        value = correlated_qfi(params(n, m, r, lam))
         assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -424,7 +425,7 @@ class TestHighPrecisionReference:
         ],
     )
     def test_small_blocks_stay_finite(self, n, m, r, lam, expected):
-        value = correlated_qfi(params(n, m, r, lam)).value
+        value = correlated_qfi(params(n, m, r, lam))
         reference = _double_sum_qfi(n, m, r, lam)
         assert reference == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(reference, rel=1e-12)

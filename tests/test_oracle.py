@@ -270,7 +270,7 @@ class TestVerify:
         p = params(5, 3, 0.9, 0.8)
         report = verify(p)
         assert report.closed_form_qfi == pytest.approx(
-            correlated_qfi(p).value, rel=1e-14
+            correlated_qfi(p), rel=1e-14
         )
         assert report.pass_
 

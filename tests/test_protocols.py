@@ -11,7 +11,6 @@ from depolqfi.protocols import (
     check_params,
     independent_qfi,
     pure_entangled_qfi,
-    pure_sqsc_qfi,
     qubit_sld,
     sequential_extra_invocation_advantage,
     sequential_gain,
@@ -39,6 +38,12 @@ class TestParams:
     def test_domain_rejection(self, kwargs):
         with pytest.raises(DomainError):
             ProtocolParams(**kwargs)
+
+    def test_m_above_n_rejected(self):
+        message = r"^correlated protocol requires m <= n, got m=3, n=2$"
+        with pytest.raises(DomainError, match=message):
+            ProtocolParams(2, 3, 0.5, 0.5)
+        assert ProtocolParams(3, 3, 0.5, 0.5).m == 3
 
     def test_limit_flag_admits_lambda_one(self):
         params = ProtocolParams(n=1, m=1, r=0.5, lam=1.0, include_limit=True)
@@ -73,9 +78,7 @@ class TestSqsc:
         assert sqsc_qfi(0.0, 0.5) == 0.0
 
     def test_pure_specialization(self):
-        for lam in np.linspace(0.0, 0.99, 12):
-            assert pure_sqsc_qfi(lam) == pytest.approx(sqsc_qfi(1.0, lam), abs=1e-15)
-        assert pure_sqsc_qfi(0.5) == pytest.approx(4.0 / 3.0)
+        assert sqsc_qfi(1.0, 0.5) == pytest.approx(4.0 / 3.0)
 
     def test_divergence_toward_lambda_one(self):
         assert sqsc_qfi(1.0, 1 - 1e-8) > 1e7
@@ -102,7 +105,7 @@ class TestEntangledPair:
     def test_beats_pure_sqsc(self):
         # 3(1+lam)/(1+3lam) > 1 on [0, 1)
         for lam in np.linspace(0.0, 0.95, 20):
-            assert pure_entangled_qfi(lam) > pure_sqsc_qfi(lam)
+            assert pure_entangled_qfi(lam) > sqsc_qfi(1.0, lam)
 
 
 class TestQubitSld:
@@ -164,16 +167,16 @@ class TestQubitSld:
 class TestIndependent:
     def test_additivity(self):
         base = sqsc_qfi(0.4, 0.6)
-        report = independent_qfi(5, 0.4, 0.6)
-        assert report.value == pytest.approx(5 * base, rel=1e-14)
-        assert report.per_channel == pytest.approx(base, rel=1e-14)
+        value = independent_qfi(5, 0.4, 0.6)
+        assert value == pytest.approx(5 * base, rel=1e-14)
+        assert value / 5 == pytest.approx(base, rel=1e-14)
 
     def test_per_channel_never_beats_baseline(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = int(rng.integers(1, 10))
             r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            assert independent_qfi(m, r, lam).per_channel == pytest.approx(
+            assert independent_qfi(m, r, lam) / m == pytest.approx(
                 sqsc_qfi(r, lam), rel=1e-14
             )
 
@@ -183,18 +186,25 @@ class TestSequential:
         rng = np.random.default_rng(4)
         for _ in range(30):
             r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            assert sequential_qfi(1, r, lam).value == pytest.approx(
+            assert sequential_qfi(1, r, lam) == pytest.approx(
                 sqsc_qfi(r, lam), abs=1e-12, rel=1e-12
             )
 
     def test_closed_form_value(self):
         m, r, lam = 3, 0.5, 0.8
         expected = 9 * 0.8**4 * 0.25 / (1 - 0.8**6 * 0.25)
-        assert sequential_qfi(m, r, lam).value == pytest.approx(expected, rel=1e-14)
+        assert sequential_qfi(m, r, lam) == pytest.approx(expected, rel=1e-14)
+
+    def test_returns_float_or_array(self):
+        for qfi in (sequential_qfi, independent_qfi):
+            assert type(qfi(3, 0.5, 0.8)) is float
+            values = qfi(3, np.array([0.5, 0.6]), np.array([[0.8], [0.2]]))
+            assert values.shape == (2, 2)
+            assert values[0, 1] == qfi(3, 0.6, 0.8)
 
     def test_lambda_zero(self):
-        assert sequential_qfi(2, 0.7, 0.0).value == 0.0
-        assert sequential_qfi(1, 0.7, 0.0).value == pytest.approx(0.49)
+        assert sequential_qfi(2, 0.7, 0.0) == 0.0
+        assert sequential_qfi(1, 0.7, 0.0) == pytest.approx(0.49)
 
 
 class TestSequentialGain:
@@ -211,7 +221,7 @@ class TestSequentialGain:
         for _ in range(40):
             m = int(rng.integers(1, 12))
             r, lam = rng.uniform(0.05, 1), rng.uniform(0.05, 0.99)
-            ratio = sequential_qfi(m, r, lam).per_channel / sqsc_qfi(r, lam)
+            ratio = sequential_qfi(m, r, lam) / m / sqsc_qfi(r, lam)
             assert sequential_gain(m, r, lam) == pytest.approx(ratio, rel=1e-12)
 
     def test_limit_values(self):
