@@ -4,8 +4,7 @@ counts for the estimation protocols."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,8 +18,7 @@ SPECTATOR_TABLE_LAMBDAS = (0.700, 0.800, 0.900, 0.950, 0.990, 0.995)
 ALL_QUBITS_TABLE_LAMBDAS = (0.500, 0.700, 0.900, 0.950, 0.970, 0.990)
 
 
-@dataclass(frozen=True)
-class OptimalInvocation:
+class OptimalInvocation(NamedTuple):
     """Optimal channel-use count at low polarization.
 
     spectator mode (m < n) optimizes m * lam^(2m-2), a per-spectator-count
@@ -36,8 +34,7 @@ class OptimalInvocation:
     optimal_gain_coefficient: float
 
 
-@dataclass(frozen=True)
-class CutoffCurve:
+class CutoffCurve(NamedTuple):
     m: int
     cutoff: float
     squared_cutoff: float

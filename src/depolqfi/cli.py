@@ -8,20 +8,17 @@ Exit codes: 0 ok, 2 domain violation, 3 I/O failure, 4 capacity exceeded
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import asymptotics, correlations
+from . import asymptotics
 from .correlated import correlated_qfi
 from .errors import CapacityError, DomainError
 from .linalg import check_capacity
-from .oracle import verify
 from .protocols import ProtocolParams, check_params, sequential_qfi, sqsc_qfi
 
 CSV_HEADER = (
@@ -34,8 +31,7 @@ CSV_COLUMNS = CSV_HEADER.split(",")
 PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     protocol: str
     n: int
     m: int
@@ -246,11 +242,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _verify_report_dict(report) -> dict:
-    data = dataclasses.asdict(report)
+    data = report._asdict()
     params = data.pop("params")
-    params.pop("include_limit", None)
-    params["lambda"] = params.pop("lam")
-    data["params"] = params
+    data["params"] = {"n": params.n, "m": params.m, "r": params.r, "lambda": params.lam}
     data["pass"] = data.pop("pass_")
     for key in ("closed_form_qfi", "oracle_qfi"):
         if math.isinf(data[key]):
@@ -259,6 +253,8 @@ def _verify_report_dict(report) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify  # here, so that no other command loads the oracle
+
     reports = []
     if args.grid:
         check_params(n=args.max_n)
@@ -285,8 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_correlations(args: argparse.Namespace) -> int:
-    report = correlations.correlation_report(args.m, args.r, args.lam)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    from .correlations import correlation_report  # loaded by this command only
+
+    report = correlation_report(args.m, args.r, args.lam)
+    print(json.dumps(report._asdict(), indent=2))
     return 0
 
 

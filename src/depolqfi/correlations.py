@@ -4,7 +4,7 @@ explicit final matrix, PPT separability, and quantum discord."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ DISCORD_ROTATION = np.array(
 )
 
 
-@dataclass(frozen=True)
-class DiscordIntermediates:
+class DiscordIntermediates(NamedTuple):
     """Eigen-quantities mu_0..mu_3 (4x the rotated-state eigenvalues) and
     the dominant correlation coefficient c_corr = lambda^m r."""
 
@@ -32,8 +31,7 @@ class DiscordIntermediates:
     c_corr: float
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     m: int
     r: float
     lam: float

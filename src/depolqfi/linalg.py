@@ -9,7 +9,7 @@ dimension 2**n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def partial_transpose(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:
     return t.reshape(d, d)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
     eigenvalues are real and ascending; eigenvectors[:, k] is the

@@ -11,7 +11,7 @@ form in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .protocols import ProtocolParams, check_params
 QFI_ELEM_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     params: ProtocolParams
     closed_form_qfi: float
     oracle_qfi: float
@@ -96,8 +95,9 @@ def _channels(
     """
     drho = np.zeros_like(rho)
     for qubit in range(1, m + 1):
-        drho = apply_depolarizing(drho, qubit, lam, n) + rho - _mix(rho, qubit, n)
-        rho = apply_depolarizing(rho, qubit, lam, n)
+        mixed = _mix(rho, qubit, n)
+        drho = apply_depolarizing(drho, qubit, lam, n) + rho - mixed
+        rho = lam * rho + (1.0 - lam) * mixed
     return rho, drho
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class ProtocolParams:
             )
 
 
-@dataclass(frozen=True)
-class SldComputation:
+class SldComputation(NamedTuple):
     """Symmetric logarithmic derivative L with the purity gap
     alpha = Tr(rho^2) - (Tr rho)^2 and the branch that produced it."""
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,7 +350,9 @@ class TestMain:
 
     def test_verify_grid_checks_cap_before_verifying(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(
+            "depolqfi.oracle.verify", lambda *a, **kw: calls.append(a)
+        )
         monkeypatch.setenv("DEPOLQFI_MAX_DIM", "16")
         code = main(["verify", "--grid", "--max-n", "5"])
         assert code == 4
@@ -359,3 +365,24 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 3 * 5 * 4
         assert all(item["pass"] for item in data)
+
+
+class TestStartupImports:
+    def test_cli_loads_only_what_its_commands_share(self):
+        script = (
+            "import json, sys\n"
+            "import depolqfi\n"
+            "bare = [m for m in sys.modules if m.startswith('depolqfi.')]\n"
+            "import depolqfi.cli\n"
+            "print(json.dumps([bare, sorted(sys.modules)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        bare, loaded = json.loads(proc.stdout)
+        assert bare == []
+        assert "depolqfi.cli" in loaded
+        assert "depolqfi.oracle" not in loaded
+        assert "depolqfi.correlations" not in loaded
