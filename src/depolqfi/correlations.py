@@ -64,11 +64,13 @@ def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
 def separability_threshold(m: int, lam: float) -> float:
     """Polarization below which the final two-qubit state stays separable:
     sqrt(1 + 1/lambda^m) - 1, clamped to [0, 1]. lam = 1 is accepted as a
-    limit evaluation (the prepared state)."""
+    limit evaluation (the prepared state). Where lambda^m is 0, lam = 0 or
+    an underflow, this is the lambda^m -> 0 limit, 1."""
     check_params(m=m, lam=lam, include_limit=True)
-    if lam == 0.0:
+    lm = lam**m
+    if lm == 0.0:
         return 1.0
-    return min(1.0, max(0.0, math.sqrt(1.0 + 1.0 / lam**m) - 1.0))
+    return min(1.0, max(0.0, math.sqrt(1.0 + 1.0 / lm) - 1.0))
 
 
 def ppt_analysis(m: int, r: float, lam: float) -> tuple[float, bool]:

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra for multi-qubit density matrices.
+"""Dense linear algebra for multi-qubit density matrices.
 
 Bit convention, used everywhere in this package: qubit 1 is the least
 significant bit, so a basis index x reads x_n ... x_1 with qubit n leftmost.
-Matrices are square numpy arrays of complex128; operators on n qubits have
+Matrices are square numpy arrays, complex128 or, where a state is exactly
+real (the oracle's phase frame), float64; operators on n qubits have
 dimension 2**n.
 """
 

@@ -6,6 +6,12 @@ reshaping rho to a (2,)*2n tensor and replacing the hit qubit with I/2 times
 its partial trace. The lambda-derivative is carried forward beside rho, so m
 channel uses cost O(m) channel applications. Used to verify every closed
 form in the package.
+
+The channels and the eigensolve run in a fixed phase frame: S^dagger rho S
+with S = diag(1, i) on qubit n. The prepared state is exactly real there, so
+they run in float64; if it ever is not, they run in complex128 on the same
+frame state. The frame is a lambda-independent unitary that commutes with
+every depolarizing use, so it leaves the QFI unchanged.
 """
 
 from __future__ import annotations
@@ -70,6 +76,30 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
+# (S^dagger rho S)[x, y] = i^(b(y) - b(x)) rho[x, y], b = the top bit (qubit n)
+_FRAME_PHASES = np.array([[1.0, 1j], [-1j, 1.0]])
+
+
+def _rephase(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Each quadrant of rho times its phase: an exact swap and sign change of
+    real and imaginary parts."""
+    half = rho.shape[0] // 2
+    t = rho.reshape(2, half, 2, half) * phases[:, np.newaxis, :, np.newaxis]
+    return t.reshape(rho.shape)
+
+
+def _to_frame(rho: np.ndarray) -> np.ndarray:
+    """S^dagger rho S on qubit n: its float64 real part if the imaginary part
+    is exactly zero, else the complex128 matrix itself."""
+    t = _rephase(rho, _FRAME_PHASES)
+    return t if t.imag.any() else np.ascontiguousarray(t.real)
+
+
+def _from_frame(rho: np.ndarray) -> np.ndarray:
+    """S rho S^dagger on qubit n, back in the computational basis."""
+    return _rephase(rho, _FRAME_PHASES.conj())
+
+
 def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """I/2 tensor Tr_qubit rho, with I/2 at the qubit's slot."""
     axes = _qubit_axes(rho, qubit, n)
@@ -122,10 +152,17 @@ def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(np.sum(2.0 * mags[safe] ** 2 / psum[safe]))
 
 
-def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full pipeline; returns (rho_f, d rho_f / d lambda)."""
+def _frame_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_f, d rho_f / d lambda) in the phase frame, float64 when exact."""
     rho_i = apply_uprep(initial_product_state(params.n, params.r), params.n)
-    return _channels(rho_i, params.m, params.lam, params.n)
+    return _channels(_to_frame(rho_i), params.m, params.lam, params.n)
+
+
+def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """Run the full pipeline; returns (rho_f, d rho_f / d lambda) in the
+    computational basis."""
+    rho, drho = _frame_final_state(params)
+    return _from_frame(rho), _from_frame(drho)
 
 
 def verify(
@@ -138,9 +175,10 @@ def verify(
     for name, tol in (("tolerance", tolerance), ("state_tolerance", state_tolerance)):
         if not 0.0 <= tol < math.inf:
             raise DomainError(f"{name} must be finite and >= 0, got {tol}")
-    rho_f, drho = oracle_final_state(params)
-    oracle_value = spectral_qfi(rho_f, drho)
+    rho, drho = _frame_final_state(params)
+    oracle_value = spectral_qfi(rho, drho)
     closed = correlated_qfi(params)
+    rho_f = _from_frame(rho)
 
     dense_closed = final_state(params)
     max_state_err = float(np.max(np.abs(dense_closed - rho_f)))

@@ -209,6 +209,14 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["separable"] is False
 
+    @pytest.mark.parametrize("m, lam", [("2", "1e-200"), ("3", "1e-120")])
+    def test_correlations_underflowing_lambda_power(self, m, lam, capsys):
+        code = main(["correlations", "--m", m, "--r", "0", "--lambda", lam])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["separability_threshold_r"] == 1.0
+        assert data["separable"] is True
+
     def test_figure_cutoff(self, capsys):
         code = main(["figure", "cutoff"])
         out = capsys.readouterr().out.strip().splitlines()

@@ -72,6 +72,11 @@ class TestPpt:
         # deep in the noisy regime every polarization stays separable
         assert separability_threshold(4, 0.3) == 1.0
 
+    @pytest.mark.parametrize("m, lam", [(2, 1e-200), (3, 1e-120), (2, 1e-161)])
+    def test_threshold_where_lambda_power_underflows(self, m, lam):
+        # lam**m rounds to 0 (or to a subnormal): the lambda^m -> 0 limit
+        assert separability_threshold(m, lam) == 1.0
+
     @pytest.mark.parametrize(
         "m, lam", [(1, -0.5), (1, 1.5), (1, math.nan), (0, 0.5), (1.5, 0.5)]
     )

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from depolqfi import oracle
 from depolqfi.correlated import correlated_qfi, final_state
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace
 from depolqfi.oracle import (
     _channels,
+    _frame_final_state,
+    _to_frame,
     apply_depolarizing,
     apply_uprep,
     initial_product_state,
@@ -315,3 +318,92 @@ class TestVerify:
             assert report.pass_, report
 
         check()
+
+
+# the `verify --grid` set and the n = 8 parameter lattice of the benchmark
+GRID_R = (0.0, 0.1, 0.5, 0.9, 1.0)
+GRID_LAM = (0.0, 0.3, 0.7, 0.99)
+LATTICE = [round(0.05 * (i + 1), 2) for i in range(19)]
+
+
+def phase_on_qubit(n, qubit, phase):
+    """Diagonal of diag(1, phase) on one qubit (qubit 1 least significant)."""
+    bits = (np.arange(2**n) >> (qubit - 1)) & 1
+    return np.where(bits == 1, phase, 1.0 + 0j)
+
+
+class TestPhaseFrame:
+    def test_prepared_state_is_real_in_frame(self):
+        # m and lambda act only through the channels, whose coefficients are
+        # real, so the prepared state at each (n, r) settles the frame's dtype
+        points = {(n, r) for n in range(1, 9) for r in GRID_R}
+        points |= {(8, r) for r in LATTICE}
+        for n, r in sorted(points):
+            rho = _to_frame(apply_uprep(initial_product_state(n, r), n))
+            assert rho.dtype == np.float64, (n, r)
+
+    def test_final_state_is_float64_on_verify_grid(self):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for lam in GRID_LAM:
+                    rho, drho = _frame_final_state(params(n, m, 0.9, lam))
+                    assert rho.dtype == drho.dtype == np.float64, (n, m, lam)
+
+    @pytest.mark.parametrize(
+        "n, m, r, lam",
+        [(1, 1, 0.5, 0.3), (3, 2, 0.6, 0.4), (5, 5, 1.0, 0.99), (6, 3, 0.1, 0.0)],
+    )
+    def test_matches_direct_complex_pipeline(self, n, m, r, lam):
+        rho_i = apply_uprep(initial_product_state(n, r), n)
+        direct = _channels(rho_i, m, lam, n)
+        framed = oracle_final_state(params(n, m, r, lam))
+        for want, got in zip(direct, framed):
+            assert got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(direct[0]))
+
+    def test_spectral_qfi_is_basis_and_dtype_independent(self):
+        rho, drho = _frame_final_state(params(4, 3, 0.6, 0.5))
+        assert rho.dtype == np.float64
+        value = spectral_qfi(rho, drho)
+        assert value > 0.0
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        u, _ = np.linalg.qr(a)
+        rotated = spectral_qfi(u @ rho @ u.conj().T, u @ drho @ u.conj().T)
+        assert rotated == pytest.approx(value, rel=1e-12, abs=0.0)
+        as_complex = spectral_qfi(rho.astype(complex), drho.astype(complex))
+        assert as_complex == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_channel_commutes_with_s_on_every_qubit(self):
+        rng = np.random.default_rng(53)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        for s_qubit in (1, 2, 3):
+            s = phase_on_qubit(3, s_qubit, 1j)
+            rotated = s[:, np.newaxis] * rho * s.conj()
+            for qubit in (1, 2, 3):
+                for lam in (0.0, 0.35):
+                    lhs = apply_depolarizing(rotated, qubit, lam, 3)
+                    out = apply_depolarizing(rho, qubit, lam, 3)
+                    rhs = s[:, np.newaxis] * out * s.conj()
+                    assert np.max(np.abs(lhs - rhs)) <= 1e-15
+
+    def test_imaginary_preparation_keeps_complex_path(self, monkeypatch):
+        # a Hermitian imaginary part on the (0, 1) pair, where the frame's
+        # phase is 1, must reach the state check instead of being dropped
+        prepare = oracle.apply_uprep
+
+        def skewed(rho, n):
+            out = prepare(rho, n)
+            out[0, 1] += 1e-6j
+            out[1, 0] -= 1e-6j
+            return out
+
+        monkeypatch.setattr(oracle, "apply_uprep", skewed)
+        p = params(3, 2, 0.5, 0.7)
+        rho, drho = _frame_final_state(p)
+        assert rho.dtype == drho.dtype == np.complex128
+        report = verify(p)
+        assert report.max_state_entry_err >= 1e-7
+        assert not report.pass_
