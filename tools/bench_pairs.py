@@ -5,12 +5,13 @@ Run from the repository root, for example:
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 10 \\
         --claim oracle-verify:latency_p50_s \\
         --pairs oracle-verify=10 --pairs closed-sweep=4 --pairs cli-cold=4 \\
-        --seed 1001 --seconds 30
+        --seed 1001
 
-Each run is `python3 bench/run.py --workload W --seed S --seconds T` in a
-fresh `git archive` of its commit. The two sides of a pair share a seed, and
-which side runs first alternates from pair to pair; workloads take turns, so
-a slow spell of the host spreads over all of them. The file is rewritten
+Each run is `python3 bench/run.py --workload W --seed S --seconds 30` in a
+fresh `git archive` of its commit; every BENCH file uses that run length, so
+its figures compare with the earlier file's. The two sides of a pair share a
+seed, and which side runs first alternates from pair to pair; workloads take
+turns, so a slow spell of the host spreads over all of them. The file is rewritten
 after every pair. Operation cost depends on the seed, so besides each side's
 pooled median and quartiles the summary gives the median over pairs of
 change/parent - 1, which is also what the closing table prints, next to the
@@ -33,19 +34,21 @@ import tempfile
 import time
 from pathlib import Path
 
+SECONDS = 30
+
 
 def git(*args: str) -> bytes:
     return subprocess.run(("git",) + args, check=True, capture_output=True).stdout
 
 
-def run_side(commit: str, workload: str, seed: int, seconds: float) -> tuple[int, float, dict | None]:
+def run_side(commit: str, workload: str, seed: int) -> tuple[int, float, dict | None]:
     """One benchmark run in a fresh archive of the commit: (exit code, wall
     seconds, the final JSON line or None)."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
             tar.extractall(tmp, filter="data")
         argv = [sys.executable, "bench/run.py", "--workload", workload,
-                "--seed", str(seed), "--seconds", str(seconds)]
+                "--seed", str(seed), "--seconds", str(SECONDS)]
         start = time.monotonic()
         proc = subprocess.run(argv, cwd=tmp, capture_output=True, text=True)
         wall = time.monotonic() - start
@@ -136,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=COUNT")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the gain claimed, if any")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -155,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "description": (
             f"Alternating parent/change pairs of `python3 bench/run.py --workload W --seed S "
-            f"--seconds {args.seconds:g}` (trace off), each side run from a fresh `git archive` "
+            f"--seconds {SECONDS}` (trace off), each side run from a fresh `git archive` "
             f"of its commit by tools/bench_pairs.py, on a {os.cpu_count()}-vCPU "
             f"{platform.machine()} host (Python {platform.python_version()}, OpenBLAS on 1 "
             f"thread as pinned by bench/run.py). Each run's `result` is the final JSON line "
@@ -180,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                code, wall, result = run_side(commits[side], workload, seed, args.seconds)
+                code, wall, result = run_side(commits[side], workload, seed)
                 record["runs"].append({
                     "workload": workload, "seed": seed, "pair": pair, "side": side,
                     "commit": commits[side], "first_in_pair": side == order[0],
