@@ -1,5 +1,5 @@
-"""Weak-polarization (r << 1) limits, cutoff curves and optimal invocation
-counts for the estimation protocols."""
+"""Weak-polarization (r << 1) cutoff curves, optimal invocation counts and
+the Cramer-Rao bound for the estimation protocols."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .protocols import ProtocolParams, check_params
+from .protocols import check_params
 
 FLOOR_NUDGE = 1e-9
 
@@ -40,26 +40,6 @@ class CutoffCurve(NamedTuple):
     squared_cutoff: float
 
 
-def lowr_sqsc(r: float) -> float:
-    """SQSC QFI to lowest order in r."""
-    check_params(r=r)
-    return r * r
-
-
-def lowr_sequential_per_channel(m: int, r: float, lam: float) -> float:
-    """Sequential per-channel QFI to lowest order in r; lam = 1 is admitted
-    as a limit."""
-    check_params(m=m, r=r, lam=lam, include_limit=True)
-    return m * lam ** (2 * m - 2) * r * r
-
-
-def lowr_correlated_per_channel(n: int, m: int, r: float, lam: float) -> float:
-    """Correlated-protocol per-channel QFI to lowest order in r; lam = 1 is
-    admitted as a limit."""
-    ProtocolParams(n, m, r, lam, include_limit=True)
-    return m * n * lam ** (2 * m - 2) * r * r
-
-
 def sequential_cutoff(m: int) -> CutoffCurve:
     """Channel-parameter cutoff m^(1/(2-2m)) above which m sequential uses
     beat the SQSC baseline at low polarization; m = 1 reports the limit
@@ -67,15 +47,6 @@ def sequential_cutoff(m: int) -> CutoffCurve:
     check_params(m=m)
     cutoff = math.exp(-0.5) if m == 1 else float(m) ** (1.0 / (2.0 - 2.0 * m))
     return CutoffCurve(m=m, cutoff=cutoff, squared_cutoff=cutoff * cutoff)
-
-
-def correlated_cutoff(n: int, m: int) -> float:
-    """Cutoff (m*n)^(1/(2-2m)) for the correlated protocol; m = 1 returns 0
-    since the low-polarization gain is n >= 1 for every lambda."""
-    ProtocolParams(n, m, r=0.0, lam=0.0)  # checks n, m and m <= n
-    if m == 1:
-        return 0.0
-    return float(m * n) ** (1.0 / (2.0 - 2.0 * m))
 
 
 def optimal_invocations(lam: float, mode: str) -> OptimalInvocation:

@@ -48,8 +48,6 @@ class ResultRow(NamedTuple):
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return ""
-    if math.isinf(value):
-        return "inf"
     return f"{value:.9e}"
 
 
@@ -91,6 +89,15 @@ def _gains(per_channel, ref, usable: np.ndarray) -> list[Optional[float]]:
     ]
 
 
+def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
+    """The (n, m) that a protocol's rows carry, after checking the requested
+    pair: sqsc is one qubit used once, independent m qubits used once each,
+    sequential one qubit used m times."""
+    check_params(n=n, m=m)
+    shapes = {"sqsc": (1, 1), "independent": (m, m), "sequential": (1, m)}
+    return shapes.get(protocol, (n, m))
+
+
 def evaluate_grid(
     protocol: str, n: int, m: int, r, lam, include_limit: bool = False
 ) -> list[ResultRow]:
@@ -99,18 +106,16 @@ def evaluate_grid(
     r = 0, where lambda = 1 or where its reference QFI is 0."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
-    check_params(n=n, m=m)
+    n, m = _carried_shape(protocol, n, m)
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     if protocol in ("sqsc", "independent"):
         # sqsc is the independent protocol on one qubit. Its per-channel QFI
         # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the
         # last printed digit.
-        n = m = 1 if protocol == "sqsc" else m
         per_channel = sqsc_qfi(r, lam)
         value = m * per_channel
     else:
         if protocol == "sequential":
-            n = 1
             value = sequential_qfi(m, r, lam)
         else:  # correlated / corr_vs_seq
             value = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
@@ -143,15 +148,15 @@ def sweep_rows(
     lambda_grid: np.ndarray,
     include_limit: bool = False,
 ) -> list[ResultRow]:
-    """Evaluate a full grid, one array evaluation per (n, m); rows come
-    back sorted by their own (n, m, r, lambda), since evaluate_grid
-    overrides n for sqsc, independent and sequential, and the grids may be
-    unsorted."""
+    """Evaluate a full grid, one array evaluation for each distinct (n, m)
+    that the rows carry (sqsc, independent and sequential map several
+    requested pairs to one); rows come back sorted by (n, m, r, lambda),
+    since the grids may be unsorted."""
     r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
+    shapes = dict.fromkeys(_carried_shape(protocol, n, m) for n in ns for m in ms)
     rows = [
         row
-        for n in ns
-        for m in ms
+        for n, m in shapes
         for row in evaluate_grid(protocol, n, m, r, lam, include_limit)
     ]
     rows.sort(key=lambda row: (row.n, row.m, row.r, row.lam))

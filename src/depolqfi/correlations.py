@@ -13,12 +13,6 @@ from .protocols import check_params
 
 PPT_TOL = 1e-12
 
-# Single-qubit rotation bringing the final state into Bell-diagonal-like
-# form (I + sum_j c_j sigma_j x sigma_j)/4 without changing the discord.
-DISCORD_ROTATION = np.array(
-    [[0.0, np.exp(1j * np.pi / 8)], [np.exp(-1j * np.pi / 8), 0.0]]
-)
-
 
 class DiscordIntermediates(NamedTuple):
     """Eigen-quantities mu_0..mu_3 (4x the rotated-state eigenvalues) and

@@ -20,9 +20,7 @@ DEFAULT_DIM_CAP = 2**12
 HERMITIAN_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def dim_cap() -> int:
@@ -51,10 +49,10 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
     return a.shape[0]
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """max|a - a^dagger| <= tol * max|a|: relative to a's own scale, so the
-    zero matrix passes."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * np.max(np.abs(a)))
+def is_hermitian(a: np.ndarray) -> bool:
+    """max|a - a^dagger| <= HERMITIAN_TOL * max|a|: relative to a's own
+    scale, so the zero matrix passes."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
 
 
 def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
@@ -65,15 +63,6 @@ def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
         raise DomainError(f"qubit_index {qubit_index} out of range 1..{n}")
     # axis 0 is the most significant row bit (qubit n)
     return n - qubit_index, 2 * n - qubit_index
-
-
-def partial_trace(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:
-    """Trace out one qubit, returning a 2**(n-1) dimensional matrix."""
-    row_ax, col_ax = _qubit_axes(rho, qubit_index, n)
-    t = rho.reshape([2] * (2 * n))
-    t = np.trace(t, axis1=row_ax, axis2=col_ax)
-    d = 2 ** (n - 1)
-    return t.reshape(d, d)
 
 
 def partial_transpose(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:

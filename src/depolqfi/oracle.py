@@ -27,6 +27,7 @@ from .linalg import I2, SIGMA_Y, _qubit_axes, check_capacity, hermitian_eig
 from .protocols import ProtocolParams, check_params
 
 QFI_ELEM_EPS = 1e-9
+STATE_TOLERANCE = 1e-12
 
 
 class VerificationReport(NamedTuple):
@@ -158,23 +159,12 @@ def _frame_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     return _channels(_to_frame(rho_i), params.m, params.lam, params.n)
 
 
-def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full pipeline; returns (rho_f, d rho_f / d lambda) in the
-    computational basis."""
-    rho, drho = _frame_final_state(params)
-    return _from_frame(rho), _from_frame(drho)
-
-
-def verify(
-    params: ProtocolParams,
-    tolerance: float = 1e-8,
-    state_tolerance: float = 1e-12,
-) -> VerificationReport:
+def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationReport:
     """Compare the closed-form QFI and reconstructed state against the
-    brute-force pipeline. Both tolerances must be finite and >= 0."""
-    for name, tol in (("tolerance", tolerance), ("state_tolerance", state_tolerance)):
-        if not 0.0 <= tol < math.inf:
-            raise DomainError(f"{name} must be finite and >= 0, got {tol}")
+    brute-force pipeline: the QFI to relative tolerance, which must be finite
+    and >= 0, and every state entry to STATE_TOLERANCE."""
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     rho, drho = _frame_final_state(params)
     oracle_value = spectral_qfi(rho, drho)
     closed = correlated_qfi(params)
@@ -193,7 +183,7 @@ def verify(
         abs_err = abs(closed - oracle_value)
         # floor keeps the ratio meaningful when both sides vanish (r = 0)
         rel_err = abs_err / max(abs(oracle_value), 1e-12)
-    passed = rel_err <= tolerance and max_state_err <= state_tolerance
+    passed = rel_err <= tolerance and max_state_err <= STATE_TOLERANCE
     return VerificationReport(
         params=params,
         closed_form_qfi=closed,
@@ -203,6 +193,6 @@ def verify(
         max_state_entry_err=max_state_err,
         symmetry_err=symmetry_err,
         tolerance=tolerance,
-        state_tolerance=state_tolerance,
+        state_tolerance=STATE_TOLERANCE,
         pass_=passed,
     )

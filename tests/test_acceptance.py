@@ -17,7 +17,6 @@ from depolqfi.asymptotics import (
 from depolqfi.cli import sweep_rows
 from depolqfi.correlated import correlated_qfi
 from depolqfi.correlations import (
-    DISCORD_ROTATION,
     discord,
     discord_initial,
     discord_intermediates,
@@ -28,10 +27,9 @@ from depolqfi.linalg import hermitian_eig, partial_transpose
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
-    pure_entangled_qfi,
-    sequential_gain,
     sqsc_qfi,
 )
+from paper_formulas import DISCORD_ROTATION, pure_entangled_qfi, sequential_gain
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -82,7 +80,6 @@ def test_criterion_3_oracle_equivalence():
                     rep = verify(
                         ProtocolParams(n, m, r, lam),
                         tolerance=1e-8,
-                        state_tolerance=1e-12,
                     )
                     count += 1
                     worst_rel = max(worst_rel, rep.rel_err)

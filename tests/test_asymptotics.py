@@ -6,11 +6,7 @@ import pytest
 from depolqfi.asymptotics import (
     ALL_QUBITS_TABLE_LAMBDAS,
     SPECTATOR_TABLE_LAMBDAS,
-    correlated_cutoff,
     cramer_rao_bound,
-    lowr_correlated_per_channel,
-    lowr_sequential_per_channel,
-    lowr_sqsc,
     optimal_invocation_table,
     optimal_invocations,
     sequential_cutoff,
@@ -18,6 +14,12 @@ from depolqfi.asymptotics import (
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
+from paper_formulas import (
+    correlated_cutoff,
+    lowr_correlated_per_channel,
+    lowr_sequential_per_channel,
+    lowr_sqsc,
+)
 
 
 class TestLowrLimits:

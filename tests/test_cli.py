@@ -107,14 +107,12 @@ class TestSweep:
         assert keys == sorted(keys)
 
     def test_rows_sorted_after_protocol_overrides_n(self):
-        # sequential rows all carry n = 1, so only the sort interleaves the
-        # two requested n values by r
+        # sequential rows all carry n = 1, so the two requested n values give
+        # one set of rows, which the sort puts in ascending r
         rows = sweep_rows(
-            "sequential", [2, 1], [1], np.linspace(0.5, 0.6, 2), np.array([0.5])
+            "sequential", [2, 1], [1], np.linspace(0.6, 0.5, 2), np.array([0.5])
         )
-        assert [(row.n, row.r) for row in rows] == [
-            (1, 0.5), (1, 0.5), (1, 0.6), (1, 0.6)
-        ]
+        assert [(row.n, row.r) for row in rows] == [(1, 0.5), (1, 0.6)]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_rows_match_evaluate_point(self, protocol):
@@ -128,6 +126,8 @@ class TestSweep:
             evaluate_point(protocol, n, m, r, lam, include_limit=limit)
             for n in ns for m in ms for r in r_grid for lam in lam_grid
         ]
+        # a sweep evaluates each (n, m) that its rows carry once
+        points = list({(p.n, p.m, p.r, p.lam): p for p in points}.values())
         points.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
         assert list(map(row_to_csv, rows)) == list(map(row_to_csv, points))
         if not limit:
@@ -180,6 +180,24 @@ class TestMain:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 3 * 3
+
+    @pytest.mark.parametrize(
+        "protocol, shapes", [("sqsc", 1), ("independent", 2), ("sequential", 2)]
+    )
+    def test_sweep_prints_each_row_once(self, protocol, shapes, capsys):
+        # these protocols override the requested n (sqsc also m), so the four
+        # requested (n, m) pairs carry only `shapes` distinct ones; a value
+        # repeated in a grid still gives one row per entry
+        code = main(
+            [
+                "sweep", "--protocol", protocol, "--n", "3,4", "--m", "1,2",
+                "--r-grid", "0.5:0.5:2", "--lambda-grid", "0.5:0.5:1",
+            ]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 * shapes
+        assert len(set(rows)) == shapes
 
     def test_table_spectator(self, capsys):
         code = main(["table", "spectator"])

@@ -301,7 +301,7 @@ class TestCorrelatedQfi:
             assert h == pytest.approx(sqsc_qfi(r, lam), abs=1e-12, rel=1e-12)
 
     def test_n2_m1_pure_is_entangled_pair_value(self):
-        from depolqfi.protocols import pure_entangled_qfi
+        from paper_formulas import pure_entangled_qfi
 
         for lam in np.linspace(0.1, 0.9, 9):
             h = correlated_qfi(params(2, 1, 1.0, lam))

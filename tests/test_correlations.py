@@ -5,7 +5,6 @@ import pytest
 
 from depolqfi.correlated import final_state
 from depolqfi.correlations import (
-    DISCORD_ROTATION,
     correlation_report,
     discord,
     discord_initial,
@@ -16,8 +15,8 @@ from depolqfi.correlations import (
 )
 from depolqfi.errors import DomainError
 from depolqfi.linalg import hermitian_eig
-from depolqfi.oracle import oracle_final_state
 from depolqfi.protocols import ProtocolParams
+from paper_formulas import DISCORD_ROTATION, oracle_final_state
 
 
 class TestFinalMatrix:

@@ -4,12 +4,11 @@ import pytest
 from depolqfi.errors import DomainError
 from depolqfi.linalg import (
     I2,
-    SIGMA_X,
     SIGMA_Y,
     hermitian_eig,
-    partial_trace,
     partial_transpose,
 )
+from paper_formulas import SIGMA_X, partial_trace
 
 
 def random_hermitian(rng, dim):

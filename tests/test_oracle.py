@@ -6,7 +6,7 @@ import pytest
 from depolqfi import oracle
 from depolqfi.correlated import correlated_qfi, final_state
 from depolqfi.errors import CapacityError, DomainError
-from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace
+from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.oracle import (
     _channels,
     _frame_final_state,
@@ -14,11 +14,11 @@ from depolqfi.oracle import (
     apply_depolarizing,
     apply_uprep,
     initial_product_state,
-    oracle_final_state,
     spectral_qfi,
     verify,
 )
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
+from paper_formulas import SIGMA_X, SIGMA_Z, oracle_final_state, partial_trace
 
 
 def params(n, m, r, lam, **kw):

@@ -4,18 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from depolqfi.cli import evaluate_point
 from depolqfi.errors import DomainError
-from depolqfi.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.protocols import (
     ProtocolParams,
     check_params,
-    independent_qfi,
+    sequential_qfi,
+    sqsc_qfi,
+)
+from paper_formulas import (
+    SIGMA_X,
+    SIGMA_Z,
     pure_entangled_qfi,
     qubit_sld,
     sequential_extra_invocation_advantage,
     sequential_gain,
-    sequential_qfi,
-    sqsc_qfi,
 )
 
 
@@ -167,18 +171,17 @@ class TestQubitSld:
 class TestIndependent:
     def test_additivity(self):
         base = sqsc_qfi(0.4, 0.6)
-        value = independent_qfi(5, 0.4, 0.6)
-        assert value == pytest.approx(5 * base, rel=1e-14)
-        assert value / 5 == pytest.approx(base, rel=1e-14)
+        row = evaluate_point("independent", 5, 5, 0.4, 0.6)
+        assert row.qfi == pytest.approx(5 * base, rel=1e-14)
+        assert row.qfi_per_channel == pytest.approx(base, rel=1e-14)
 
     def test_per_channel_never_beats_baseline(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = int(rng.integers(1, 10))
             r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            assert independent_qfi(m, r, lam) / m == pytest.approx(
-                sqsc_qfi(r, lam), rel=1e-14
-            )
+            row = evaluate_point("independent", m, m, r, lam)
+            assert row.qfi_per_channel == pytest.approx(sqsc_qfi(r, lam), rel=1e-14)
 
 
 class TestSequential:
@@ -196,11 +199,10 @@ class TestSequential:
         assert sequential_qfi(m, r, lam) == pytest.approx(expected, rel=1e-14)
 
     def test_returns_float_or_array(self):
-        for qfi in (sequential_qfi, independent_qfi):
-            assert type(qfi(3, 0.5, 0.8)) is float
-            values = qfi(3, np.array([0.5, 0.6]), np.array([[0.8], [0.2]]))
-            assert values.shape == (2, 2)
-            assert values[0, 1] == qfi(3, 0.6, 0.8)
+        assert type(sequential_qfi(3, 0.5, 0.8)) is float
+        values = sequential_qfi(3, np.array([0.5, 0.6]), np.array([[0.8], [0.2]]))
+        assert values.shape == (2, 2)
+        assert values[0, 1] == sequential_qfi(3, 0.6, 0.8)
 
     def test_lambda_zero(self):
         assert sequential_qfi(2, 0.7, 0.0) == 0.0
