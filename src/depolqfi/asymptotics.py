@@ -1,12 +1,10 @@
-"""Weak-polarization (r << 1) cutoff curves, optimal invocation counts and
-the Cramer-Rao bound for the estimation protocols."""
+"""Weak-polarization (r << 1) cutoff curves and optimal invocation counts
+for the estimation protocols, in scalar `math` arithmetic."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DomainError
 from .protocols import check_params
@@ -86,14 +84,3 @@ def optimal_invocation_table(mode: str) -> list[OptimalInvocation]:
     )
     return [optimal_invocations(lam, mode) for lam in lams]
 
-
-def cramer_rao_bound(h):
-    """Variance lower bound 1/H; h = 0 maps to +inf and h = inf to 0. h may
-    be an array, which gives one bound per entry; NaN is rejected."""
-    h = np.asarray(h, dtype=float)
-    valid = h >= 0.0
-    if not valid.all():
-        raise DomainError(f"QFI must be nonnegative, got {h[~valid].flat[0]}")
-    with np.errstate(divide="ignore"):
-        bound = 1.0 / h
-    return float(bound) if bound.ndim == 0 else bound

@@ -11,15 +11,14 @@ import argparse
 import json
 import math
 import sys
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import asymptotics
-from .correlated import correlated_qfi
 from .errors import CapacityError, DomainError
-from .linalg import check_capacity
-from .protocols import ProtocolParams, check_params, sequential_qfi, sqsc_qfi
+from .protocols import PROTOCOLS, ProtocolParams, check_params
+
+if TYPE_CHECKING:
+    from .evaluate import ResultRow
 
 CSV_HEADER = (
     "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
@@ -27,22 +26,6 @@ CSV_HEADER = (
 )
 
 CSV_COLUMNS = CSV_HEADER.split(",")
-
-PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
-
-
-class ResultRow(NamedTuple):
-    protocol: str
-    n: int
-    m: int
-    r: float
-    lam: float
-    qfi: float
-    qfi_per_channel: float
-    gain_vs_sqsc: Optional[float]
-    gain_vs_seq: Optional[float]
-    crb_variance_bound: float
-    method: str
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -79,90 +62,6 @@ def row_to_dict(row: ResultRow) -> dict:
     return data
 
 
-def _gains(per_channel, ref, usable: np.ndarray) -> list[Optional[float]]:
-    """per_channel / ref where usable and ref != 0, None elsewhere."""
-    usable = usable & (ref != 0.0)
-    ratio = per_channel / np.where(usable, ref, 1.0)
-    return [
-        g if ok else None
-        for g, ok in zip(np.ravel(ratio).tolist(), np.ravel(usable).tolist())
-    ]
-
-
-def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
-    """The (n, m) that a protocol's rows carry, after checking the requested
-    pair: sqsc is one qubit used once, independent m qubits used once each,
-    sequential one qubit used m times."""
-    check_params(n=n, m=m)
-    shapes = {"sqsc": (1, 1), "independent": (m, m), "sequential": (1, m)}
-    return shapes.get(protocol, (n, m))
-
-
-def evaluate_grid(
-    protocol: str, n: int, m: int, r, lam, include_limit: bool = False
-) -> list[ResultRow]:
-    """Evaluate one protocol for one (n, m) at every point of the equally
-    shaped arrays r and lam, in their flat order. A gain is empty where
-    r = 0, where lambda = 1 or where its reference QFI is 0."""
-    if protocol not in PROTOCOLS:
-        raise DomainError(f"unknown protocol {protocol!r}")
-    n, m = _carried_shape(protocol, n, m)
-    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
-    if protocol in ("sqsc", "independent"):
-        # sqsc is the independent protocol on one qubit. Its per-channel QFI
-        # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the
-        # last printed digit.
-        per_channel = sqsc_qfi(r, lam)
-        value = m * per_channel
-    else:
-        if protocol == "sequential":
-            value = sequential_qfi(m, r, lam)
-        else:  # correlated / corr_vs_seq
-            value = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
-        per_channel = value / m
-
-    usable = (r > 0.0) & (lam < 1.0)
-    lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
-    refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref) / m
-    crb = asymptotics.cramer_rao_bound(value)
-    columns = [np.ravel(a).tolist() for a in (r, lam, value, per_channel)]
-    columns += [_gains(per_channel, ref, usable) for ref in refs]
-    columns.append(np.ravel(crb).tolist())
-    return [
-        ResultRow(protocol, n, m, *fields, "closed_form") for fields in zip(*columns)
-    ]
-
-
-def evaluate_point(
-    protocol: str, n: int, m: int, r: float, lam: float, include_limit: bool = False
-) -> ResultRow:
-    """Evaluate one protocol at one parameter point."""
-    return evaluate_grid(protocol, n, m, r, lam, include_limit)[0]
-
-
-def sweep_rows(
-    protocol: str,
-    ns: list[int],
-    ms: list[int],
-    r_grid: np.ndarray,
-    lambda_grid: np.ndarray,
-    include_limit: bool = False,
-) -> list[ResultRow]:
-    """Evaluate a full grid, one array evaluation for each distinct (n, m)
-    that the rows carry (sqsc, independent and sequential map several
-    requested pairs to one); rows come back sorted by (n, m, r, lambda),
-    since the grids may be unsorted."""
-    r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
-    shapes = dict.fromkeys(_carried_shape(protocol, n, m) for n in ns for m in ms)
-    rows = [
-        row
-        for n, m in shapes
-        for row in evaluate_grid(protocol, n, m, r, lam, include_limit)
-    ]
-    rows.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
-    return rows
-
-
 def _parse_int_list(raw: str) -> list[int]:
     try:
         values = [int(tok) for tok in raw.split(",") if tok]
@@ -171,17 +70,6 @@ def _parse_int_list(raw: str) -> list[int]:
     if not values:
         raise DomainError(f"expected comma-separated integers, got {raw!r}")
     return values
-
-
-def _parse_grid(raw: str) -> np.ndarray:
-    try:
-        start, stop, count = raw.split(":")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError:
-        raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
-    if count < 1:
-        raise DomainError(f"grid count must be >= 1, got {count}")
-    return np.linspace(start, stop, count)
 
 
 def _write_lines(path: Optional[str], lines: list[str]) -> None:
@@ -198,6 +86,9 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # the array core, and with it numpy, loads only in the commands that use it
+    from .evaluate import evaluate_point
+
     row = evaluate_point(
         args.protocol, args.n, args.m, args.r, args.lam, args.include_limit
     )
@@ -210,6 +101,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .evaluate import _parse_grid, sweep_rows
+
     rows = sweep_rows(
         args.protocol,
         _parse_int_list(args.n),
@@ -258,6 +151,7 @@ def _verify_report_dict(report) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .linalg import check_capacity
     from .oracle import verify  # here, so that no other command loads the oracle
 
     reports = []
@@ -293,6 +187,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     return 0
 
 
+FIGURE_GRID = "0.05:0.95:19"  # the r grid and the lambda grid of every preset
 FIGURE_PRESETS = {
     "seq-gain-m3": dict(protocol="sequential", ns=[1], ms=[3]),
     "corr-gain-n2-m1": dict(protocol="correlated", ns=[2], ms=[1]),
@@ -310,16 +205,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
             lines.append(f"{m},{_fmt(curve.cutoff)},{_fmt(curve.squared_cutoff)}")
         _write_lines(args.output, lines)
         return 0
+    from .evaluate import _parse_grid, sweep_rows
+
     preset = FIGURE_PRESETS[args.name]
-    r_grid = np.linspace(0.05, 0.95, 19)
-    lambda_grid = np.linspace(0.05, 0.95, 19)
-    rows = sweep_rows(
-        preset["protocol"],
-        preset["ns"],
-        preset["ms"],
-        r_grid,
-        lambda_grid,
-    )
+    grid = _parse_grid(FIGURE_GRID)
+    rows = sweep_rows(preset["protocol"], preset["ns"], preset["ms"], grid, grid)
     _write_lines(args.output, [CSV_HEADER] + [row_to_csv(r) for r in rows])
     return 0
 

@@ -3,26 +3,34 @@
 Covers the single-qubit single-channel (SQSC) baseline and the sequential
 multi-use protocol, together with the one domain check (check_params) and the
 validated correlated-protocol point (ProtocolParams) that the other modules
-share.
+share. Nothing here imports numpy at module level; the closed forms are plain
+arithmetic that also works on arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import DomainError
 
+PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
 
-def check_params(n=1, m=1, r=0.0, lam=0.0, include_limit: bool = False) -> None:
-    """Raise DomainError unless n and m are integers >= 1, r lies in [0, 1]
-    and lambda in [0, 1), or in [0, 1] with include_limit. r and lambda may
+
+def check_params(n=None, m=None, r=None, lam=None, include_limit: bool = False) -> None:
+    """Raise DomainError unless each argument given is in its domain: n and m
+    integers >= 1, r in [0, 1] and lambda in [0, 1), or in [0, 1] with
+    include_limit. Arguments left at None are not checked. r and lambda may
     be arrays; every entry is checked, and NaN fails."""
     for name, k in (("m", m), ("n", n)):
-        if not (k >= 1 and float(k).is_integer()):
+        if k is not None and not (k >= 1 and float(k).is_integer()):
             raise DomainError(f"{name} must be an integer >= 1, got {k}")
+    if r is None and lam is None:
+        return
+    import numpy as np  # here, so that the n and m rule alone never loads numpy
+
     for name, values, closed in (("r", r, True), ("lambda", lam, include_limit)):
+        if values is None:
+            continue
         values = np.asarray(values, dtype=float)
         inside = (values >= 0.0) & ((values <= 1.0) if closed else (values < 1.0))
         if not inside.all():
@@ -31,24 +39,28 @@ def check_params(n=1, m=1, r=0.0, lam=0.0, include_limit: bool = False) -> None:
             raise DomainError(f"{name} must lie in {bound}, got {bad}")
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """A validated correlated-protocol point: n qubits, m <= n channel
-    invocations, polarization r and channel parameter lambda. lam = 1 is
-    only admitted for explicit limit evaluations via include_limit=True."""
-
+class _Point(NamedTuple):
     n: int
     m: int
     r: float
     lam: float
-    include_limit: bool = field(default=False, compare=False)
 
-    def __post_init__(self) -> None:
-        check_params(self.n, self.m, self.r, self.lam, self.include_limit)
-        if self.m > self.n:
+
+class ProtocolParams(_Point):
+    """A validated correlated-protocol point: n qubits, m <= n channel
+    invocations, polarization r and channel parameter lambda. lam = 1 is
+    only admitted for explicit limit evaluations via include_limit=True,
+    which the constructor checks and does not store."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, r, lam, include_limit: bool = False):
+        check_params(n, m, r, lam, include_limit)
+        if m > n:
             raise DomainError(
-                f"correlated protocol requires m <= n, got m={self.m}, n={self.n}"
+                f"correlated protocol requires m <= n, got m={m}, n={n}"
             )
+        return super().__new__(cls, n, m, r, lam)
 
 
 def sqsc_qfi(r: float, lam: float) -> float:

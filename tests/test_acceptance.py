@@ -14,7 +14,6 @@ from depolqfi.asymptotics import (
     optimal_invocation_table,
     sequential_cutoff,
 )
-from depolqfi.cli import sweep_rows
 from depolqfi.correlated import correlated_qfi
 from depolqfi.correlations import (
     discord,
@@ -23,6 +22,7 @@ from depolqfi.correlations import (
     separability_threshold,
     two_qubit_final_matrix,
 )
+from depolqfi.evaluate import sweep_rows
 from depolqfi.linalg import hermitian_eig, partial_transpose
 from depolqfi.oracle import verify
 from depolqfi.protocols import (

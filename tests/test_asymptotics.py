@@ -6,13 +6,13 @@ import pytest
 from depolqfi.asymptotics import (
     ALL_QUBITS_TABLE_LAMBDAS,
     SPECTATOR_TABLE_LAMBDAS,
-    cramer_rao_bound,
     optimal_invocation_table,
     optimal_invocations,
     sequential_cutoff,
 )
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
+from depolqfi.evaluate import cramer_rao_bound
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 from paper_formulas import (
     correlated_cutoff,

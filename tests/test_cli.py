@@ -8,18 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depolqfi import cli
 from depolqfi.cli import (
     CSV_HEADER,
     PROTOCOLS,
-    evaluate_point,
     main,
     row_to_csv,
     row_to_dict,
-    sweep_rows,
 )
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
+from depolqfi.evaluate import evaluate_point, sweep_rows
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 
 
@@ -281,7 +279,7 @@ class TestMain:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setattr(cli, "sweep_rows", exhausted)
+        monkeypatch.setattr("depolqfi.evaluate.sweep_rows", exhausted)
         code = main(["sweep", "--protocol", "correlated", "--n", "4", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 4
@@ -394,6 +392,16 @@ class TestMain:
 
 
 class TestStartupImports:
+    @staticmethod
+    def _run(script: str):
+        """What script prints as JSON, run in a fresh interpreter."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return json.loads(proc.stdout)
+
     def test_cli_loads_only_what_its_commands_share(self):
         script = (
             "import json, sys\n"
@@ -402,13 +410,26 @@ class TestStartupImports:
             "import depolqfi.cli\n"
             "print(json.dumps([bare, sorted(sys.modules)]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        )
-        bare, loaded = json.loads(proc.stdout)
+        bare, loaded = self._run(script)
         assert bare == []
         assert "depolqfi.cli" in loaded
         assert "depolqfi.oracle" not in loaded
         assert "depolqfi.correlations" not in loaded
+
+    def test_only_array_commands_load_numpy(self):
+        # whether numpy is loaded after the import and after each command in
+        # turn; eval comes last and must load it, so this cannot pass vacuously
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import depolqfi.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "for argv in (\n"
+            "    ['table', 'spectator'], ['table', 'all-qubits'], ['figure', 'cutoff'],\n"
+            "    ['eval', '--protocol', 'sqsc', '--r', '0.5', '--lambda', '0.8'],\n"
+            "):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert depolqfi.cli.main(argv) == 0\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        assert self._run(script) == [False, False, False, False, True]

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from depolqfi.cli import evaluate_point
 from depolqfi.correlated import (
     MAX_CLOSED_FORM_N,
     _blocks,
@@ -13,6 +12,7 @@ from depolqfi.correlated import (
     final_state,
 )
 from depolqfi.errors import CapacityError, DomainError, PositivityError
+from depolqfi.evaluate import evaluate_point
 from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
 
@@ -432,7 +432,7 @@ class TestHighPrecisionReference:
 
 
 class TestGains:
-    """Gains are defined by cli.evaluate_grid, which leaves undefined ones
+    """Gains are defined by evaluate.evaluate_grid, which leaves undefined ones
     empty."""
 
     def test_low_r_gain_approaches_n(self):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from depolqfi.cli import evaluate_point
 from depolqfi.errors import DomainError
+from depolqfi.evaluate import evaluate_point
 from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.protocols import (
     ProtocolParams,
@@ -73,6 +73,24 @@ class TestParams:
                 check_params(n=k)
             with pytest.raises(DomainError):
                 check_params(m=k)
+
+    def test_check_params_checks_only_what_it_is_given(self):
+        check_params()
+        check_params(m=3)
+        with pytest.raises(DomainError, match=r"^m must be an integer >= 1, got 0$"):
+            check_params(m=0)
+        with pytest.raises(DomainError, match=r"^m must be an integer >= 1, got 1.5$"):
+            check_params(m=1.5)
+        # an argument left out is not checked at a default value
+        check_params(n=2, lam=1.0, include_limit=True)
+        check_params(r=1.0)
+
+    def test_params_are_a_named_tuple_of_the_point(self):
+        params = ProtocolParams(4, 2, 0.5, 1.0, include_limit=True)
+        assert params == (4, 2, 0.5, 1.0)
+        assert params._fields == ("n", "m", "r", "lam")
+        with pytest.raises(DomainError):
+            ProtocolParams(4, 2, 0.5, 1.0)
 
 
 class TestSqsc:
