@@ -1,14 +1,12 @@
-"""Two-qubit correlation analysis of the correlated-state protocol:
-explicit final matrix, PPT separability, and quantum discord."""
+"""Two-qubit correlation analysis of the correlated-state protocol: PPT
+separability and quantum discord, from the closed-form spectra of the final
+X state. Plain math; nothing here loads numpy."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .linalg import hermitian_eig, partial_transpose
 from .protocols import check_params
 
 PPT_TOL = 1e-12
@@ -36,25 +34,6 @@ class CorrelationReport(NamedTuple):
     discord_initial: float
 
 
-def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
-    """Final two-qubit state in the computational basis (n = 2).
-
-    lam = 1 is accepted as a limit evaluation and yields the prepared
-    (pre-channel) state.
-    """
-    check_params(m=m, r=r, lam=lam, include_limit=True)
-    lm = lam**m
-    diag_plus = (1.0 + lm * r * r) / 4.0
-    diag_minus = (1.0 - lm * r * r) / 4.0
-    corner = 2.0 * r * lm / 4.0
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = diag_plus
-    rho[1, 1] = rho[2, 2] = diag_minus
-    rho[0, 3] = 1j * corner
-    rho[3, 0] = -1j * corner
-    return rho
-
-
 def separability_threshold(m: int, lam: float) -> float:
     """Polarization below which the final two-qubit state stays separable:
     sqrt(1 + 1/lambda^m) - 1, clamped to [0, 1]. lam = 1 is accepted as a
@@ -68,10 +47,17 @@ def separability_threshold(m: int, lam: float) -> float:
 
 
 def ppt_analysis(m: int, r: float, lam: float) -> tuple[float, bool]:
-    """Minimum eigenvalue of the partial transpose and the separable flag."""
-    rho = two_qubit_final_matrix(m, r, lam)
-    pt = partial_transpose(rho, 1, 2)
-    min_eig = float(hermitian_eig(pt).eigenvalues[0])
+    """Minimum eigenvalue of the partial transpose and the separable flag.
+
+    The final state is an X state with (1 +- lambda^m r^2)/4 on its diagonal
+    and +-i r lambda^m / 2 in its corners. Its partial transpose has the
+    eigenvalues (1 + lambda^m r^2)/4 twice and (1 - lambda^m r^2)/4 +-
+    r lambda^m / 2, so the smallest is (1 - lambda^m r^2)/4 - r lambda^m / 2.
+    lam = 1 is accepted as a limit evaluation (the prepared state).
+    """
+    check_params(m=m, r=r, lam=lam, include_limit=True)
+    lm = lam**m
+    min_eig = (1.0 - lm * r * r) / 4.0 - r * lm / 2.0
     return min_eig, min_eig >= -PPT_TOL
 
 

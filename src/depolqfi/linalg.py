@@ -65,15 +65,6 @@ def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
     return n - qubit_index, 2 * n - qubit_index
 
 
-def partial_transpose(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:
-    """Transpose the chosen qubit's indices only."""
-    row_ax, col_ax = _qubit_axes(rho, qubit_index, n)
-    t = rho.reshape([2] * (2 * n))
-    t = np.swapaxes(t, row_ax, col_ax)
-    d = 2**n
-    return t.reshape(d, d)
-
-
 class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 

@@ -57,8 +57,10 @@ def initial_product_state(n: int, r: float) -> np.ndarray:
 def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     """U rho U^dagger for the preparatory circuit U (controlled-Z on every
     qubit pair, then a Hadamard on every qubit): the CZ signs (-1)^C(popcount
-    x, 2) on both sides, then a sum/difference butterfly on each of the 2n
-    row and column axes, O(n 4^n) with no 2^n x 2^n unitary."""
+    x, 2) on both sides, then a sum/difference butterfly on each of the n row
+    bits, most significant first, and then on each column bit as a row bit of
+    the transpose. O(n 4^n) with no 2^n x 2^n unitary; every pass works on
+    contiguous runs."""
     check_capacity(n)
     dim = 2**n
     if rho.shape != (dim, dim):
@@ -68,13 +70,17 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     # each of the 2n Hadamards carries 1/sqrt(2)
     t = rho * (0.5**n * signs)[:, np.newaxis]
     t *= signs
-    t = t.reshape((2,) * (2 * n))
-    for axis in range(2 * n):
-        low, high = np.moveaxis(t, axis, 0)
-        diff = low - high
-        low += high
-        high[...] = diff
-    return t.reshape(dim, dim)
+    diff = np.empty(t.size // 2, dtype=t.dtype)
+    for _ in range(2):  # the rows, then the columns as rows of the transpose
+        for bit in range(n):
+            pairs = t.reshape(2**bit, 2, -1)
+            low, high = pairs[:, 0], pairs[:, 1]
+            low_minus_high = diff.reshape(low.shape)
+            np.subtract(low, high, out=low_minus_high)
+            low += high
+            high[...] = low_minus_high
+        t = np.ascontiguousarray(t.T)
+    return t
 
 
 # (S^dagger rho S)[x, y] = i^(b(y) - b(x)) rho[x, y], b = the top bit (qubit n)

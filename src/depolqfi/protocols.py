@@ -3,8 +3,8 @@
 Covers the single-qubit single-channel (SQSC) baseline and the sequential
 multi-use protocol, together with the one domain check (check_params) and the
 validated correlated-protocol point (ProtocolParams) that the other modules
-share. Nothing here imports numpy at module level; the closed forms are plain
-arithmetic that also works on arrays.
+share. Nothing here imports numpy at module level: check_params loads it only
+for arrays, and the closed forms, which evaluate arrays, when they are called.
 """
 
 from __future__ import annotations
@@ -24,19 +24,22 @@ def check_params(n=None, m=None, r=None, lam=None, include_limit: bool = False) 
     for name, k in (("m", m), ("n", n)):
         if k is not None and not (k >= 1 and float(k).is_integer()):
             raise DomainError(f"{name} must be an integer >= 1, got {k}")
-    if r is None and lam is None:
-        return
-    import numpy as np  # here, so that the n and m rule alone never loads numpy
-
     for name, values, closed in (("r", r, True), ("lambda", lam, include_limit)):
         if values is None:
             continue
-        values = np.asarray(values, dtype=float)
-        inside = (values >= 0.0) & ((values <= 1.0) if closed else (values < 1.0))
-        if not inside.all():
+        if isinstance(values, (int, float)):  # np.float64 too: no numpy needed
+            value = float(values)
+            inside = 0.0 <= value <= 1.0 and (closed or value < 1.0)
+            outside = [] if inside else [value]
+        else:
+            import numpy as np  # here, so that scalar checks never load numpy
+
+            values = np.asarray(values, dtype=float)
+            inside = (values >= 0.0) & ((values <= 1.0) if closed else (values < 1.0))
+            outside = values[~inside]
+        if len(outside):
             bound = "[0, 1]" if closed else "[0, 1)"
-            bad = values[~inside].flat[0]
-            raise DomainError(f"{name} must lie in {bound}, got {bad}")
+            raise DomainError(f"{name} must lie in {bound}, got {outside[0]}")
 
 
 class _Point(NamedTuple):
@@ -66,12 +69,18 @@ class ProtocolParams(_Point):
 def sqsc_qfi(r: float, lam: float) -> float:
     """Baseline QFI for a single qubit and a single channel invocation;
     r and lam may be arrays."""
-    check_params(r=r, lam=lam)
-    return r * r / (1.0 - lam * lam * r * r)
+    return sequential_qfi(1, r, lam)
 
 
 def sequential_qfi(m: int, r: float, lam: float) -> float:
     """QFI of m sequential channel uses on one qubit; r and lam may be
-    arrays."""
+    arrays. The denominator 1 - lambda^(2m) r^2 is formed as
+    -expm1(2m log lambda + 2 log r), which keeps its relative accuracy as
+    r and lambda approach 1."""
     check_params(m=m, r=r, lam=lam)
-    return m * m * lam ** (2 * m - 2) * r * r / (1.0 - lam ** (2 * m) * r * r)
+    import numpy as np
+
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives the exact 1
+        gap = -np.expm1(2 * m * np.log(lam) + 2 * np.log(r))
+    qfi = m * m * lam ** (2 * m - 2) * r * r / gap
+    return float(qfi) if np.ndim(qfi) == 0 else qfi

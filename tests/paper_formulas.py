@@ -3,9 +3,11 @@
 No command prints these, so they live beside the tests rather than in the
 package: the two-branch qubit SLD, the pure entangled-pair optimum, the
 sequential-use gain and its limits, the weak-polarization (r << 1) limits,
-the correlated cutoff, the one-qubit partial trace, the oracle's final state
-in the computational basis and the discord rotation. Each checks its domain
-through depolqfi.protocols, as the package functions do.
+the correlated cutoff, the explicit two-qubit final matrix with its partial
+transpose (the dense reference for the closed-form PPT spectrum), the
+one-qubit partial trace, the oracle's final state in the computational basis
+and the discord rotation. Each checks its domain through depolqfi.protocols,
+as the package functions do.
 """
 
 from __future__ import annotations
@@ -131,6 +133,34 @@ def correlated_cutoff(n: int, m: int) -> float:
     if m == 1:
         return 0.0
     return float(m * n) ** (1.0 / (2.0 - 2.0 * m))
+
+
+def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
+    """Final two-qubit state in the computational basis (n = 2).
+
+    lam = 1 is accepted as a limit evaluation and yields the prepared
+    (pre-channel) state.
+    """
+    check_params(m=m, r=r, lam=lam, include_limit=True)
+    lm = lam**m
+    diag_plus = (1.0 + lm * r * r) / 4.0
+    diag_minus = (1.0 - lm * r * r) / 4.0
+    corner = 2.0 * r * lm / 4.0
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[3, 3] = diag_plus
+    rho[1, 1] = rho[2, 2] = diag_minus
+    rho[0, 3] = 1j * corner
+    rho[3, 0] = -1j * corner
+    return rho
+
+
+def partial_transpose(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:
+    """Transpose the chosen qubit's indices only."""
+    row_ax, col_ax = _qubit_axes(rho, qubit_index, n)
+    t = rho.reshape([2] * (2 * n))
+    t = np.swapaxes(t, row_ax, col_ax)
+    d = 2**n
+    return t.reshape(d, d)
 
 
 def partial_trace(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:

@@ -20,16 +20,21 @@ from depolqfi.correlations import (
     discord_initial,
     discord_intermediates,
     separability_threshold,
-    two_qubit_final_matrix,
 )
 from depolqfi.evaluate import sweep_rows
-from depolqfi.linalg import hermitian_eig, partial_transpose
+from depolqfi.linalg import hermitian_eig
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
     sqsc_qfi,
 )
-from paper_formulas import DISCORD_ROTATION, pure_entangled_qfi, sequential_gain
+from paper_formulas import (
+    DISCORD_ROTATION,
+    partial_transpose,
+    pure_entangled_qfi,
+    sequential_gain,
+    two_qubit_final_matrix,
+)
 
 
 def report(num: int, ok: bool, desc: str) -> None:

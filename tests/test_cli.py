@@ -417,19 +417,23 @@ class TestStartupImports:
         assert "depolqfi.correlations" not in loaded
 
     def test_only_array_commands_load_numpy(self):
-        # whether numpy is loaded after the import and after each command in
-        # turn; eval comes last and must load it, so this cannot pass vacuously
+        # whether numpy and depolqfi.linalg are loaded after the import and
+        # after each command in turn; eval comes last and must load both, so
+        # this cannot pass vacuously
         script = (
             "import contextlib, io, json, sys\n"
             "import depolqfi.cli\n"
-            "loaded = ['numpy' in sys.modules]\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('numpy', 'depolqfi.linalg')]\n"
+            "steps = [loaded()]\n"
             "for argv in (\n"
             "    ['table', 'spectator'], ['table', 'all-qubits'], ['figure', 'cutoff'],\n"
+            "    ['correlations', '--m', '2', '--r', '0.5', '--lambda', '0.5'],\n"
             "    ['eval', '--protocol', 'sqsc', '--r', '0.5', '--lambda', '0.8'],\n"
             "):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert depolqfi.cli.main(argv) == 0\n"
-            "    loaded.append('numpy' in sys.modules)\n"
-            "print(json.dumps(loaded))\n"
+            "    steps.append(loaded())\n"
+            "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [False, False, False, False, True]
+        assert self._run(script) == [[False, False]] * 5 + [[True, True]]

@@ -11,12 +11,16 @@ from depolqfi.correlations import (
     discord_intermediates,
     ppt_analysis,
     separability_threshold,
-    two_qubit_final_matrix,
 )
 from depolqfi.errors import DomainError
 from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams
-from paper_formulas import DISCORD_ROTATION, oracle_final_state
+from paper_formulas import (
+    DISCORD_ROTATION,
+    oracle_final_state,
+    partial_transpose,
+    two_qubit_final_matrix,
+)
 
 
 class TestFinalMatrix:
@@ -56,6 +60,16 @@ class TestPpt:
                     expected = (1 - lm * r * r - 2 * r * lm) / 4
                     min_eig, _ = ppt_analysis(m, r, lam)
                     assert min_eig == pytest.approx(expected, abs=1e-13)
+
+    def test_min_eigenvalue_matches_dense_partial_transpose(self):
+        # the closed-form spectrum against eigh of the explicit final matrix
+        grid = (0.0, 1e-9, 0.3, 0.5, 0.8, 0.999999, 1.0)
+        for m in (1, 2, 3, 7):
+            for r in grid:
+                for lam in grid:
+                    pt = partial_transpose(two_qubit_final_matrix(m, r, lam), 1, 2)
+                    dense = hermitian_eig(pt).eigenvalues[0]
+                    assert ppt_analysis(m, r, lam)[0] == pytest.approx(dense, abs=1e-14)
 
     def test_extreme_point(self):
         min_eig, separable = ppt_analysis(1, 1.0, 1.0)

@@ -6,9 +6,8 @@ from depolqfi.linalg import (
     I2,
     SIGMA_Y,
     hermitian_eig,
-    partial_transpose,
 )
-from paper_formulas import SIGMA_X, partial_trace
+from paper_formulas import SIGMA_X, partial_trace, partial_transpose
 
 
 def random_hermitian(rng, dim):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,39 @@ class TestParams:
         # an argument left out is not checked at a default value
         check_params(n=2, lam=1.0, include_limit=True)
         check_params(r=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(r=math.nan), "r must lie in [0, 1], got nan"),
+            (dict(lam=math.nan), "lambda must lie in [0, 1), got nan"),
+            (dict(r=math.inf), "r must lie in [0, 1], got inf"),
+            (dict(r=-math.inf), "r must lie in [0, 1], got -inf"),
+            (dict(lam=math.inf), "lambda must lie in [0, 1), got inf"),
+            (dict(lam=-math.inf), "lambda must lie in [0, 1), got -inf"),
+            (dict(lam=1.0), "lambda must lie in [0, 1), got 1.0"),
+            (dict(lam=1.0, include_limit=True), None),
+            (dict(lam=1), "lambda must lie in [0, 1), got 1.0"),
+            (dict(r=1), None),
+            (dict(r=2), "r must lie in [0, 1], got 2.0"),
+            (dict(r=np.float64(1.5)), "r must lie in [0, 1], got 1.5"),
+            (dict(lam=np.float64(1.0)), "lambda must lie in [0, 1), got 1.0"),
+            (dict(lam=np.float64(0.5)), None),
+            (dict(r=np.array(1.5)), "r must lie in [0, 1], got 1.5"),
+            (dict(lam=np.array(1.0), include_limit=True), None),
+            (dict(lam=[0.2, 1.0]), "lambda must lie in [0, 1), got 1.0"),
+            (dict(r=[0.2, -0.3]), "r must lie in [0, 1], got -0.3"),
+            (dict(r=[0.2, 0.3]), None),
+        ],
+    )
+    def test_check_params_scalar_and_array_values(self, kwargs, message):
+        # plain numbers (np.float64 among them) are compared without numpy;
+        # the verdict and the message are those of the array check
+        if message is None:
+            check_params(**kwargs)
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check_params(**kwargs)
 
     def test_params_are_a_named_tuple_of_the_point(self):
         params = ProtocolParams(4, 2, 0.5, 1.0, include_limit=True)
@@ -221,6 +255,21 @@ class TestSequential:
         values = sequential_qfi(3, np.array([0.5, 0.6]), np.array([[0.8], [0.2]]))
         assert values.shape == (2, 2)
         assert values[0, 1] == sequential_qfi(3, 0.6, 0.8)
+
+    def test_exact_as_r_and_lambda_approach_one(self):
+        # 1 - lambda^(2m) r^2 cancels there; every float is dyadic, so
+        # Fraction gives the exact QFI of the inputs as stored
+        rng = np.random.default_rng(1301)
+        for _ in range(300):
+            m = int(rng.integers(1, 61))
+            r, lam = (1.0 - 10.0 ** rng.uniform(-9.0, -1.0, size=2)).tolist()
+            if rng.uniform() < 0.25:
+                r = 1.0
+            x, y = Fraction(r) ** 2, Fraction(lam) ** 2
+            exact = m * m * y ** (m - 1) * x / (1 - y**m * x)
+            assert sequential_qfi(m, r, lam) == pytest.approx(float(exact), rel=1e-14)
+            exact_sqsc = x / (1 - y * x)
+            assert sqsc_qfi(r, lam) == pytest.approx(float(exact_sqsc), rel=1e-14)
 
     def test_lambda_zero(self):
         assert sequential_qfi(2, 0.7, 0.0) == 0.0
