@@ -11,14 +11,11 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import asymptotics
 from .errors import CapacityError, DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params
-
-if TYPE_CHECKING:
-    from .evaluate import ResultRow
 
 CSV_HEADER = (
     "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
@@ -26,40 +23,15 @@ CSV_HEADER = (
 )
 
 CSV_COLUMNS = CSV_HEADER.split(",")
+JSON_NUMBERS = ("n", "m", "r", "lambda")  # the columns JSON keeps as numbers
 
 
-def _fmt(value: Optional[float]) -> str:
+def _fmt(value) -> str:
+    """A CSV field: a float with 10 significant digits, None empty, an int or
+    a str as it is."""
     if value is None:
         return ""
-    return f"{value:.9e}"
-
-
-def _csv_fields(row: ResultRow) -> list[str]:
-    return [
-        row.protocol,
-        str(row.n),
-        str(row.m),
-        _fmt(row.r),
-        _fmt(row.lam),
-        _fmt(row.qfi),
-        _fmt(row.qfi_per_channel),
-        _fmt(row.gain_vs_sqsc),
-        _fmt(row.gain_vs_seq),
-        _fmt(row.crb_variance_bound),
-        row.method,
-    ]
-
-
-def row_to_csv(row: ResultRow) -> str:
-    return ",".join(_csv_fields(row))
-
-
-def row_to_dict(row: ResultRow) -> dict:
-    """The CSV fields keyed by column, with n, m, r and lambda as numbers."""
-    data = dict(zip(CSV_COLUMNS, _csv_fields(row)))
-    data.update(n=row.n, m=row.m, r=row.r)
-    data["lambda"] = row.lam
-    return data
+    return f"{value:.9e}" if isinstance(value, float) else str(value)
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -81,29 +53,44 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
         handle.write(text)
 
 
+def _write_table(
+    path: Optional[str], table: dict, fmt: str, one_record: bool = False
+) -> None:
+    """Write a table (columns keyed by CSV column name) as CSV lines, or as a
+    JSON list of records of the CSV fields with n, m, r and lambda as
+    numbers; with one_record, as its first record alone."""
+    as_json = fmt == "json"
+    columns = (
+        table[c] if as_json and c in JSON_NUMBERS else map(_fmt, table[c])
+        for c in CSV_COLUMNS
+    )
+    rows = zip(*columns)  # lazy: each row's fields are formatted as it is joined
+    if not as_json:
+        _write_lines(path, [CSV_HEADER, *map(",".join, rows)])
+        return
+    records = [dict(zip(CSV_COLUMNS, row)) for row in rows]
+    _write_lines(path, [json.dumps(records[0] if one_record else records, indent=2)])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     # the array core, and with it numpy, loads only in the commands that use it
-    from .evaluate import evaluate_point
+    from .evaluate import evaluate_grid
 
-    row = evaluate_point(
+    table = evaluate_grid(
         args.protocol, args.n, args.m, args.r, args.lam, args.include_limit
     )
-    if args.format == "json":
-        print(json.dumps(row_to_dict(row), indent=2))
-    else:
-        print(CSV_HEADER)
-        print(row_to_csv(row))
+    _write_table(None, table, args.format, one_record=True)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .evaluate import _parse_grid, sweep_rows
 
-    rows = sweep_rows(
+    table = sweep_rows(
         args.protocol,
         _parse_int_list(args.n),
         _parse_int_list(args.m),
@@ -111,10 +98,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _parse_grid(args.lambda_grid),
         include_limit=args.include_limit,
     )
-    if args.format == "json":
-        _write_lines(args.output, [json.dumps([row_to_dict(r) for r in rows], indent=2)])
-    else:
-        _write_lines(args.output, [CSV_HEADER] + [row_to_csv(r) for r in rows])
+    _write_table(args.output, table, args.format)
     return 0
 
 
@@ -144,9 +128,9 @@ def _verify_report_dict(report) -> dict:
     params = data.pop("params")
     data["params"] = {"n": params.n, "m": params.m, "r": params.r, "lambda": params.lam}
     data["pass"] = data.pop("pass_")
-    for key in ("closed_form_qfi", "oracle_qfi"):
-        if math.isinf(data[key]):
-            data[key] = "inf"
+    for key, value in data.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            data[key] = _fmt(value)  # spelled as in CSV; JSON has no inf
     return data
 
 
@@ -209,8 +193,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
     preset = FIGURE_PRESETS[args.name]
     grid = _parse_grid(FIGURE_GRID)
-    rows = sweep_rows(preset["protocol"], preset["ns"], preset["ms"], grid, grid)
-    _write_lines(args.output, [CSV_HEADER] + [row_to_csv(r) for r in rows])
+    table = sweep_rows(preset["protocol"], preset["ns"], preset["ms"], grid, grid)
+    _write_table(args.output, table, "csv")
     return 0
 
 

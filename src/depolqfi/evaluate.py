@@ -1,6 +1,6 @@
 """The array evaluation core behind `eval`, `sweep` and the figure presets:
 one protocol's QFI, per-channel QFI, gains and Cramer-Rao bound over whole
-arrays of (r, lambda) points, returned as rows.
+arrays of (r, lambda) points, returned as a table of columns.
 
 The command line imports this module, and with it numpy, only in the
 commands that evaluate arrays; `table` and `figure cutoff` print scalar
@@ -9,27 +9,13 @@ formulas and never load it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .correlated import correlated_qfi
 from .errors import DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, sqsc_qfi
-
-
-class ResultRow(NamedTuple):
-    protocol: str
-    n: int
-    m: int
-    r: float
-    lam: float
-    qfi: float
-    qfi_per_channel: float
-    gain_vs_sqsc: Optional[float]
-    gain_vs_seq: Optional[float]
-    crb_variance_bound: float
-    method: str
 
 
 def cramer_rao_bound(h):
@@ -65,10 +51,12 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 
 def evaluate_grid(
     protocol: str, n: int, m: int, r, lam, include_limit: bool = False
-) -> list[ResultRow]:
+) -> dict[str, list]:
     """Evaluate one protocol for one (n, m) at every point of the equally
-    shaped arrays r and lam, in their flat order. A gain is empty where
-    r = 0, where lambda = 1 or where its reference QFI is 0."""
+    shaped arrays (or scalars) r and lam, in their flat order. Returns a
+    table: its columns as lists with one entry per point, keyed by the CSV
+    column names. A gain is None where r = 0, where lambda = 1 or where its
+    reference QFI is 0."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     n, m = _carried_shape(protocol, n, m)
@@ -88,21 +76,21 @@ def evaluate_grid(
 
     usable = (r > 0.0) & (lam < 1.0)
     lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
-    refs = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref) / m
-    crb = cramer_rao_bound(value)
-    columns = [np.ravel(a).tolist() for a in (r, lam, value, per_channel)]
-    columns += [_gains(per_channel, ref, usable) for ref in refs]
-    columns.append(np.ravel(crb).tolist())
-    return [
-        ResultRow(protocol, n, m, *fields, "closed_form") for fields in zip(*columns)
-    ]
-
-
-def evaluate_point(
-    protocol: str, n: int, m: int, r: float, lam: float, include_limit: bool = False
-) -> ResultRow:
-    """Evaluate one protocol at one parameter point."""
-    return evaluate_grid(protocol, n, m, r, lam, include_limit)[0]
+    sqsc_ref, seq_ref = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref) / m
+    size = r.size
+    return {
+        "protocol": [protocol] * size,
+        "n": [n] * size,
+        "m": [m] * size,
+        "r": np.ravel(r).tolist(),
+        "lambda": np.ravel(lam).tolist(),
+        "qfi": np.ravel(value).tolist(),
+        "qfi_per_channel": np.ravel(per_channel).tolist(),
+        "gain_vs_sqsc": _gains(per_channel, sqsc_ref, usable),
+        "gain_vs_seq": _gains(per_channel, seq_ref, usable),
+        "crb_variance_bound": np.ravel(cramer_rao_bound(value)).tolist(),
+        "method": ["closed_form"] * size,
+    }
 
 
 def sweep_rows(
@@ -112,20 +100,23 @@ def sweep_rows(
     r_grid: np.ndarray,
     lambda_grid: np.ndarray,
     include_limit: bool = False,
-) -> list[ResultRow]:
-    """Evaluate a full grid, one array evaluation for each distinct (n, m)
-    that the rows carry (sqsc, independent and sequential map several
-    requested pairs to one); rows come back sorted by (n, m, r, lambda),
-    since the grids may be unsorted."""
+) -> dict[str, list]:
+    """Evaluate a full grid as one table, one array evaluation for each
+    distinct (n, m) that the rows carry (sqsc, independent and sequential map
+    several requested pairs to one). The rows are in (n, m, r, lambda) order,
+    since the grids may be unsorted; equal keys keep the grids' order."""
     r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
-    shapes = dict.fromkeys(_carried_shape(protocol, n, m) for n in ns for m in ms)
-    rows = [
-        row
-        for n, m in shapes
-        for row in evaluate_grid(protocol, n, m, r, lam, include_limit)
-    ]
-    rows.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
-    return rows
+    order = np.lexsort((lam.ravel(), r.ravel()))  # stable; -0.0 ties with 0.0
+    # sorted, in the meshgrid's shape: the closed form's round-off depends
+    # on the shape of its arrays (at r = 0 it returns about 1e-32, not 0)
+    r, lam = (a.ravel()[order].reshape(a.shape) for a in (r, lam))
+    shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
+    table: dict[str, list] = {}
+    for n, m in shapes:
+        part = evaluate_grid(protocol, n, m, r, lam, include_limit)
+        for column, values in part.items():
+            table.setdefault(column, []).extend(values)
+    return table
 
 
 def _parse_grid(raw: str) -> np.ndarray:

@@ -185,6 +185,8 @@ def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationRepor
     if math.isinf(closed) and math.isinf(oracle_value):
         abs_err = 0.0
         rel_err = 0.0
+    elif math.isinf(closed) or math.isinf(oracle_value):
+        abs_err = rel_err = math.inf  # inf / inf would make rel_err NaN
     else:
         abs_err = abs(closed - oracle_value)
         # floor keeps the ratio meaningful when both sides vanish (r = 0)

@@ -214,14 +214,14 @@ def test_criterion_8_discord_suite():
 
 
 def test_criterion_9_figure_data():
-    rows = sweep_rows(
+    table = sweep_rows(
         "corr_vs_seq",
         [4],
         [2, 3, 4],
         np.linspace(0.05, 0.95, 19),
         np.linspace(0.05, 0.95, 19),
     )
-    gains = [row.gain_vs_seq for row in rows]
+    gains = table["gain_vs_seq"]
     ok = len(gains) == 3 * 19 * 19
     ok = ok and all(g is not None and g > 1.0 for g in gains)
     cutoffs = [sequential_cutoff(m).cutoff for m in range(1, 41)]

@@ -8,56 +8,51 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depolqfi.cli import (
-    CSV_HEADER,
-    PROTOCOLS,
-    main,
-    row_to_csv,
-    row_to_dict,
-)
+from depolqfi.cli import CSV_HEADER, PROTOCOLS, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
-from depolqfi.evaluate import evaluate_point, sweep_rows
+from depolqfi.evaluate import evaluate_grid, sweep_rows
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
+from table_helpers import point, written
 
 
 class TestEvaluatePoint:
     def test_sqsc_row(self):
-        row = evaluate_point("sqsc", 1, 1, 0.5, 0.8)
-        assert (row.n, row.m) == (1, 1)
-        assert row.qfi == pytest.approx(sqsc_qfi(0.5, 0.8), rel=1e-14)
-        assert row.qfi_per_channel == row.qfi
-        assert row.gain_vs_sqsc == pytest.approx(1.0, rel=1e-14)
-        assert row.crb_variance_bound == pytest.approx(1.0 / row.qfi, rel=1e-14)
+        row = point("sqsc", 1, 1, 0.5, 0.8)
+        assert (row["n"], row["m"]) == (1, 1)
+        assert row["qfi"] == pytest.approx(sqsc_qfi(0.5, 0.8), rel=1e-14)
+        assert row["qfi_per_channel"] == row["qfi"]
+        assert row["gain_vs_sqsc"] == pytest.approx(1.0, rel=1e-14)
+        assert row["crb_variance_bound"] == pytest.approx(1.0 / row["qfi"], rel=1e-14)
 
     def test_correlated_row(self):
-        row = evaluate_point("correlated", 4, 2, 0.5, 0.7)
+        row = point("correlated", 4, 2, 0.5, 0.7)
         qfi = correlated_qfi(ProtocolParams(4, 2, 0.5, 0.7))
-        assert row.qfi == pytest.approx(qfi, rel=1e-14)
+        assert row["qfi"] == pytest.approx(qfi, rel=1e-14)
         seq = sequential_qfi(2, 0.5, 0.7) / 2
-        assert row.gain_vs_seq == pytest.approx(qfi / 2 / seq, rel=1e-13)
+        assert row["gain_vs_seq"] == pytest.approx(qfi / 2 / seq, rel=1e-13)
 
     def test_gains_empty_at_r_zero(self):
-        row = evaluate_point("sequential", 1, 3, 0.0, 0.5)
-        assert row.gain_vs_sqsc is None
-        assert row.gain_vs_seq is None
-        assert row.qfi == 0.0
-        assert math.isinf(row.crb_variance_bound)
+        row = point("sequential", 1, 3, 0.0, 0.5)
+        assert row["gain_vs_sqsc"] is None
+        assert row["gain_vs_seq"] is None
+        assert row["qfi"] == 0.0
+        assert math.isinf(row["crb_variance_bound"])
 
     def test_gains_empty_at_zero_reference_and_lambda_one(self):
         # the sequential reference vanishes at lambda = 0 for m >= 2
-        row = evaluate_point("correlated", 3, 2, 0.5, 0.0)
-        assert row.gain_vs_seq is None
-        assert row.gain_vs_sqsc is not None
-        row = evaluate_point("correlated", 3, 2, 0.5, 1.0, include_limit=True)
-        assert row.gain_vs_sqsc is None
-        assert row.gain_vs_seq is None
+        row = point("correlated", 3, 2, 0.5, 0.0)
+        assert row["gain_vs_seq"] is None
+        assert row["gain_vs_sqsc"] is not None
+        row = point("correlated", 3, 2, 0.5, 1.0, include_limit=True)
+        assert row["gain_vs_sqsc"] is None
+        assert row["gain_vs_seq"] is None
 
     def test_protocol_forces_shape(self):
-        row = evaluate_point("sequential", 7, 3, 0.5, 0.5)
-        assert row.n == 1
-        row = evaluate_point("independent", 1, 4, 0.5, 0.5)
-        assert row.n == 4
+        row = point("sequential", 7, 3, 0.5, 0.5)
+        assert row["n"] == 1
+        row = point("independent", 1, 4, 0.5, 0.5)
+        assert row["n"] == 4
 
 
 class TestCsvFormat:
@@ -68,8 +63,7 @@ class TestCsvFormat:
         )
 
     def test_row_rendering(self):
-        row = evaluate_point("sqsc", 1, 1, 0.5, 0.8)
-        text = row_to_csv(row)
+        text = written(evaluate_grid("sqsc", 1, 1, 0.5, 0.8)).splitlines()[1]
         fields = text.split(",")
         assert fields[0] == "sqsc"
         assert fields[1] == "1" and fields[2] == "1"
@@ -77,40 +71,62 @@ class TestCsvFormat:
         assert fields[-1] == "closed_form"
 
     def test_inf_and_empty_tokens(self):
-        row = evaluate_point("sqsc", 1, 1, 0.0, 0.8)
-        fields = row_to_csv(row).split(",")
+        text = written(evaluate_grid("sqsc", 1, 1, 0.0, 0.8)).splitlines()[1]
+        fields = text.split(",")
         header = CSV_HEADER.split(",")
         assert fields[header.index("gain_vs_sqsc")] == ""
         assert fields[header.index("gain_vs_seq")] == ""
         assert fields[header.index("crb_variance_bound")] == "inf"
 
     def test_dict_holds_the_csv_fields(self):
-        row = evaluate_point("correlated", 3, 2, 0.5, 0.7)
-        data = row_to_dict(row)
-        assert list(data) == CSV_HEADER.split(",")
+        # a correlated row, then a row with empty gains and an infinite bound
+        parts = [
+            evaluate_grid("correlated", 3, 2, 0.5, 0.7),
+            evaluate_grid("sequential", 1, 3, 0.0, 0.5),
+        ]
+        table = {column: parts[0][column] + parts[1][column] for column in parts[0]}
+        records = json.loads(written(table, "json"))
+        lines = written(table).splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [list(data) for data in records] == [CSV_HEADER.split(",")] * 2
+        data = records[0]
         assert (data["n"], data["m"], data["r"], data["lambda"]) == (3, 2, 0.5, 0.7)
+        assert (records[1]["gain_vs_seq"], records[1]["crb_variance_bound"]) == ("", "inf")
         numbers = ("n", "m", "r", "lambda")
-        for key, field in zip(data, row_to_csv(row).split(",")):
-            assert key in numbers or data[key] == field
+        for i, (data, line) in enumerate(zip(records, lines[1:], strict=True)):
+            for key, field in zip(data, line.split(","), strict=True):
+                assert data[key] == (table[key][i] if key in numbers else field)
 
 
 class TestSweep:
     def test_sorted_and_complete(self):
-        rows = sweep_rows(
-            "correlated", [2, 3], [1, 2], np.linspace(0.2, 0.8, 3),
-            np.linspace(0.1, 0.9, 3),
-        )
-        assert len(rows) == 2 * 2 * 3 * 3
-        keys = [(r.n, r.m, r.r, r.lam) for r in rows]
-        assert keys == sorted(keys)
+        for r_grid, lam_grid in (
+            (np.linspace(0.2, 0.8, 3), np.linspace(0.1, 0.9, 3)),
+            (np.linspace(0.8, 0.2, 3), np.linspace(0.9, 0.1, 3)),  # descending
+            (np.array([0.5, 0.2, 0.5]), np.array([0.3, 0.1, 0.3])),  # repeated
+            (np.array([-0.0, 0.0]), np.array([0.5, 0.1])),  # equal keys, unequal bits
+        ):
+            table = sweep_rows("correlated", [2, 3], [1, 2], r_grid, lam_grid)
+            assert len(table["n"]) == 2 * 2 * r_grid.size * lam_grid.size
+            keys = list(zip(table["n"], table["m"], table["r"], table["lambda"]))
+            assert keys == sorted(keys)
+            # the unsorted evaluation's lines, stably sorted by (n, m, r, lambda)
+            r, lam = np.meshgrid(r_grid, lam_grid, indexing="ij")
+            unsorted = []
+            for n, m in ((3, 2), (3, 1), (2, 2), (2, 1)):
+                part = evaluate_grid("correlated", n, m, r, lam)
+                part_keys = zip(part["n"], part["m"], part["r"], part["lambda"])
+                unsorted += zip(part_keys, written(part).splitlines()[1:])
+            unsorted.sort(key=lambda pair: pair[0])
+            assert written(table).splitlines()[1:] == [line for _, line in unsorted]
 
     def test_rows_sorted_after_protocol_overrides_n(self):
         # sequential rows all carry n = 1, so the two requested n values give
         # one set of rows, which the sort puts in ascending r
-        rows = sweep_rows(
+        table = sweep_rows(
             "sequential", [2, 1], [1], np.linspace(0.6, 0.5, 2), np.array([0.5])
         )
-        assert [(row.n, row.r) for row in rows] == [(1, 0.5), (1, 0.6)]
+        assert list(zip(table["n"], table["r"])) == [(1, 0.5), (1, 0.6)]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_rows_match_evaluate_point(self, protocol):
@@ -119,28 +135,28 @@ class TestSweep:
         ns, ms = [3, 4], [1, 3]
         r_grid = np.array([0.0, 0.4, 1.0])
         lam_grid = np.array([0.0, 0.5, 1.0 if limit else 0.9])
-        rows = sweep_rows(protocol, ns, ms, r_grid, lam_grid, include_limit=limit)
-        points = [
-            evaluate_point(protocol, n, m, r, lam, include_limit=limit)
-            for n in ns for m in ms for r in r_grid for lam in lam_grid
-        ]
+        table = sweep_rows(protocol, ns, ms, r_grid, lam_grid, include_limit=limit)
         # a sweep evaluates each (n, m) that its rows carry once
-        points = list({(p.n, p.m, p.r, p.lam): p for p in points}.values())
-        points.sort(key=lambda row: (row.n, row.m, row.r, row.lam))
-        assert list(map(row_to_csv, rows)) == list(map(row_to_csv, points))
+        points = {}
+        for n in ns:
+            for m in ms:
+                for r in r_grid:
+                    for lam in lam_grid:
+                        one = evaluate_grid(protocol, n, m, r, lam, include_limit=limit)
+                        key = tuple(one[c][0] for c in ("n", "m", "r", "lambda"))
+                        points[key] = written(one).splitlines()[1]
+        assert written(table).splitlines()[1:] == [points[k] for k in sorted(points)]
         if not limit:
             with pytest.raises(DomainError):
                 sweep_rows(protocol, ns, ms, r_grid, np.array([1.0]), True)
             with pytest.raises(DomainError):
-                evaluate_point(protocol, 3, 1, 0.4, 1.0, include_limit=True)
+                evaluate_grid(protocol, 3, 1, 0.4, 1.0, include_limit=True)
 
     def test_single_point_sweep_equals_eval(self):
-        rows = sweep_rows(
+        table = sweep_rows(
             "sequential", [1], [3], np.array([0.5]), np.array([0.8])
         )
-        assert row_to_csv(rows[0]) == row_to_csv(
-            evaluate_point("sequential", 1, 3, 0.5, 0.8)
-        )
+        assert written(table) == written(evaluate_grid("sequential", 1, 3, 0.5, 0.8))
 
 
 class TestMain:
@@ -218,6 +234,22 @@ class TestMain:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data[0]["pass"] is True
+
+    def test_verify_one_sided_inf_is_valid_json(self, capsys):
+        # the oracle drops a rank-deficient pair here and reports inf, while
+        # the closed form stays finite
+        code = main(
+            ["verify", "--n", "6", "--m", "5", "--r", "0.9999999", "--lambda", "0.9999999"]
+        )
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert "inf" in (data[0]["closed_form_qfi"], data[0]["oracle_qfi"])
+        assert (data[0]["abs_err"], data[0]["rel_err"]) == ("inf", "inf")
+        assert data[0]["pass"] is False
 
     def test_correlations_json(self, capsys):
         code = main(["correlations", "--m", "1", "--r", "0.8", "--lambda", "0.6"])

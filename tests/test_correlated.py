@@ -12,9 +12,9 @@ from depolqfi.correlated import (
     final_state,
 )
 from depolqfi.errors import CapacityError, DomainError, PositivityError
-from depolqfi.evaluate import evaluate_point
 from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
+from table_helpers import point
 
 
 def params(n, m, r, lam, **kw):
@@ -325,9 +325,9 @@ class TestCorrelatedQfi:
         )
 
     def test_per_channel_field(self):
-        row = evaluate_point("correlated", 4, 2, 0.5, 0.7)
-        assert row.qfi == correlated_qfi(params(4, 2, 0.5, 0.7))
-        assert row.qfi_per_channel == pytest.approx(row.qfi / 2, rel=1e-15)
+        row = point("correlated", 4, 2, 0.5, 0.7)
+        assert row["qfi"] == correlated_qfi(params(4, 2, 0.5, 0.7))
+        assert row["qfi_per_channel"] == pytest.approx(row["qfi"] / 2, rel=1e-15)
 
     def test_m_greater_than_n_rejected(self):
         with pytest.raises(DomainError):
@@ -437,16 +437,16 @@ class TestGains:
 
     def test_low_r_gain_approaches_n(self):
         for n in (2, 3, 5):
-            g = evaluate_point("correlated", n, 1, 1e-4, 0.8).gain_vs_sqsc
+            g = point("correlated", n, 1, 1e-4, 0.8)["gain_vs_sqsc"]
             assert g == pytest.approx(n, abs=1e-4)
 
     def test_corr_vs_seq_low_r_approaches_n(self):
         for n in (2, 4):
-            g = evaluate_point("corr_vs_seq", n, 2, 1e-4, 0.8).gain_vs_seq
+            g = point("corr_vs_seq", n, 2, 1e-4, 0.8)["gain_vs_seq"]
             assert g == pytest.approx(n, abs=1e-4)
 
     def test_undefined_at_r_zero(self):
         for protocol, m in (("correlated", 1), ("corr_vs_seq", 2)):
-            row = evaluate_point(protocol, 2, m, 0.0, 0.5)
-            assert row.gain_vs_sqsc is None
-            assert row.gain_vs_seq is None
+            row = point(protocol, 2, m, 0.0, 0.5)
+            assert row["gain_vs_sqsc"] is None
+            assert row["gain_vs_seq"] is None

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from depolqfi.errors import DomainError
-from depolqfi.evaluate import evaluate_point
 from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.protocols import (
     ProtocolParams,
@@ -22,6 +21,7 @@ from paper_formulas import (
     sequential_extra_invocation_advantage,
     sequential_gain,
 )
+from table_helpers import point
 
 
 def bloch_state(rx, ry, rz):
@@ -223,17 +223,17 @@ class TestQubitSld:
 class TestIndependent:
     def test_additivity(self):
         base = sqsc_qfi(0.4, 0.6)
-        row = evaluate_point("independent", 5, 5, 0.4, 0.6)
-        assert row.qfi == pytest.approx(5 * base, rel=1e-14)
-        assert row.qfi_per_channel == pytest.approx(base, rel=1e-14)
+        row = point("independent", 5, 5, 0.4, 0.6)
+        assert row["qfi"] == pytest.approx(5 * base, rel=1e-14)
+        assert row["qfi_per_channel"] == pytest.approx(base, rel=1e-14)
 
     def test_per_channel_never_beats_baseline(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = int(rng.integers(1, 10))
             r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            row = evaluate_point("independent", m, m, r, lam)
-            assert row.qfi_per_channel == pytest.approx(sqsc_qfi(r, lam), rel=1e-14)
+            row = point("independent", m, m, r, lam)
+            assert row["qfi_per_channel"] == pytest.approx(sqsc_qfi(r, lam), rel=1e-14)
 
 
 class TestSequential:

@@ -1,0 +1,131 @@
+"""Check that the command line prints the same bytes as a git revision.
+
+Run from the repository root, for example:
+
+    python3 tools/cli_identity.py --parent HEAD~1
+
+Each case is one `python -m depolqfi.cli ...` invocation, run once with the
+`src` of a fresh `git archive` of the parent revision (default HEAD) and
+once with this working tree's `src`, each in an empty directory. The two
+runs must agree on stdout, stderr, exit code and the file that `-o` names.
+One line per case; the exit code is 1 if any case differs. Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = "out.txt"  # the -o file of the cases that write one
+
+_GRID = ["--r-grid", "0:1:4", "--lambda-grid", "0:0.9:3"]
+_POINT = ["--r", "0.5", "--lambda", "0.7"]
+PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
+
+CASES: list[list[str]] = [
+    *(
+        ["eval", "--protocol", p, "--n", "4", "--m", "2", *_POINT, *fmt]
+        for p in PROTOCOLS
+        for fmt in ([], ["--format", "json"])
+    ),
+    *(
+        ["sweep", "--protocol", p, "--n", "3,4", "--m", "1,3", *_GRID, *fmt]
+        for p in PROTOCOLS
+        for fmt in ([], ["--format", "json"])
+    ),
+    # empty gains, inf bounds and the lambda = 1 limit
+    ["eval", "--protocol", "sequential", "--m", "3", "--r", "0", "--lambda", "0.5"],
+    ["eval", "--protocol", "correlated", "--n", "3", "--m", "2", "--r", "0.5",
+     "--lambda", "1", "--include-limit", "--format", "json"],
+    # grid order: unsorted, descending, a repeated value and signed zeros
+    ["sweep", "--protocol", "correlated", "--n", "4,2", "--m", "2,1",
+     "--r-grid", "0.9:0.1:5", "--lambda-grid", "0.8:0.2:4"],
+    ["sweep", "--protocol", "sequential", "--n", "2,1", "--m", "3,1",
+     "--r-grid", "0.6:0.5:2", "--lambda-grid", "0.5:0.5:3", "--format", "json"],
+    ["sweep", "--protocol", "independent", "--n", "3,4", "--m", "1,2",
+     "--r-grid", "0.5:0.5:2", "--lambda-grid", "0.5:0.5:1"],
+    ["sweep", "--protocol", "sqsc", "--r-grid=-0:0:2", "--lambda-grid", "0:0.5:2"],
+    ["sweep", "--protocol", "sqsc", "--r-grid=-0:-0:2", "--lambda-grid", "0:0.5:2"],
+    ["sweep", "--protocol", "correlated", "--n", "3", "--m", "1,2",
+     "--r-grid=-0:-0:2", "--lambda-grid=-0:-0:2", "--format", "json"],
+    # the largest advertised n
+    ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
+     "--r-grid", "0:1:5", "--lambda-grid", "0:0.99:4"],
+    ["sweep", "--protocol", "corr_vs_seq", "--n", "5", "--m", "1,5", *_GRID, "-o", OUT],
+    ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2", *_GRID,
+     "--format", "json", "-o", OUT],
+    *(["figure", name] for name in (
+        "seq-gain-m3", "corr-gain-n2-m1", "corr-gain-n5-m1",
+        "corr-gain-n4-multi", "corr-vs-seq-n4", "cutoff",
+    )),
+    ["figure", "corr-gain-n4-multi", "-o", OUT],
+    ["table", "spectator"],
+    ["table", "all-qubits", "-o", OUT],
+    ["correlations", "--m", "2", "--r", "0.5", "--lambda", "0.5"],
+    ["correlations", "--m", "1", "--r", "0.8", "--lambda", "0.6"],
+    ["verify", "--n", "3", "--m", "2", *_POINT],
+    ["verify", "--grid", "--max-n", "3", "-o", OUT],
+    # one side of the comparison infinite
+    ["verify", "--n", "6", "--m", "5", "--r", "0.9999999", "--lambda", "0.9999999"],
+    # error exits
+    ["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"],
+    ["eval", "--protocol", "correlated", "--n", "2", "--m", "3", *_POINT],
+    ["eval", "--protocol", "correlated", "--n", "2", "--m", "1", "--r", "0.5",
+     "--lambda", "1"],
+    ["sweep", "--protocol", "sqsc", "--r-grid", "0:1"],
+    ["sweep", "--protocol", "sqsc", "--n", "1,b"],
+    ["sweep", "--protocol", "sqsc", *_GRID, "-o", "missing/out.csv"],
+    ["verify", "--n", "3"],
+    ["verify", "--grid", "--max-n", "0"],
+]
+
+
+def run_case(src: Path, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr, the -o file or None) of one invocation."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "depolqfi.cli", *argv],
+            cwd=tmp, env=env, capture_output=True,
+        )
+        out = Path(tmp, OUT)
+        written = out.read_bytes() if out.is_file() else None
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare with")
+    args = parser.parse_args(argv)
+    archive = subprocess.run(
+        ["git", "archive", args.parent], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="cli-identity-parent-") as parent:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent, filter="data")
+        for case in CASES:
+            before = run_case(Path(parent, "src"), case)
+            after = run_case(ROOT / "src", case)
+            diff = [
+                part
+                for part, old, new in zip(("exit", "stdout", "stderr", OUT), before, after)
+                if old != new
+            ]
+            differing += bool(diff)
+            verdict = "differs in " + ", ".join(diff) if diff else "identical"
+            print(f"{verdict}  (exit {after[0]})  depolqfi {' '.join(case)}")
+    print(f"{len(CASES) - differing} of {len(CASES)} cases identical to {args.parent}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
