@@ -152,7 +152,7 @@ def block_qfi(d, c, d_dot, m: int, lam: float):
 def correlated_qfi(params: ProtocolParams):
     """Total QFI of the correlated-state protocol (closed form): a float, or
     an array over the broadcast shape when params carry arrays of r and
-    lambda."""
+    lambda. It is exactly 0 wherever r = 0."""
     n, m = params.n, params.m
     diag, counter, slope = _blocks(params)
     # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
@@ -166,6 +166,9 @@ def correlated_qfi(params: ProtocolParams):
     lam_blocks = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
     h = block_qfi(diag[present], counter[present], slope[present], m, lam_blocks)
     total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
+    # r = 0 prepares I/2^n, which every lambda leaves alone: the QFI is exactly
+    # 0 there, where the sum above leaves round-off of about 1e-32
+    total = np.where(np.asarray(params.r) == 0.0, 0.0, total)
     return float(total) if total.ndim == 0 else total
 
 

@@ -1,26 +1,36 @@
-"""The array evaluation core behind `eval`, `sweep` and the figure presets:
-one protocol's QFI, per-channel QFI, gains and Cramer-Rao bound over whole
-arrays of (r, lambda) points, returned as a table of columns.
+"""The evaluation core behind `eval`, `sweep` and the figure presets: one
+protocol's QFI, per-channel QFI, gains and Cramer-Rao bound at one (r, lambda)
+point or over whole arrays of them, returned as a table of columns.
 
-The command line imports this module, and with it numpy, only in the
-commands that evaluate arrays; `table` and `figure cutoff` print scalar
-formulas and never load it.
+Nothing here imports numpy at module level. A point of sqsc, independent or
+sequential is computed with math, so `eval` of those protocols never loads
+numpy, as `table`, `correlations` and `figure cutoff` never do. The commands
+that load it are `sweep` and the figure presets, which build grids, `verify`,
+through the oracle, and `eval` of the correlated protocols, whose closed form
+evaluates arrays even at one point.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .correlated import correlated_qfi
 from .errors import DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, sqsc_qfi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def cramer_rao_bound(h):
     """Variance lower bound 1/H; h = 0 maps to +inf and h = inf to 0. h may
     be an array, which gives one bound per entry; NaN is rejected."""
+    if isinstance(h, (int, float)):  # a plain number: no numpy needed
+        if not h >= 0.0:
+            raise DomainError(f"QFI must be nonnegative, got {h}")
+        return 1.0 / h if h else math.inf
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     valid = h >= 0.0
     if not valid.all():
@@ -30,13 +40,16 @@ def cramer_rao_bound(h):
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _gains(per_channel, ref, usable: np.ndarray) -> list[Optional[float]]:
+def _column(values) -> list[float]:
+    """The entries of a number or an array, in flat order."""
+    return values.ravel().tolist() if hasattr(values, "ravel") else [float(values)]
+
+
+def _gains(per_channel: list, ref: list, usable: list) -> list[Optional[float]]:
     """per_channel / ref where usable and ref != 0, None elsewhere."""
-    usable = usable & (ref != 0.0)
-    ratio = per_channel / np.where(usable, ref, 1.0)
     return [
-        g if ok else None
-        for g, ok in zip(np.ravel(ratio).tolist(), np.ravel(usable).tolist())
+        h / h_ref if ok and h_ref != 0.0 else None
+        for h, h_ref, ok in zip(per_channel, ref, usable)
     ]
 
 
@@ -53,14 +66,18 @@ def evaluate_grid(
     protocol: str, n: int, m: int, r, lam, include_limit: bool = False
 ) -> dict[str, list]:
     """Evaluate one protocol for one (n, m) at every point of the equally
-    shaped arrays (or scalars) r and lam, in their flat order. Returns a
+    shaped arrays (or numbers) r and lam, in their flat order. Returns a
     table: its columns as lists with one entry per point, keyed by the CSV
     column names. A gain is None where r = 0, where lambda = 1 or where its
-    reference QFI is 0."""
+    reference QFI is 0. Numbers load numpy only for the correlated
+    protocols."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     n, m = _carried_shape(protocol, n, m)
-    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+    if not (isinstance(r, (int, float)) and isinstance(lam, (int, float))):
+        import numpy as np
+
+        r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     if protocol in ("sqsc", "independent"):
         # sqsc is the independent protocol on one qubit. Its per-channel QFI
         # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the
@@ -70,25 +87,29 @@ def evaluate_grid(
     else:
         if protocol == "sequential":
             value = sequential_qfi(m, r, lam)
-        else:  # correlated / corr_vs_seq
+        else:  # correlated / corr_vs_seq: the one closed form that needs numpy
+            from .correlated import correlated_qfi
+
             value = correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
         per_channel = value / m
 
-    usable = (r > 0.0) & (lam < 1.0)
-    lam_ref = np.where(usable, lam, 0.0)  # keeps the references defined at lambda = 1
-    sqsc_ref, seq_ref = sqsc_qfi(r, lam_ref), sequential_qfi(m, r, lam_ref) / m
-    size = r.size
+    lam_ref = lam * (lam < 1.0)  # 0 at lambda = 1 keeps the references defined
+    sqsc_ref = _column(sqsc_qfi(r, lam_ref))
+    seq_ref = [h / m for h in _column(sequential_qfi(m, r, lam_ref))]
+    rs, lams, per_channels = _column(r), _column(lam), _column(per_channel)
+    usable = [x > 0.0 and y < 1.0 for x, y in zip(rs, lams)]
+    size = len(rs)
     return {
         "protocol": [protocol] * size,
         "n": [n] * size,
         "m": [m] * size,
-        "r": np.ravel(r).tolist(),
-        "lambda": np.ravel(lam).tolist(),
-        "qfi": np.ravel(value).tolist(),
-        "qfi_per_channel": np.ravel(per_channel).tolist(),
-        "gain_vs_sqsc": _gains(per_channel, sqsc_ref, usable),
-        "gain_vs_seq": _gains(per_channel, seq_ref, usable),
-        "crb_variance_bound": np.ravel(cramer_rao_bound(value)).tolist(),
+        "r": rs,
+        "lambda": lams,
+        "qfi": _column(value),
+        "qfi_per_channel": per_channels,
+        "gain_vs_sqsc": _gains(per_channels, sqsc_ref, usable),
+        "gain_vs_seq": _gains(per_channels, seq_ref, usable),
+        "crb_variance_bound": _column(cramer_rao_bound(value)),
         "method": ["closed_form"] * size,
     }
 
@@ -105,10 +126,13 @@ def sweep_rows(
     distinct (n, m) that the rows carry (sqsc, independent and sequential map
     several requested pairs to one). The rows are in (n, m, r, lambda) order,
     since the grids may be unsorted; equal keys keep the grids' order."""
+    import numpy as np
+
     r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
     order = np.lexsort((lam.ravel(), r.ravel()))  # stable; -0.0 ties with 0.0
-    # sorted, in the meshgrid's shape: the closed form's round-off depends
-    # on the shape of its arrays (at r = 0 it returns about 1e-32, not 0)
+    # sorted, in the meshgrid's shape: the closed form's last bit can depend
+    # on the shape of its arrays (a one-value lambda grid gives (k, 1) arrays,
+    # which round differently from flat ones)
     r, lam = (a.ravel()[order].reshape(a.shape) for a in (r, lam))
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
     table: dict[str, list] = {}
@@ -127,4 +151,6 @@ def _parse_grid(raw: str) -> np.ndarray:
         raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
+    import numpy as np
+
     return np.linspace(start, stop, count)

@@ -3,12 +3,13 @@
 Covers the single-qubit single-channel (SQSC) baseline and the sequential
 multi-use protocol, together with the one domain check (check_params) and the
 validated correlated-protocol point (ProtocolParams) that the other modules
-share. Nothing here imports numpy at module level: check_params loads it only
-for arrays, and the closed forms, which evaluate arrays, when they are called.
+share. Nothing here imports numpy at module level: check_params and the
+closed forms compute plain numbers with math and load numpy only for arrays.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -76,11 +77,17 @@ def sequential_qfi(m: int, r: float, lam: float) -> float:
     """QFI of m sequential channel uses on one qubit; r and lam may be
     arrays. The denominator 1 - lambda^(2m) r^2 is formed as
     -expm1(2m log lambda + 2 log r), which keeps its relative accuracy as
-    r and lambda approach 1."""
+    r and lambda approach 1. Plain numbers are computed with math, so that
+    they never load numpy; arrays with numpy."""
     check_params(m=m, r=r, lam=lam)
-    import numpy as np
+    if isinstance(r, (int, float)) and isinstance(lam, (int, float)):
+        # math.log(0) raises where np.log gives -inf, whose -expm1 is the exact 1
+        zero = r == 0.0 or lam == 0.0  # -0.0 too
+        gap = 1.0 if zero else -math.expm1(2 * m * math.log(lam) + 2 * math.log(r))
+    else:
+        import numpy as np
 
-    with np.errstate(divide="ignore"):  # log 0 = -inf gives the exact 1
-        gap = -np.expm1(2 * m * np.log(lam) + 2 * np.log(r))
+        with np.errstate(divide="ignore"):
+            gap = -np.expm1(2 * m * np.log(lam) + 2 * np.log(r))
     qfi = m * m * lam ** (2 * m - 2) * r * r / gap
-    return float(qfi) if np.ndim(qfi) == 0 else qfi
+    return qfi if getattr(qfi, "ndim", 0) else float(qfi)

@@ -450,22 +450,26 @@ class TestStartupImports:
 
     def test_only_array_commands_load_numpy(self):
         # whether numpy and depolqfi.linalg are loaded after the import and
-        # after each command in turn; eval comes last and must load both, so
-        # this cannot pass vacuously
+        # after each command in turn; a correlated eval comes last and must
+        # load both, so this cannot pass vacuously
         script = (
             "import contextlib, io, json, sys\n"
             "import depolqfi.cli\n"
             "def loaded():\n"
             "    return [m in sys.modules for m in ('numpy', 'depolqfi.linalg')]\n"
+            "point = ['--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
             "steps = [loaded()]\n"
             "for argv in (\n"
             "    ['table', 'spectator'], ['table', 'all-qubits'], ['figure', 'cutoff'],\n"
             "    ['correlations', '--m', '2', '--r', '0.5', '--lambda', '0.5'],\n"
-            "    ['eval', '--protocol', 'sqsc', '--r', '0.5', '--lambda', '0.8'],\n"
+            "    *(['eval', '--protocol', p, *point, *f]\n"
+            "      for p in ('sqsc', 'independent', 'sequential')\n"
+            "      for f in ([], ['--format', 'json'])),\n"
+            "    ['eval', '--protocol', 'correlated', '--n', '4', *point],\n"
             "):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert depolqfi.cli.main(argv) == 0\n"
             "    steps.append(loaded())\n"
             "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [[False, False]] * 5 + [[True, True]]
+        assert self._run(script) == [[False, False]] * 11 + [[True, True]]

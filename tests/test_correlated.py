@@ -320,9 +320,20 @@ class TestCorrelatedQfi:
             assert correlated_qfi(p) == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
-        assert correlated_qfi(params(5, 3, 0.0, 0.7)) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        # the state is I/2^n for every lambda, whatever shape the arrays have
+        assert correlated_qfi(params(5, 3, 0.0, 0.7)) == 0.0
+        assert correlated_qfi(params(5, 3, -0.0, 0.0)) == 0.0
+        lam = np.linspace(0.0, 0.95, 6)
+        for r, lam in [
+            (np.zeros(6), lam),
+            (np.zeros((6, 1)), lam[:, np.newaxis]),
+            (np.zeros((2, 1)), lam),
+            (np.array([0.0, 0.5]), np.array([0.3875, 0.3875])),
+        ]:
+            for n, m in [(4, 2), (5, 3), (8, 7), (8, 8)]:
+                values = correlated_qfi(params(n, m, r, lam))
+                assert np.all(values[np.broadcast_to(r, values.shape) == 0.0] == 0.0)
+        assert correlated_qfi(params(8, 7, np.array([0.0, 0.5]), 0.3875))[1] > 0.0
 
     def test_per_channel_field(self):
         row = point("correlated", 4, 2, 0.5, 0.7)

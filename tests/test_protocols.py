@@ -275,6 +275,24 @@ class TestSequential:
         assert sequential_qfi(2, 0.7, 0.0) == 0.0
         assert sequential_qfi(1, 0.7, 0.0) == pytest.approx(0.49)
 
+    def test_numbers_and_arrays_agree(self):
+        # plain numbers take math and arrays numpy, whose vector log, expm1
+        # and pow can differ from libm in the last bit: so the two agree to
+        # 1e-15 relative and in every printed field, not bitwise
+        rng = np.random.default_rng(1501)
+        lam_edges = [0.0, -0.0, *(1.0 - 10.0 ** -np.arange(1.0, 10.0))]
+        for m in [*range(1, 13), *rng.integers(13, 61, size=8).tolist()]:
+            # each edge lambda at r = 0, r = 1 and a random r; then random points
+            r = np.repeat([0.0, 1.0, rng.uniform()], len(lam_edges))
+            r = np.concatenate([r, rng.uniform(size=200)])
+            lam = np.concatenate([np.tile(lam_edges, 3), rng.uniform(size=200)])
+            arrays = sequential_qfi(m, r, lam)
+            for x, y, expected in zip(r.tolist(), lam.tolist(), arrays.tolist()):
+                value = sequential_qfi(m, x, y)
+                assert type(value) is float
+                assert abs(value - expected) <= 1e-15 * abs(expected)
+                assert f"{value:.9e}" == f"{expected:.9e}"
+
 
 class TestSequentialGain:
     def test_exact_rational_value(self):

@@ -41,6 +41,16 @@ CASES: list[list[str]] = [
         for p in PROTOCOLS
         for fmt in ([], ["--format", "json"])
     ),
+    # the edges of the plain-number path of the single-qubit protocols
+    *(
+        ["eval", "--protocol", p, "--m", "3", "--r", r, "--lambda", lam]
+        for p in PROTOCOLS[:3]
+        for r, lam in (
+            ("0", "0.7"), ("1", "0.7"), ("0.5", "0"), ("0.5", "-0"), ("0.5", "0.999999"),
+        )
+    ),
+    ["eval", "--protocol", "correlated", "--n", "5", "--m", "3", "--r", "0",
+     "--lambda", "0.7"],
     # empty gains, inf bounds and the lambda = 1 limit
     ["eval", "--protocol", "sequential", "--m", "3", "--r", "0", "--lambda", "0.5"],
     ["eval", "--protocol", "correlated", "--n", "3", "--m", "2", "--r", "0.5",
