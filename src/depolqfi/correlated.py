@@ -11,6 +11,11 @@ v (channel bits). The m channel uses act on v as one (m+1)x(m+1) stochastic
 matrix T(lambda), so every block diagonal is an entry of H T^T with
 H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for a whole
 array of (r, lambda) points.
+
+The block eigenvalues p_pm = d +/- lambda^m c are sums of nonnegative terms,
+accurate as r and lambda approach 1. The QFI is inf only where one is exactly
+0 and its slope is not, as at r = lambda = 1. For lambda < 1 one is 0 only at
+r = 1, on the blocks that no bit flip links to j = 0 or n, and so is its slope.
 """
 
 from __future__ import annotations
@@ -20,14 +25,11 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, PositivityError
+from .errors import DomainError
 from .linalg import check_capacity
 from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
-# Relative to the block's diagonal entry d: the block QFI is homogeneous of
-# degree 1 in the state's scale, which shrinks as 2^-(n+1) (1 +/- r)^n.
-BLOCK_EPS = 1e-13
 
 
 def _check_n(n: int) -> None:
@@ -36,19 +38,20 @@ def _check_n(n: int) -> None:
 
 
 def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
-    """2^(n+1) times the prepared state's diagonal (d_j) and counter-diagonal
-    (c_j) coefficients, indexed by the zero count j of the n-bit string along
-    a last axis appended to the shape of r."""
+    """P+_j = (1+r)^j (1-r)^(n-j) and P-_j = P+_(n-j), indexed by the zero
+    count j of the n-bit string along a last axis appended to the shape of r.
+    2^(n+1) times the prepared state's diagonal is d_j = P+_j + P-_j, and its
+    counter-diagonal c_j = P+_j - P-_j."""
     r = np.asarray(r, dtype=float)[..., np.newaxis]
     j = np.arange(n + 1)
     plus = (1.0 + r) ** j * (1.0 - r) ** (n - j)
-    minus = (1.0 + r) ** (n - j) * (1.0 - r) ** j
-    return plus + minus, plus - minus
+    return plus, plus[..., ::-1]
 
 
 def _transition(m: int, lam) -> np.ndarray:
-    """T(lambda) and dT/dlambda, acting on the zero count v of the m
-    channel bits, stacked with shape (2,) + lam.shape + (m+1, m+1).
+    """T(lambda) without its no-flip part p^m I, and dT/dlambda in full,
+    acting on the zero count v of the m channel bits, stacked with shape
+    (2,) + lam.shape + (m+1, m+1).
 
     T[v, v'] sums the bit-flip terms C(v, l) C(m-v, f) q^k p^(m-k), where l
     of the v zeros and f of the m-v ones flip (k = l + f, v' = v - l + f).
@@ -70,7 +73,7 @@ def _transition(m: int, lam) -> np.ndarray:
     p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     ks = np.arange(m + 1)
     q_pow, p_pow = q**ks, p ** (m - ks)  # q^k and p^(m-k)
-    weight = q_pow * p_pow
+    weight = (ks > 0) * q_pow * p_pow  # the flip terms of T only
     # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2;
     # an exponent is clipped at 0 only where its factor m-k or k is 0
     d_weight = 0.5 * (
@@ -81,17 +84,31 @@ def _transition(m: int, lam) -> np.ndarray:
     return (weights @ flips).reshape(weights.shape[:-1] + (m + 1, m + 1))
 
 
-def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal d, prepared counter-diagonal c and d/dlambda of d for every
-    zero-count profile, as arrays indexed [..., u, v] with u in 0..n-m and v
-    in 0..m. d and its derivative lead with the broadcast shape of r and
-    lam, c with the shape of r. All three omit the state's scale 2^-(n+1)."""
+def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """The block eigenvalues p_pm = d +/- lambda^m c and their lambda-slopes
+    pdot_pm = d_dot +/- m lambda^(m-1) c of every zero-count profile, indexed
+    [branch, ..., u, v]: p_+ then p_-, the broadcast shape of r and lam, u in
+    0..n-m and v in 0..m; without the state's scale 2^-(n+1). With j = u + v,
+    p_pm = T_(k>=1) d + (p^m + lambda^m) P_pm + (p^m - lambda^m) P_mp, where
+    p^m - lambda^m = q sum_i p^i lambda^(m-1-i): no term is negative."""
     n, m = params.n, params.m
     _check_n(n)
-    d, c = _unscaled_coefficients(n, params.r)
-    window = sliding_window_view(d, m + 1, axis=-1)  # [..., u, v'] = d[..., u + v']
-    diag, slope = window @ np.swapaxes(_transition(m, params.lam), -1, -2)
-    return diag, sliding_window_view(c, m + 1, axis=-1), slope
+    # [..., u, v'] = P[..., u + v'], so [..., u, v] is P_j
+    plus, minus = (
+        sliding_window_view(a, m + 1, axis=-1)
+        for a in _unscaled_coefficients(n, params.r)
+    )
+    flips, slope = (plus + minus) @ np.swapaxes(_transition(m, params.lam), -1, -2)
+    lam = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
+    p, i = (1.0 + lam) / 2.0, np.arange(m)
+    gap = (1.0 - lam) / 2.0 * np.sum(
+        p[..., np.newaxis] ** i * lam[..., np.newaxis] ** (m - 1 - i), axis=-1
+    )
+    kept = p**m + lam**m
+    eig = np.stack([flips + kept * plus + gap * minus,
+                    flips + kept * minus + gap * plus])
+    tilt = m * lam ** (m - 1) * (plus - minus)
+    return eig, np.stack([slope + tilt, slope - tilt])
 
 
 def final_state(params: ProtocolParams) -> np.ndarray:
@@ -100,10 +117,8 @@ def final_state(params: ProtocolParams) -> np.ndarray:
     over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
     n, m = params.n, params.m
     check_capacity(n)
-    diag, counter, _ = _blocks(params)
-    scale = 0.5 ** (n + 1)
-    diag = scale * diag
-    counter = params.lam**m * (scale * counter)
+    eig = 0.5 ** (n + 2) * _blocks(params)[0]
+    diag, counter = eig[0] + eig[1], eig[0] - eig[1]  # d and lambda^m c
     dim = 2**n
     x = np.arange(dim)
     # Read every x through the member of {x, N-x} with top bit 0, so both
@@ -120,33 +135,15 @@ def final_state(params: ProtocolParams) -> np.ndarray:
     return rho
 
 
-def block_qfi(d, c, d_dot, m: int, lam: float):
-    """QFI contribution of 2x2 blocks with prepared counter-diagonal c.
-
-    Eigenvalue form: p_pm = d +/- lambda^m c has derivative
-    pdot_pm = d_dot +/- m lambda^(m-1) c, and the block contributes
-    pdot^2 / p per branch. A branch below BLOCK_EPS * d has vanished: it
-    contributes 0 when its derivative is also below BLOCK_EPS * d, +inf
-    otherwise (a real rank drop, where the QFI is discontinuous). Takes
-    scalars, which give a float, or arrays, which give one value per block;
-    lam broadcasts against them too.
-    """
-    d, c, d_dot = np.broadcast_arrays(d, c, d_dot)
-    lm_c = lam**m * c
-    slope = m * lam ** (m - 1) * c
-    short = d < np.abs(lm_c) - 1e-12 * d
-    if np.any(short):
-        raise PositivityError(
-            f"block positivity violated: d={d[short][0]}, lam^m c={lm_c[short][0]}"
-        )
-    total = np.zeros(d.shape)
-    for sign in (1.0, -1.0):
-        p = d + sign * lm_c
-        pdot = d_dot + sign * slope
-        live = np.where(np.abs(pdot) <= BLOCK_EPS * d, 0.0, math.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total += np.where(p <= BLOCK_EPS * d, live, pdot * pdot / p)
-    return float(total) if total.ndim == 0 else total
+def block_qfi(p, p_dot):
+    """QFI contribution p_dot^2 / p of block eigenvalues p with lambda-slopes
+    p_dot, one per entry (a float for scalars). p = 0 contributes 0 where
+    p_dot = 0 too, +inf otherwise: a real rank drop, where the QFI is
+    discontinuous."""
+    p, p_dot = np.asarray(p, dtype=float), np.asarray(p_dot, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(p == 0.0, np.where(p_dot == 0.0, 0.0, math.inf), p_dot * p_dot / p)
+    return float(h) if h.ndim == 0 else h
 
 
 def correlated_qfi(params: ProtocolParams):
@@ -154,7 +151,7 @@ def correlated_qfi(params: ProtocolParams):
     an array over the broadcast shape when params carry arrays of r and
     lambda. It is exactly 0 wherever r = 0."""
     n, m = params.n, params.m
-    diag, counter, slope = _blocks(params)
+    eig, eig_dot = _blocks(params)
     # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
     # u >= 1 when that bit is a spectator (m < n), v >= 1 when it is not.
     if m < n:
@@ -163,8 +160,7 @@ def correlated_qfi(params: ProtocolParams):
     else:
         present = np.s_[..., :, 1:]
         weight = _comb_row(n - 1)
-    lam_blocks = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
-    h = block_qfi(diag[present], counter[present], slope[present], m, lam_blocks)
+    h = block_qfi(eig[present], eig_dot[present]).sum(axis=0)
     total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
     # r = 0 prepares I/2^n, which every lambda leaves alone: the QFI is exactly
     # 0 there, where the sum above leaves round-off of about 1e-32

@@ -15,8 +15,3 @@ class CapacityError(DepolQfiError):
 
 class NumericError(DepolQfiError):
     """A numerical routine failed to converge or produced an unusable result."""
-
-
-class PositivityError(DepolQfiError):
-    """A 2x2 block violates positivity (d < |lambda^m c|) beyond tolerance."""
-

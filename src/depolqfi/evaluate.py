@@ -65,8 +65,8 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 def evaluate_grid(
     protocol: str, n: int, m: int, r, lam, include_limit: bool = False
 ) -> dict[str, list]:
-    """Evaluate one protocol for one (n, m) at every point of the equally
-    shaped arrays (or numbers) r and lam, in their flat order. Returns a
+    """Evaluate one protocol for one (n, m) at every point of the arrays (or
+    numbers) r and lam, broadcast together, in their flat order. Returns a
     table: its columns as lists with one entry per point, keyed by the CSV
     column names. A gain is None where r = 0, where lambda = 1 or where its
     reference QFI is 0. Numbers load numpy only for the correlated
@@ -77,7 +77,9 @@ def evaluate_grid(
     if not (isinstance(r, (int, float)) and isinstance(lam, (int, float))):
         import numpy as np
 
-        r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+        r, lam = np.broadcast_arrays(
+            np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+        )
     if protocol in ("sqsc", "independent"):
         # sqsc is the independent protocol on one qubit. Its per-channel QFI
         # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the

@@ -54,6 +54,16 @@ class TestEvaluatePoint:
         row = point("independent", 1, 4, 0.5, 0.5)
         assert row["n"] == 4
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_arrays_broadcast_to_one_length(self, protocol):
+        # r of shape (2,) and lambda of shape (2, 1): 4 points in every column
+        table = evaluate_grid(protocol, 3, 2, np.array([0.5, 0.6]),
+                              np.array([[0.1], [0.2]]))
+        assert len(table) == 11
+        assert {len(column) for column in table.values()} == {4}
+        assert table["r"] == [0.5, 0.6, 0.5, 0.6]
+        assert table["lambda"] == [0.1, 0.1, 0.2, 0.2]
+
 
 class TestCsvFormat:
     def test_header_exact(self):
@@ -250,6 +260,16 @@ class TestMain:
         assert "inf" in (data[0]["closed_form_qfi"], data[0]["oracle_qfi"])
         assert (data[0]["abs_err"], data[0]["rel_err"]) == ("inf", "inf")
         assert data[0]["pass"] is False
+
+    def test_correlated_n1_m1_near_pure_weak_noise_matches_sqsc(self, capsys):
+        # one qubit used once is the sqsc protocol; its tiny block eigenvalue
+        # (1 - lambda r)/2 is not a rank drop
+        point = ["--n", "1", "--m", "1", "--r", "1", "--lambda", "0.99999999999997"]
+        qfi = []
+        for protocol in ("correlated", "sqsc"):
+            assert main(["eval", "--protocol", protocol, *point, "--format", "json"]) == 0
+            qfi.append(json.loads(capsys.readouterr().out)["qfi"])
+        assert qfi[0] == qfi[1] != "inf"
 
     def test_correlations_json(self, capsys):
         code = main(["correlations", "--m", "1", "--r", "0.8", "--lambda", "0.6"])

@@ -11,7 +11,7 @@ from depolqfi.correlated import (
     correlated_qfi,
     final_state,
 )
-from depolqfi.errors import CapacityError, DomainError, PositivityError
+from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
 from table_helpers import point
@@ -29,9 +29,23 @@ def zero_counts(x, n, m):
 
 
 def scaled_blocks(p):
-    """diag, prepared counter-diagonal and d/dlambda of diag, with the
-    state's scale 2^-(n+1) applied."""
+    """Block eigenvalues p_pm and their lambda-slopes, indexed
+    [branch, u, v], with the state's scale 2^-(n+1) applied."""
     return tuple(0.5 ** (p.n + 1) * a for a in _blocks(p))
+
+
+def diagonal(p):
+    """The final state's block diagonal d = (p_+ + p_-)/2 and its
+    lambda-slope, indexed [u, v], with the state's scale."""
+    eig, eig_dot = scaled_blocks(p)
+    return (eig[0] + eig[1]) / 2, (eig_dot[0] + eig_dot[1]) / 2
+
+
+def coefficients(n, r):
+    """The prepared state's (d_j, c_j), indexed by the zero count j: d is
+    P_+ + P_- and c is P_+ - P_-."""
+    plus, minus = _unscaled_coefficients(n, r)
+    return 0.5 ** (n + 1) * (plus + minus), 0.5 ** (n + 1) * (plus - minus)
 
 
 def prepared(n, r):
@@ -44,19 +58,20 @@ class TestBitProfile:
         # n=5, m=2, x = 0b01101: low bits '01' has one zero, high '011' has one
         x, p = 0b01101, params(5, 2, 0.6, 0.7)
         assert zero_counts(x, 5, 2) == (1, 1)
-        diag, counter, _ = scaled_blocks(p)
         rho = final_state(p)
-        assert rho[x, x] == pytest.approx(diag[1, 1], rel=1e-14)
-        assert rho[x, 31 - x] == pytest.approx(0.49j * counter[1, 1], rel=1e-14)
+        assert rho[x, x] == pytest.approx(diagonal(p)[0][1, 1], rel=1e-14)
+        # the counter-diagonal is lambda^m c_j at j = u + v
+        c = coefficients(5, 0.6)[1]
+        assert rho[x, 31 - x] == pytest.approx(0.49j * c[2], rel=1e-14)
 
     def test_all_zeros_and_all_ones(self):
         # x = 0 has profile (n-m, m); x = N shares its block, with -c
         n, m = 4, 2
         p = params(n, m, 0.6, 0.7)
-        diag, counter, _ = scaled_blocks(p)
         rho = final_state(p)
-        assert rho[0, 0] == rho[15, 15] == diag[n - m, m]
-        assert rho[0, 15] == pytest.approx(0.49j * counter[n - m, m], rel=1e-14)
+        assert rho[0, 0] == rho[15, 15] == diagonal(p)[0][n - m, m]
+        c = coefficients(n, 0.6)[1]
+        assert rho[0, 15] == pytest.approx(0.49j * c[n], rel=1e-14)
         assert rho[15, 0] == pytest.approx(-rho[0, 15], rel=1e-14)
 
     def test_counting_multiplicities(self):
@@ -64,7 +79,7 @@ class TestBitProfile:
         # for m < n and C(n-1, v-1) for m = n, so the per-x trace of the
         # dense state equals the binomial-weighted sum over (u, v)
         for n, m in [(5, 2), (4, 1), (4, 4), (6, 3)]:
-            diag = scaled_blocks(params(n, m, 0.65, 0.45))[0]
+            diag = diagonal(params(n, m, 0.65, 0.45))[0]
             if m < n:
                 weighted = sum(
                     2 * math.comb(n - m - 1, u - 1) * math.comb(m, v) * diag[u, v]
@@ -83,30 +98,32 @@ class TestBitProfile:
 class TestPrepCoefficients:
     """The prepared state's (d_j, c_j), indexed by the zero count j."""
 
-    @staticmethod
-    def coefficients(n, r):
-        d, c = _unscaled_coefficients(n, r)
-        return 0.5 ** (n + 1) * d, 0.5 ** (n + 1) * c
+    def test_branch_coefficients(self):
+        # P_+ = (1+r)^j (1-r)^(n-j) and P_- is P_+ reversed, on any shape of r
+        plus, minus = _unscaled_coefficients(2, np.array([[0.5], [1.0]]))
+        assert plus.shape == minus.shape == (2, 1, 3)
+        np.testing.assert_array_equal(plus[:, 0], [[0.25, 0.75, 2.25], [0, 0, 4]])
+        np.testing.assert_array_equal(minus, plus[..., ::-1])
 
     def test_n1_values(self):
-        d, c = self.coefficients(1, 0.5)
+        d, c = coefficients(1, 0.5)
         np.testing.assert_allclose(d, [0.5, 0.5])
         np.testing.assert_allclose(c, [-0.25, 0.25])
 
     def test_pure_limit(self):
-        d, c = self.coefficients(3, 1.0)
+        d, c = coefficients(3, 1.0)
         np.testing.assert_allclose(d, [0.5, 0, 0, 0.5])
         np.testing.assert_allclose(c, [-0.5, 0, 0, 0.5])
 
     def test_unpolarized(self):
-        d, c = self.coefficients(4, 0.0)
+        d, c = coefficients(4, 0.0)
         np.testing.assert_allclose(d, np.full(5, 1 / 16))
         np.testing.assert_allclose(c, np.zeros(5), atol=1e-16)
 
     def test_antisymmetry_and_trace(self):
         for n in (1, 2, 5):
             for r in (0.2, 0.7, 1.0):
-                d, c = self.coefficients(n, r)
+                d, c = coefficients(n, r)
                 np.testing.assert_allclose(c, -c[::-1], atol=1e-15)
                 np.testing.assert_allclose(d, d[::-1], atol=1e-15)
                 # trace: sum over all 2^n strings of d_{j(x)} = 1
@@ -116,7 +133,7 @@ class TestPrepCoefficients:
     def test_block_positivity(self):
         for n in (2, 4, 7):
             for r in (0.0, 0.3, 0.9, 1.0):
-                d, c = self.coefficients(n, r)
+                d, c = coefficients(n, r)
                 assert np.all(d >= np.abs(c) - 1e-15)
 
     def test_cap(self):
@@ -172,27 +189,41 @@ class TestFinalEntries:
         # at the lambda = 1 limit the state is the prepared one, d_j on the
         # diagonal and i c_j on the counter-diagonal of the x with top bit 0
         n, r = 3, 0.7
-        d, c = _unscaled_coefficients(n, r)
+        d, c = coefficients(n, r)
         rho = final_state(params(n, 2, r, 1.0, include_limit=True))
         for x in range(2 ** (n - 1)):
             j = sum(zero_counts(x, n, 0))
-            assert rho[x, x].real == pytest.approx(d[j] / 16, rel=1e-13)
-            assert rho[x, 7 - x] == pytest.approx(1j * c[j] / 16, rel=1e-13)
+            assert rho[x, x].real == pytest.approx(d[j], rel=1e-13)
+            assert rho[x, 7 - x] == pytest.approx(1j * c[j], rel=1e-13)
 
     def test_derivative_against_finite_difference(self):
+        # each branch eigenvalue's slope, and so the diagonal's
         eps = 1e-6
         for (n, m, u, v) in [(2, 1, 1, 1), (4, 2, 2, 1), (5, 5, 0, 3)]:
             for r in (0.3, 0.9):
                 lam = 0.55
-                hi = scaled_blocks(params(n, m, r, lam + eps))[0][u, v]
-                lo = scaled_blocks(params(n, m, r, lam - eps))[0][u, v]
-                exact = scaled_blocks(params(n, m, r, lam))[2][u, v]
-                assert exact == pytest.approx((hi - lo) / (2 * eps), abs=1e-9)
+                hi = scaled_blocks(params(n, m, r, lam + eps))[0][:, u, v]
+                lo = scaled_blocks(params(n, m, r, lam - eps))[0][:, u, v]
+                exact = scaled_blocks(params(n, m, r, lam))[1][:, u, v]
+                np.testing.assert_allclose(exact, (hi - lo) / (2 * eps), atol=1e-9)
 
     def test_n2_m1_derivative_value(self):
         # d/dlam (1 + lam r^2)/4 = r^2/4
-        slope = scaled_blocks(params(2, 1, 0.8, 0.6))[2]
+        slope = diagonal(params(2, 1, 0.8, 0.6))[1]
         assert slope[1, 1] == pytest.approx(0.16, rel=1e-13)
+
+    def test_eigenvalues_are_d_plus_minus_lambda_m_c(self):
+        # p_pm = d +/- lambda^m c on every block, with no entry below 0 even
+        # where p_- is tiny (r and lambda near 1) or exactly 0 (r = 1)
+        for n, m, r, lam in [(4, 2, 0.6, 0.7), (6, 6, 0.3, 0.2), (5, 3, 1.0, 0.9),
+                             (6, 5, 1 - 1e-9, 1 - 1e-9)]:
+            eig = scaled_blocks(params(n, m, r, lam))[0]
+            d = diagonal(params(n, m, r, lam))[0]
+            c = coefficients(n, r)[1]
+            counter = lam**m * np.lib.stride_tricks.sliding_window_view(c, m + 1)
+            assert np.all(eig >= 0.0)
+            np.testing.assert_allclose(eig[0] - d, counter, rtol=1e-12, atol=1e-17)
+            np.testing.assert_allclose(d - eig[1], counter, rtol=1e-12, atol=1e-17)
 
 
 class TestFinalState:
@@ -226,15 +257,23 @@ class TestFinalState:
             final_state(params(4, 3, 0.5, 0.5))
 
 
+def branches(d, c, d_dot, m, lam):
+    """(p, p_dot) of a 2x2 block with diagonal d, prepared counter-diagonal c
+    and diagonal slope d_dot, stacked p_+ then p_-."""
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(d))
+    return d + sign * lam**m * c, d_dot + sign * m * lam ** (m - 1) * c
+
+
 class TestBlockQfi:
     def test_static_block_contributes_zero(self):
-        assert block_qfi(0.25, 0.0, 0.0, 1, 0.5) == 0.0
+        assert block_qfi(0.25, 0.0) == 0.0
+        assert block_qfi(*branches(0.25, 0.0, 0.0, 1, 0.5)).sum() == 0.0
 
     def test_n1_reduction_to_sqsc(self):
         # single qubit: d = 1/2, c = r/2, d_dot = 0 gives the baseline QFI
         for r in (0.2, 0.8, 1.0):
             for lam in (0.1, 0.6, 0.9):
-                h = block_qfi(0.5, r / 2.0, 0.0, 1, lam)
+                h = block_qfi(*branches(0.5, r / 2.0, 0.0, 1, lam)).sum()
                 assert h == pytest.approx(sqsc_qfi(r, lam), rel=1e-13)
 
     def test_matches_2x2_spectral_oracle(self):
@@ -263,33 +302,41 @@ class TestBlockQfi:
             elems = np.abs(v.conj().T @ drho @ v) ** 2
             psum = p[:, None] + p[None, :]
             oracle = float(np.sum(2 * elems / psum))
-            assert block_qfi(d, c, d_dot, m, lam) == pytest.approx(oracle, rel=1e-6)
+            h = block_qfi(*branches(d, c, d_dot, m, lam)).sum()
+            assert h == pytest.approx(oracle, rel=1e-6)
 
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(7)
-        c = rng.uniform(-0.2, 0.2, 12)
-        d = np.abs(c) + rng.uniform(0.0, 0.3, 12)
-        d[0], c[0] = 0.0, 0.0  # an empty block
-        d_dot = rng.uniform(-0.3, 0.3, 12)
-        d_dot[0] = 0.0
-        h = block_qfi(d, c, d_dot, 2, 0.6)
-        assert h.shape == (12,)
-        assert list(h) == [block_qfi(*args, 2, 0.6) for args in zip(d, c, d_dot)]
+        p = rng.uniform(0.0, 0.3, (2, 12))
+        p_dot = rng.uniform(-0.3, 0.3, (2, 12))
+        p[:, 0], p_dot[:, 0] = 0.0, 0.0  # an empty block
+        h = block_qfi(p, p_dot)
+        assert h.shape == (2, 12)
+        assert h.ravel().tolist() == [
+            block_qfi(*args) for args in zip(p.ravel(), p_dot.ravel())
+        ]
 
-    def test_thresholds_scale_with_d(self):
-        # the block QFI is homogeneous of degree 1 in (d, c, d_dot)
-        base = block_qfi(0.5, 0.3, 0.1, 2, 0.7)
+    def test_homogeneous_of_degree_one(self):
+        # the block QFI scales with the state, as (p, p_dot) do
+        p, p_dot = branches(0.5, 0.3, 0.1, 2, 0.7)
+        base = block_qfi(p, p_dot)
         for scale in (1e-20, 1e-40, 1e20):
-            scaled = block_qfi(0.5 * scale, 0.3 * scale, 0.1 * scale, 2, 0.7)
-            assert scaled == pytest.approx(base * scale, rel=1e-14, abs=0.0)
+            scaled = block_qfi(p * scale, p_dot * scale)
+            np.testing.assert_allclose(scaled, base * scale, rtol=1e-14, atol=0.0)
+
+    def test_empty_branch_with_zero_slope_contributes_zero(self):
+        assert block_qfi(0.0, 0.0) == 0.0
+        assert block_qfi(0.0, -0.0) == 0.0
 
     def test_vanishing_branch_with_live_derivative_is_infinite(self):
-        # p_- = 0 but pdot_- != 0
-        assert math.isinf(block_qfi(0.5, 0.5, 0.0, 1, 1.0))
+        # p_- = 0 but pdot_- != 0, however small
+        assert math.isinf(block_qfi(0.0, 0.5))
+        assert math.isinf(block_qfi(0.0, -1e-300))
+        assert math.isinf(block_qfi(*branches(0.5, 0.5, 0.0, 1, 1.0)).sum())
 
-    def test_positivity_violation_raises(self):
-        with pytest.raises(PositivityError):
-            block_qfi(0.1, 0.5, 0.0, 1, 0.9)
+    def test_tiny_branch_stays_finite(self):
+        # only an exact 0 is a rank drop
+        assert block_qfi(1e-200, 1e-110) == pytest.approx(1e-20, rel=1e-14)
 
 
 class TestCorrelatedQfi:
@@ -312,11 +359,11 @@ class TestCorrelatedQfi:
         # the (u, v) binomial-weighted sum
         for (n, m) in [(3, 1), (4, 2), (5, 5), (6, 3)]:
             p = params(n, m, 0.65, 0.45)
-            diag, counter, slope = scaled_blocks(p)
+            eig, eig_dot = scaled_blocks(p)
             direct = 0.0
             for x in range(2 ** (n - 1)):
                 u, v = zero_counts(x, n, m)
-                direct += block_qfi(diag[u, v], counter[u, v], slope[u, v], m, p.lam)
+                direct += sum(map(block_qfi, eig[:, u, v], eig_dot[:, u, v]))
             assert correlated_qfi(p) == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
@@ -406,7 +453,10 @@ def _double_sum_qfi(n, m, r, lam):
             for sign in (1, -1):
                 eig = diag + sign * lam**m * c[u + v]
                 eig_dot = slope + sign * m * lam ** (m - 1) * c[u + v]
-                total += weight * eig_dot**2 / eig
+                if eig:
+                    total += weight * eig_dot**2 / eig
+                elif eig_dot:  # a rank drop
+                    return math.inf
         return float(total / 2 ** (n + 1))
 
 
@@ -440,6 +490,38 @@ class TestHighPrecisionReference:
         reference = _double_sum_qfi(n, m, r, lam)
         assert reference == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, m, r, lam",
+        [
+            # p_- = d - lambda^m c by subtraction lost 4.5e-8, 3.7e-5, 1.4e-11
+            (6, 5, 1 - 1e-9, 1 - 1e-9),
+            (2, 1, 1.0, 1 - 1e-12),
+            (12, 11, 0.5, 1 - 2**-52),
+        ],
+    )
+    def test_near_pure_weak_noise(self, n, m, r, lam):
+        value = correlated_qfi(params(n, m, r, lam))
+        assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-14)
+
+    def test_tiny_eigenvalue_is_not_a_rank_drop(self):
+        # p_- of about 1e-16 is accurate and nonzero: the QFI is finite
+        value = correlated_qfi(params(5, 2, 1.0, 1 - 2**-52))
+        assert math.isfinite(value)
+        assert value == pytest.approx(6.755399441055745e15, rel=1e-14)
+        assert value == pytest.approx(_double_sum_qfi(5, 2, 1.0, 1 - 2**-52), rel=1e-14)
+
+    def test_seeded_band_near_one(self):
+        # r and lambda both in 1 - 10^[-9, -2], where the eigenvalues p_-
+        # are small differences of O(1) terms unless formed without one
+        rng = np.random.default_rng(2016)
+        for _ in range(24):
+            n = int(rng.integers(1, 31))
+            m = int(rng.integers(1, n + 1))
+            r, lam = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0, 2)
+            value = correlated_qfi(params(n, m, r, lam))
+            reference = _double_sum_qfi(n, m, r, lam)
+            assert value == pytest.approx(reference, rel=1e-14), (n, m, r, lam)
 
 
 class TestGains:

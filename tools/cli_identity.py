@@ -51,6 +51,13 @@ CASES: list[list[str]] = [
     ),
     ["eval", "--protocol", "correlated", "--n", "5", "--m", "3", "--r", "0",
      "--lambda", "0.7"],
+    # block eigenvalues near 0 that are not rank drops: r = 1, lambda near 1
+    ["eval", "--protocol", "correlated", "--n", "1", "--m", "1", "--r", "1",
+     "--lambda", "0.99999999999997"],
+    ["eval", "--protocol", "correlated", "--n", "5", "--m", "2", "--r", "1",
+     "--lambda", "0.9999999999999998"],
+    ["sweep", "--protocol", "correlated", "--n", "3,5", "--m", "1,2",
+     "--r-grid", "1:1:1", "--lambda-grid", "0.999999:0.9999999999999:3"],
     # empty gains, inf bounds and the lambda = 1 limit
     ["eval", "--protocol", "sequential", "--m", "3", "--r", "0", "--lambda", "0.5"],
     ["eval", "--protocol", "correlated", "--n", "3", "--m", "2", "--r", "0.5",
