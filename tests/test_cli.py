@@ -63,6 +63,9 @@ class TestEvaluatePoint:
         assert {len(column) for column in table.values()} == {4}
         assert table["r"] == [0.5, 0.6, 0.5, 0.6]
         assert table["lambda"] == [0.1, 0.1, 0.2, 0.2]
+        # a number beside an array
+        table = evaluate_grid(protocol, 3, 2, 0.5, np.array([0.1, 0.2]))
+        assert table["r"] == [0.5, 0.5]
 
 
 class TestCsvFormat:
