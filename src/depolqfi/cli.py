@@ -13,7 +13,6 @@ import math
 import sys
 from typing import Optional
 
-from . import asymptotics
 from .errors import CapacityError, DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params
 
@@ -112,9 +111,11 @@ TABLE_MODES = {
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .asymptotics import optimal_invocation_table  # table and cutoff only
+
     mode = TABLE_MODES[args.which]
     lines = ["lambda,m_opt,tie_partner,gain"]
-    for rec in asymptotics.optimal_invocation_table(mode):
+    for rec in optimal_invocation_table(mode):
         tie = "" if rec.tie_partner is None else str(rec.tie_partner)
         lines.append(
             f"{_fmt(rec.lam)},{rec.m_opt},{tie},{_fmt(rec.optimal_gain_coefficient)}"
@@ -183,9 +184,11 @@ FIGURE_PRESETS = {
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "cutoff":
+        from .asymptotics import sequential_cutoff
+
         lines = ["m,cutoff,squared_cutoff"]
         for m in range(1, 41):
-            curve = asymptotics.sequential_cutoff(m)
+            curve = sequential_cutoff(m)
             lines.append(f"{m},{_fmt(curve.cutoff)},{_fmt(curve.squared_cutoff)}")
         _write_lines(args.output, lines)
         return 0

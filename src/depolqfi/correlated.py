@@ -26,7 +26,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .linalg import check_capacity
 from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
@@ -111,12 +110,13 @@ def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     return eig, np.stack([slope + tilt, slope - tilt])
 
 
-def final_state(params: ProtocolParams) -> np.ndarray:
-    """Dense 2^n x 2^n final (post-channel) state for scalar r and lambda,
-    sum_x [d_x (|x><x| + |N-x><N-x|) + i lambda^m c_x (|x><N-x| - |N-x><x|)]
-    over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
+def final_x_entries(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the final (post-channel) state for scalar r and
+    lambda, as two arrays over x = 0..2^n - 1: its diagonal d_x and the
+    magnitudes lambda^m c_x of its counter-diagonal, where
+    rho[x, N-x] = i lambda^m c_x if the top bit of x is 0 and
+    -i lambda^m c_x if it is 1. Every other entry is 0."""
     n, m = params.n, params.m
-    check_capacity(n)
     eig = 0.5 ** (n + 2) * _blocks(params)[0]
     diag, counter = eig[0] + eig[1], eig[0] - eig[1]  # d and lambda^m c
     dim = 2**n
@@ -124,15 +124,11 @@ def final_state(params: ProtocolParams) -> np.ndarray:
     # Read every x through the member of {x, N-x} with top bit 0, so both
     # halves of a pair carry the same d: diag at the mirrored profile
     # (n-m-u, m-v) can differ from it in the last bit.
-    mirrored = x >= dim // 2
-    rep = np.where(mirrored, dim - 1 - x, x)
+    rep = np.where(x >= dim // 2, dim - 1 - x, x)
     ones = (rep[:, np.newaxis] >> np.arange(n)) & 1
     u = (n - m) - ones[:, m:].sum(axis=1)
     v = m - ones[:, :m].sum(axis=1)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[x, x] = diag[u, v]
-    rho[x, dim - 1 - x] = np.where(mirrored, -1j, 1j) * counter[u, v]
-    return rho
+    return diag[u, v], counter[u, v]
 
 
 def block_qfi(p, p_dot):

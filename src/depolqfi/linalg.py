@@ -51,18 +51,12 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
 
 def is_hermitian(a: np.ndarray) -> bool:
     """max|a - a^dagger| <= HERMITIAN_TOL * max|a|: relative to a's own
-    scale, so the zero matrix passes."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
-
-
-def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
-    dim = _check_square(rho, "rho")
-    if dim != 2**n:
-        raise DomainError(f"rho has dimension {dim}, expected 2**{n}")
-    if not 1 <= qubit_index <= n:
-        raise DomainError(f"qubit_index {qubit_index} out of range 1..{n}")
-    # axis 0 is the most significant row bit (qubit n)
-    return n - qubit_index, 2 * n - qubit_index
+    scale, so the zero matrix passes. One temporary of a's size holds
+    a^dagger, then |a - a^dagger|, then |a|."""
+    work = np.conjugate(a.T)
+    np.subtract(a, work, out=work)
+    asymmetry = np.abs(work, out=work).real.max()
+    return bool(asymmetry <= HERMITIAN_TOL * np.abs(a, out=work).real.max())
 
 
 class Spectrum(NamedTuple):

@@ -1,17 +1,20 @@
 """Brute-force density-matrix oracle for the correlated-state protocol.
 
 Builds the full 2^n x 2^n pipeline (product input, preparatory circuit,
-per-qubit channel) and evaluates the QFI spectrally. Each channel acts by
-reshaping rho to a (2,)*2n tensor and replacing the hit qubit with I/2 times
-its partial trace. The lambda-derivative is carried forward beside rho, so m
-channel uses cost O(m) channel applications. Used to verify every closed
-form in the package.
+per-qubit channel) and evaluates the QFI spectrally. Each channel use
+replaces the hit qubit with I/2 times its partial trace, in place, on the
+two diagonal sub-blocks of that qubit. The lambda-derivative is carried
+forward beside rho, so m channel uses cost O(m) channel applications. Used
+to verify every closed form in the package.
 
 The channels and the eigensolve run in a fixed phase frame: S^dagger rho S
 with S = diag(1, i) on qubit n. The prepared state is exactly real there, so
 they run in float64; if it ever is not, they run in complex128 on the same
 frame state. The frame is a lambda-independent unitary that commutes with
 every depolarizing use, so it leaves the QFI unchanged.
+
+Every stage works in place where it can: the arrays of a verify peak at
+about five float64 2^n x 2^n matrices, besides the eigensolver's workspace.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlated import correlated_qfi, final_state
+from .correlated import correlated_qfi, final_x_entries
 from .errors import DomainError
-from .linalg import I2, SIGMA_Y, _qubit_axes, check_capacity, hermitian_eig
+from .linalg import I2, SIGMA_Y, check_capacity, hermitian_eig
 from .protocols import ProtocolParams, check_params
 
 QFI_ELEM_EPS = 1e-9
@@ -50,8 +53,25 @@ def initial_product_state(n: int, r: float) -> np.ndarray:
     single = (I2 + r * SIGMA_Y) / 2.0
     rho = single
     for _ in range(n - 1):
-        rho = np.kron(rho, single)
+        # np.kron(rho, single), one entry of single at a time: a product
+        # with no broadcast, for which numpy allocates no iteration buffers
+        out = np.empty((len(rho), 2) * 2, dtype=complex)
+        for k, el in np.ndindex(2, 2):
+            np.multiply(rho, single[k, el], out=out[:, k, :, el])
+        rho = out.reshape(2 * len(rho), -1)
     return rho
+
+
+def _transpose_in_place(t: np.ndarray) -> None:
+    """t = t.T for a square C-contiguous t, one pair of 32 x 32 tiles at a
+    time."""
+    b = 32
+    for i in range(0, len(t), b):
+        for j in range(i, len(t), b):
+            upper = t[i:i + b, j:j + b].copy()
+            if j > i:
+                t[i:i + b, j:j + b] = t[j:j + b, i:i + b].T
+            t[j:j + b, i:i + b] = upper.T
 
 
 def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
@@ -60,7 +80,7 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     x, 2) on both sides, then a sum/difference butterfly on each of the n row
     bits, most significant first, and then on each column bit as a row bit of
     the transpose. O(n 4^n) with no 2^n x 2^n unitary; every pass works on
-    contiguous runs."""
+    contiguous runs of one new matrix, which is transposed in place."""
     check_capacity(n)
     dim = 2**n
     if rho.shape != (dim, dim):
@@ -70,16 +90,19 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     # each of the 2n Hadamards carries 1/sqrt(2)
     t = rho * (0.5**n * signs)[:, np.newaxis]
     t *= signs
-    diff = np.empty(t.size // 2, dtype=t.dtype)
+    # a quarter of t: each butterfly runs on the two halves of its pairs in
+    # turn, which also halves the buffers numpy gives a strided operation
+    diff = np.empty(t.size // 4, dtype=t.dtype)
     for _ in range(2):  # the rows, then the columns as rows of the transpose
         for bit in range(n):
-            pairs = t.reshape(2**bit, 2, -1)
-            low, high = pairs[:, 0], pairs[:, 1]
-            low_minus_high = diff.reshape(low.shape)
-            np.subtract(low, high, out=low_minus_high)
-            low += high
-            high[...] = low_minus_high
-        t = np.ascontiguousarray(t.T)
+            pairs = t.reshape(2**bit, 2, 2, -1)
+            for half in range(2):
+                low, high = pairs[:, 0, half], pairs[:, 1, half]
+                low_minus_high = diff.reshape(low.shape)
+                np.subtract(low, high, out=low_minus_high)
+                low += high
+                high[...] = low_minus_high
+        _transpose_in_place(t)
     return t
 
 
@@ -87,54 +110,52 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
 _FRAME_PHASES = np.array([[1.0, 1j], [-1j, 1.0]])
 
 
-def _rephase(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Each quadrant of rho times its phase: an exact swap and sign change of
-    real and imaginary parts."""
-    half = rho.shape[0] // 2
-    t = rho.reshape(2, half, 2, half) * phases[:, np.newaxis, :, np.newaxis]
-    return t.reshape(rho.shape)
-
-
 def _to_frame(rho: np.ndarray) -> np.ndarray:
-    """S^dagger rho S on qubit n: its float64 real part if the imaginary part
-    is exactly zero, else the complex128 matrix itself."""
-    t = _rephase(rho, _FRAME_PHASES)
-    return t if t.imag.any() else np.ascontiguousarray(t.real)
-
-
-def _from_frame(rho: np.ndarray) -> np.ndarray:
-    """S rho S^dagger on qubit n, back in the computational basis."""
-    return _rephase(rho, _FRAME_PHASES.conj())
-
-
-def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """I/2 tensor Tr_qubit rho, with I/2 at the qubit's slot."""
-    axes = _qubit_axes(rho, qubit, n)
-    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, (0, 1))
-    out = np.zeros_like(t)
-    out[0, 0] = out[1, 1] = 0.5 * (t[0, 0] + t[1, 1])
-    return np.moveaxis(out, (0, 1), axes).reshape(rho.shape)
-
-
-def apply_depolarizing(rho: np.ndarray, qubit: int, lam: float, n: int) -> np.ndarray:
-    """One depolarizing-channel invocation on the given qubit."""
-    check_params(lam=lam, include_limit=True)
-    return lam * rho + (1.0 - lam) * _mix(rho, qubit, n)
+    """S^dagger rho S on qubit n, rephasing the complex rho in place (an exact
+    swap and sign change of real and imaginary parts in each quadrant): its
+    float64 real part if the imaginary part is exactly zero, else rho."""
+    half = rho.shape[0] // 2
+    quadrants = rho.reshape(2, half, 2, half)  # a view: rho is contiguous
+    quadrants *= _FRAME_PHASES[:, np.newaxis, :, np.newaxis]
+    return rho if rho.imag.any() else np.ascontiguousarray(rho.real)
 
 
 def _channels(
     rho: np.ndarray, m: int, lam: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The channel on each of qubits 1..m; returns (rho_f, d rho_f / d lambda).
+    """The channel on each of qubits 1..m, applied to rho in place; returns
+    (rho_f, d rho_f / d lambda).
 
     Forward-mode product rule: one use maps (rho, drho) to
-    (Phi rho, Phi drho + rho - I/2 tensor Tr_qubit rho).
+    (Phi rho, Phi drho + rho - I/2 tensor Tr_qubit rho), with
+    Phi rho = lam rho + (1 - lam) I/2 tensor Tr_qubit rho. I/2 tensor Tr_qubit
+    is zero off the qubit's two diagonal sub-blocks and their half-trace
+    (t_00 + t_11)/2 on both, so a use scales each matrix and adds
+    quarter-size half-traces to those sub-blocks.
     """
+    rho = np.ascontiguousarray(rho)
     drho = np.zeros_like(rho)
     for qubit in range(1, m + 1):
-        mixed = _mix(rho, qubit, n)
-        drho = apply_depolarizing(drho, qubit, lam, n) + rho - mixed
-        rho = lam * rho + (1.0 - lam) * mixed
+        # (bits above, row bit, bits below, bits above, column bit, bits below)
+        shape = (2 ** (n - qubit), 2, 2 ** (qubit - 1)) * 2
+        r, d = rho.reshape(shape), drho.reshape(shape)
+        blocks = r[:, 0, :, :, 0], r[:, 1, :, :, 1]
+        dblocks = d[:, 0, :, :, 0], d[:, 1, :, :, 1]
+        mixed = np.add(*blocks)
+        mixed *= 0.5
+        dmixed = np.add(*dblocks)
+        dmixed *= 0.5
+        dmixed *= 1.0 - lam
+        d *= lam
+        for block in dblocks:
+            block += dmixed
+        d += r
+        for block in dblocks:
+            block -= mixed
+        r *= lam
+        mixed *= 1.0 - lam
+        for block in blocks:
+            block += mixed
     return rho, drho
 
 
@@ -143,26 +164,55 @@ def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     H = sum_{j,k} 2 |<phi_j| drho |phi_k>|^2 / (p_j + p_k)."""
     if rho.shape != drho.shape:
         raise DomainError(f"shape mismatch: {rho.shape} vs {drho.shape}")
-    spec = hermitian_eig(rho)
-    p = spec.eigenvalues
-    v = spec.eigenvectors
-    elems = v.conj().T @ drho @ v
-    psum = p[:, np.newaxis] + p[np.newaxis, :]
-    mags = np.abs(elems)
+    p, v = hermitian_eig(rho)
+    # a real v is its own conjugate: no copy of it
+    elems = (v.conj().T if np.iscomplexobj(v) else v.T) @ drho @ v
+    del v
+    mags = np.abs(elems, out=None if np.iscomplexobj(elems) else elems)
+    del elems
+    psum = np.add.outer(p, p)
     # eigh resolves eigenvalues only to about len(p) * eps * p_max; pairs
     # summing below that are zero. Both thresholds are relative, so the QFI
     # scales with (rho, drho).
     small = psum < len(p) * np.finfo(float).eps * p[-1]
-    if np.any(small & (mags > QFI_ELEM_EPS * mags.max())):
+    live = mags > QFI_ELEM_EPS * mags.max()
+    live &= small
+    if live.any():
         return math.inf
-    safe = ~small
-    return float(np.sum(2.0 * mags[safe] ** 2 / psum[safe]))
+    safe = np.logical_not(small, out=small)
+    mags *= mags
+    mags *= 2.0
+    np.divide(mags, psum, out=mags, where=safe)
+    del psum
+    return float(np.sum(mags[safe]))
 
 
 def _frame_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """(rho_f, d rho_f / d lambda) in the phase frame, float64 when exact."""
-    rho_i = apply_uprep(initial_product_state(params.n, params.r), params.n)
-    return _channels(_to_frame(rho_i), params.m, params.lam, params.n)
+    n = params.n
+    # no name keeps the complex prepared state once it is framed
+    rho = _to_frame(apply_uprep(initial_product_state(n, params.r), n))
+    return _channels(rho, params.m, params.lam, n)
+
+
+def _state_errors(rho: np.ndarray, params: ProtocolParams) -> tuple[float, float]:
+    """(max |closed form - oracle| over all entries, max |d_x - d_(N-x)|) for
+    the frame state rho.
+
+    The closed form is zero off the X pattern, where the error is |rho|. On
+    it, the frame leaves the diagonal d_x as it is and turns the
+    counter-diagonal +-i lambda^m c_x into -lambda^m c_x; the frame's phases
+    are exact, so these are the errors in the computational basis."""
+    diag, counter = final_x_entries(params)
+    x = np.arange(len(rho))
+    on_diag, anti = rho[x, x], rho[x, x[::-1]]
+    off = np.abs(rho)
+    off[x, x] = off[x, x[::-1]] = 0.0
+    max_err = np.max([
+        np.max(np.abs(on_diag - diag)), np.max(np.abs(anti + counter)), np.max(off)
+    ])
+    d = on_diag.real
+    return float(max_err), float(np.max(np.abs(d - d[::-1])))
 
 
 def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationReport:
@@ -173,14 +223,9 @@ def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationRepor
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     rho, drho = _frame_final_state(params)
     oracle_value = spectral_qfi(rho, drho)
+    del drho
     closed = correlated_qfi(params)
-    rho_f = _from_frame(rho)
-
-    dense_closed = final_state(params)
-    max_state_err = float(np.max(np.abs(dense_closed - rho_f)))
-
-    diag = np.real(np.diag(rho_f))
-    symmetry_err = float(np.max(np.abs(diag - diag[::-1])))
+    max_state_err, symmetry_err = _state_errors(rho, params)
 
     if math.isinf(closed) and math.isinf(oracle_value):
         abs_err = 0.0

@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from depolqfi.correlated import _blocks
 from depolqfi.errors import DomainError
-from depolqfi.linalg import _qubit_axes, is_hermitian
-from depolqfi.oracle import _frame_final_state, _from_frame
+from depolqfi.linalg import _check_square, check_capacity, is_hermitian
+from depolqfi.oracle import _FRAME_PHASES, _frame_final_state
 from depolqfi.protocols import ProtocolParams, check_params
 
 SLD_ALPHA_TOL = 1e-14
@@ -154,6 +155,16 @@ def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
     return rho
 
 
+def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
+    dim = _check_square(rho, "rho")
+    if dim != 2**n:
+        raise DomainError(f"rho has dimension {dim}, expected 2**{n}")
+    if not 1 <= qubit_index <= n:
+        raise DomainError(f"qubit_index {qubit_index} out of range 1..{n}")
+    # axis 0 is the most significant row bit (qubit n)
+    return n - qubit_index, 2 * n - qubit_index
+
+
 def partial_transpose(rho: np.ndarray, qubit_index: int, n: int) -> np.ndarray:
     """Transpose the chosen qubit's indices only."""
     row_ax, col_ax = _qubit_axes(rho, qubit_index, n)
@@ -177,3 +188,55 @@ def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     computational basis."""
     rho, drho = _frame_final_state(params)
     return _from_frame(rho), _from_frame(drho)
+
+
+def final_state(params: ProtocolParams) -> np.ndarray:
+    """Dense 2^n x 2^n final (post-channel) state for scalar r and lambda,
+    sum_x [d_x (|x><x| + |N-x><N-x|) + i lambda^m c_x (|x><N-x| - |N-x><x|)]
+    over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
+    n, m = params.n, params.m
+    check_capacity(n)
+    eig = 0.5 ** (n + 2) * _blocks(params)[0]
+    diag, counter = eig[0] + eig[1], eig[0] - eig[1]  # d and lambda^m c
+    dim = 2**n
+    x = np.arange(dim)
+    # Read every x through the member of {x, N-x} with top bit 0, so both
+    # halves of a pair carry the same d: diag at the mirrored profile
+    # (n-m-u, m-v) can differ from it in the last bit.
+    mirrored = x >= dim // 2
+    rep = np.where(mirrored, dim - 1 - x, x)
+    ones = (rep[:, np.newaxis] >> np.arange(n)) & 1
+    u = (n - m) - ones[:, m:].sum(axis=1)
+    v = m - ones[:, :m].sum(axis=1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[x, x] = diag[u, v]
+    rho[x, dim - 1 - x] = np.where(mirrored, -1j, 1j) * counter[u, v]
+    return rho
+
+
+def _rephase(rho: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Each quadrant of rho times its phase: an exact swap and sign change of
+    real and imaginary parts."""
+    half = rho.shape[0] // 2
+    t = rho.reshape(2, half, 2, half) * phases[:, np.newaxis, :, np.newaxis]
+    return t.reshape(rho.shape)
+
+
+def _from_frame(rho: np.ndarray) -> np.ndarray:
+    """S rho S^dagger on qubit n, back in the computational basis."""
+    return _rephase(rho, _FRAME_PHASES.conj())
+
+
+def _mix(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """I/2 tensor Tr_qubit rho, with I/2 at the qubit's slot."""
+    axes = _qubit_axes(rho, qubit, n)
+    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, (0, 1))
+    out = np.zeros_like(t)
+    out[0, 0] = out[1, 1] = 0.5 * (t[0, 0] + t[1, 1])
+    return np.moveaxis(out, (0, 1), axes).reshape(rho.shape)
+
+
+def apply_depolarizing(rho: np.ndarray, qubit: int, lam: float, n: int) -> np.ndarray:
+    """One depolarizing-channel invocation on the given qubit."""
+    check_params(lam=lam, include_limit=True)
+    return lam * rho + (1.0 - lam) * _mix(rho, qubit, n)

@@ -9,11 +9,11 @@ from depolqfi.correlated import (
     _unscaled_coefficients,
     block_qfi,
     correlated_qfi,
-    final_state,
 )
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
+from paper_formulas import final_state
 from table_helpers import point
 
 

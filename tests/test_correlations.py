@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from depolqfi.correlated import final_state
 from depolqfi.correlations import (
     correlation_report,
     discord,
@@ -17,6 +16,7 @@ from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams
 from paper_formulas import (
     DISCORD_ROTATION,
+    final_state,
     oracle_final_state,
     partial_transpose,
     two_qubit_final_matrix,

@@ -3,9 +3,11 @@ import pytest
 
 from depolqfi.errors import DomainError
 from depolqfi.linalg import (
+    HERMITIAN_TOL,
     I2,
     SIGMA_Y,
     hermitian_eig,
+    is_hermitian,
 )
 from paper_formulas import SIGMA_X, partial_trace, partial_transpose
 
@@ -105,6 +107,22 @@ class TestHermitianEig:
         for scale in (1.0, 1e-13):
             with pytest.raises(DomainError):
                 hermitian_eig(scale * np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_is_hermitian_matches_full_size_check(self):
+        # asymmetries around the relative threshold, real and complex; the
+        # input is left as it was
+        rng = np.random.default_rng(71)
+        for dtype in (np.float64, np.complex128):
+            a = random_hermitian(rng, 8)
+            a = a.real.copy() if dtype is np.float64 else a
+            skew = np.zeros((8, 8), dtype=dtype)
+            skew[2, 5] = np.max(np.abs(a))
+            for step in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
+                b = a + step * HERMITIAN_TOL * skew
+                kept = b.copy()
+                want = np.max(np.abs(b - b.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(b))
+                assert is_hermitian(b) == want
+                assert np.array_equal(b, kept)
 
     def test_zero_matrix(self):
         spec = hermitian_eig(np.zeros((2, 2), dtype=complex))

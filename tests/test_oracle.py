@@ -1,24 +1,34 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from depolqfi import oracle
-from depolqfi.correlated import correlated_qfi, final_state
+from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.oracle import (
+    QFI_ELEM_EPS,
     _channels,
     _frame_final_state,
     _to_frame,
-    apply_depolarizing,
+    _transpose_in_place,
     apply_uprep,
     initial_product_state,
     spectral_qfi,
     verify,
 )
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
-from paper_formulas import SIGMA_X, SIGMA_Z, oracle_final_state, partial_trace
+from paper_formulas import (
+    SIGMA_X,
+    SIGMA_Z,
+    _mix,
+    apply_depolarizing,
+    final_state,
+    oracle_final_state,
+    partial_trace,
+)
 
 
 def params(n, m, r, lam, **kw):
@@ -49,6 +59,14 @@ class TestInitialState:
         with pytest.raises(CapacityError):
             initial_product_state(4, 0.5)
 
+    def test_equals_kron_chain(self):
+        for n in (1, 2, 5):
+            single = (I2 + 0.35 * SIGMA_Y) / 2.0
+            want = single
+            for _ in range(n - 1):
+                want = np.kron(want, single)
+            assert np.array_equal(initial_product_state(n, 0.35), want)
+
 
 class TestPrepCircuit:
     def test_matches_dense_circuit(self):
@@ -72,6 +90,21 @@ class TestPrepCircuit:
         monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
         with pytest.raises(CapacityError):
             apply_uprep(np.eye(16, dtype=complex) / 16, 4)
+
+    def test_transpose_in_place(self):
+        # sides below, at and above the tile side
+        rng = np.random.default_rng(61)
+        for dim in (2, 32, 128):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            t = a.copy()
+            _transpose_in_place(t)
+            assert np.array_equal(t, a.T)
+
+    def test_leaves_its_input_alone(self):
+        rho = initial_product_state(3, 0.6)
+        kept = rho.copy()
+        apply_uprep(rho, 3)
+        assert np.array_equal(rho, kept)
 
     def test_wrong_shape(self):
         for shape in ((8, 8), (4, 8), (2, 2), (16,)):
@@ -194,6 +227,56 @@ class TestDerivative:
             assert np.max(np.abs(fd - exact)) <= 1e-9
 
 
+def reference_channels(rho, m, lam, n):
+    """The out-of-place channel chain and its product-rule derivative."""
+    drho = np.zeros_like(rho)
+    for qubit in range(1, m + 1):
+        mixed = _mix(rho, qubit, n)
+        drho = apply_depolarizing(drho, qubit, lam, n) + rho - mixed
+        rho = lam * rho + (1.0 - lam) * mixed
+    return rho, drho
+
+
+def reference_spectral_qfi(rho, drho):
+    """The spectral sum with full-size temporaries throughout."""
+    p, v = np.linalg.eigh(rho)
+    mags = np.abs(v.conj().T @ drho @ v)
+    psum = p[:, np.newaxis] + p[np.newaxis, :]
+    small = psum < len(p) * np.finfo(float).eps * p[-1]
+    if np.any(small & (mags > QFI_ELEM_EPS * mags.max())):
+        return math.inf
+    return float(np.sum(2.0 * mags[~small] ** 2 / psum[~small]))
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_channels_match_out_of_place_chain(self, dtype, lam):
+        # the same operations per entry, so the same bits
+        rng = np.random.default_rng(59)
+        a = rng.standard_normal((8, 8)).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal((8, 8))
+        for m in (1, 2, 3):
+            rho = a.copy()
+            got = _channels(rho, m, lam, 3)
+            assert got[0] is rho
+            for want, have in zip(reference_channels(a, m, lam, 3), got):
+                assert have.dtype == dtype
+                assert np.array_equal(have, want)
+
+    def test_spectral_qfi_matches_full_size_sum(self):
+        # real and complex, finite and inf: the same entries summed in the
+        # same order
+        rng = np.random.default_rng(67)
+        for point in ((4, 3, 0.6, 0.5), (4, 4, 1.0, 0.99), (3, 1, 0.0, 0.3), (2, 1, 1.0, 1.0)):
+            rho, drho = _frame_final_state(params(*point, include_limit=True))
+            a = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+            u, _ = np.linalg.qr(a)
+            for x, dx in ((rho, drho), (u @ rho @ u.conj().T, u @ drho @ u.conj().T)):
+                assert spectral_qfi(x, dx) == reference_spectral_qfi(x, dx)
+
+
 class TestSpectralQfi:
     def test_zero_for_static_state(self):
         # the rank-deficient diag(1, 0) too: no derivative, no divergence
@@ -281,6 +364,36 @@ class TestVerify:
         p = params(4, 4, 0.7, 0.3)
         rho_f, _ = oracle_final_state(p)
         assert np.max(np.abs(final_state(p) - rho_f)) <= 1e-13
+
+    def test_x_entry_check_equals_dense_difference(self):
+        # off the X pattern |0 - z| = |z|, and the frame's phases are exact,
+        # so the X-entry check gives the dense maximum to the bit
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for r in GRID_R:
+                    for lam in GRID_LAM:
+                        p = params(n, m, r, lam)
+                        report = verify(p)
+                        rho_f, _ = oracle_final_state(p)
+                        dense = np.max(np.abs(final_state(p) - rho_f))
+                        diag = np.real(np.diag(rho_f))
+                        symmetry = np.max(np.abs(diag - diag[::-1]))
+                        assert report.max_state_entry_err == dense, p
+                        assert report.symmetry_err == symmetry, p
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (8, 4)])
+    def test_peak_memory(self, n, m):
+        # tracemalloc sees numpy's arrays, not the eigensolver's workspace;
+        # one unit is a float64 2^n x 2^n matrix
+        p = params(n, m, 0.35, 0.65)
+        verify(p)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            verify(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * 4**n
 
     @pytest.mark.parametrize(
         "n, m, r, lam",

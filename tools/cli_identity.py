@@ -92,6 +92,9 @@ CASES: list[list[str]] = [
     ["verify", "--grid", "--max-n", "3", "-o", OUT],
     # one side of the comparison infinite
     ["verify", "--n", "6", "--m", "5", "--r", "0.9999999", "--lambda", "0.9999999"],
+    # the benchmark's size, and a point the oracle cannot resolve (exit 1)
+    *(["verify", "--n", "8", "--m", m, "--r", "0.35", "--lambda", "0.65"] for m in "24"),
+    ["verify", "--n", "7", "--m", "7", "--r", "1", "--lambda", "0.99996"],
     # error exits
     ["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"],
     ["eval", "--protocol", "correlated", "--n", "2", "--m", "3", *_POINT],
