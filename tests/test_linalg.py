@@ -120,8 +120,8 @@ class TestHermitianEig:
             for step in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
                 b = a + step * HERMITIAN_TOL * skew
                 kept = b.copy()
-                want = np.max(np.abs(b - b.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(b))
-                assert is_hermitian(b) == want
+                asymmetry = np.max(np.abs(b - b.conj().T))
+                assert is_hermitian(b) == (asymmetry <= HERMITIAN_TOL * np.max(np.abs(b)))
                 assert np.array_equal(b, kept)
 
     def test_zero_matrix(self):

@@ -269,7 +269,8 @@ class TestInPlaceKernels:
         # real and complex, finite and inf: the same entries summed in the
         # same order
         rng = np.random.default_rng(67)
-        for point in ((4, 3, 0.6, 0.5), (4, 4, 1.0, 0.99), (3, 1, 0.0, 0.3), (2, 1, 1.0, 1.0)):
+        points = ((4, 3, 0.6, 0.5), (4, 4, 1.0, 0.99), (3, 1, 0.0, 0.3), (2, 1, 1.0, 1.0))
+        for point in points:
             rho, drho = _frame_final_state(params(*point, include_limit=True))
             a = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
             u, _ = np.linalg.qr(a)
