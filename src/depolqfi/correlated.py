@@ -9,8 +9,8 @@ finite combinatorial sum.
 A block depends on x only through the zero counts u (spectator bits) and
 v (channel bits). The m channel uses act on v as one (m+1)x(m+1) stochastic
 matrix T(lambda), so every block diagonal is an entry of H T^T with
-H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for a whole
-array of (r, lambda) points.
+H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for r and
+lambda that broadcast, such as a column of r against a row of lambda.
 
 The block eigenvalues p_pm = d +/- lambda^m c are sums of nonnegative terms,
 accurate as r and lambda approach 1. The QFI is inf only where one is exactly

@@ -1,6 +1,7 @@
 """The evaluation core behind `eval`, `sweep` and the figure presets: one
-protocol's QFI, per-channel QFI, gains and Cramer-Rao bound at one (r, lambda)
-point or over whole arrays of them, returned as a table of columns.
+protocol's QFI, per-channel QFI, gains and Cramer-Rao bound over the outer
+product of an r axis and a lambda axis (a number is a one-value axis),
+returned as a table of columns.
 
 Nothing here imports numpy at module level. A point of sqsc, independent or
 sequential is computed with math, so `eval` of those protocols never loads
@@ -63,23 +64,25 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 
 
 def evaluate_grid(
-    protocol: str, n: int, m: int, r, lam, include_limit: bool = False
+    protocol: str, n: int, m: int, r_axis, lam_axis, include_limit: bool = False
 ) -> dict[str, list]:
-    """Evaluate one protocol for one (n, m) at every point of the arrays (or
-    numbers) r and lam, broadcast together, in their flat order. Returns a
-    table: its columns as lists with one entry per point, keyed by the CSV
-    column names. A gain is None where r = 0, where lambda = 1 or where its
-    reference QFI is 0. Numbers load numpy only for the correlated
-    protocols."""
+    """Evaluate one protocol for one (n, m) at every point of the outer
+    product of r_axis and lam_axis, 1-D arrays or numbers (one-value axes).
+    Returns a table: its columns as lists keyed by the CSV column names, one
+    entry per point, sorted stably by (r, lambda) (-0.0 ties with 0.0). A gain
+    is None where r = 0, where lambda = 1 or where its reference QFI is 0.
+    Two numbers load numpy only for the correlated protocols."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     n, m = _carried_shape(protocol, n, m)
+    r, lam = r_axis, lam_axis
     if not (isinstance(r, (int, float)) and isinstance(lam, (int, float))):
         import numpy as np
 
-        r, lam = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
-        )
+        # a column of r against a row of lambda: the closed forms broadcast
+        # them, so their r-only and lambda-only parts run on the axes alone
+        r = np.asarray(r, dtype=float).reshape(-1, 1)
+        lam = np.asarray(lam, dtype=float).reshape(1, -1)
     if protocol in ("sqsc", "independent"):
         # sqsc is the independent protocol on one qubit. Its per-channel QFI
         # is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move the
@@ -98,10 +101,12 @@ def evaluate_grid(
     lam_ref = lam * (lam < 1.0)  # 0 at lambda = 1 keeps the references defined
     sqsc_ref = _column(sqsc_qfi(r, lam_ref))
     seq_ref = [h / m for h in _column(sequential_qfi(m, r, lam_ref))]
-    rs, lams, per_channels = _column(r), _column(lam), _column(per_channel)
+    rs, lams = _column(r), _column(lam)
+    rs, lams = [x for x in rs for _ in lams], lams * len(rs)
+    per_channels = _column(per_channel)
     usable = [x > 0.0 and y < 1.0 for x, y in zip(rs, lams)]
     size = len(rs)
-    return {
+    table = {
         "protocol": [protocol] * size,
         "n": [n] * size,
         "m": [m] * size,
@@ -114,6 +119,8 @@ def evaluate_grid(
         "crb_variance_bound": _column(cramer_rao_bound(value)),
         "method": ["closed_form"] * size,
     }
+    order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
+    return {column: [values[i] for i in order] for column, values in table.items()}
 
 
 def sweep_rows(
@@ -124,22 +131,14 @@ def sweep_rows(
     lambda_grid: np.ndarray,
     include_limit: bool = False,
 ) -> dict[str, list]:
-    """Evaluate a full grid as one table, one array evaluation for each
+    """Evaluate a full grid as one table: the evaluate_grid tables of the
     distinct (n, m) that the rows carry (sqsc, independent and sequential map
-    several requested pairs to one). The rows are in (n, m, r, lambda) order,
-    since the grids may be unsorted; equal keys keep the grids' order."""
-    import numpy as np
-
-    r, lam = np.meshgrid(r_grid, lambda_grid, indexing="ij")
-    order = np.lexsort((lam.ravel(), r.ravel()))  # stable; -0.0 ties with 0.0
-    # sorted, in the meshgrid's shape: the closed form's last bit can depend
-    # on the shape of its arrays (a one-value lambda grid gives (k, 1) arrays,
-    # which round differently from flat ones)
-    r, lam = (a.ravel()[order].reshape(a.shape) for a in (r, lam))
+    several requested pairs to one), in ascending (n, m), so the rows are in
+    (n, m, r, lambda) order."""
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
     table: dict[str, list] = {}
     for n, m in shapes:
-        part = evaluate_grid(protocol, n, m, r, lam, include_limit)
+        part = evaluate_grid(protocol, n, m, r_grid, lambda_grid, include_limit)
         for column, values in part.items():
             table.setdefault(column, []).extend(values)
     return table

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depolqfi import correlated
 from depolqfi.cli import CSV_HEADER, PROTOCOLS, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
@@ -55,17 +56,31 @@ class TestEvaluatePoint:
         assert row["n"] == 4
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_arrays_broadcast_to_one_length(self, protocol):
-        # r of shape (2,) and lambda of shape (2, 1): 4 points in every column
+    def test_axes_give_their_outer_product(self, protocol):
+        # an r axis of 2 and a lambda axis of 3: 6 points in (r, lambda) order
         table = evaluate_grid(protocol, 3, 2, np.array([0.5, 0.6]),
-                              np.array([[0.1], [0.2]]))
+                              np.array([0.1, 0.2, 0.3]))
         assert len(table) == 11
-        assert {len(column) for column in table.values()} == {4}
-        assert table["r"] == [0.5, 0.6, 0.5, 0.6]
-        assert table["lambda"] == [0.1, 0.1, 0.2, 0.2]
-        # a number beside an array
+        assert {len(column) for column in table.values()} == {6}
+        assert table["r"] == [0.5, 0.5, 0.5, 0.6, 0.6, 0.6]
+        assert table["lambda"] == [0.1, 0.2, 0.3] * 2
+        # a number is a one-value axis, beside an array or another number
         table = evaluate_grid(protocol, 3, 2, 0.5, np.array([0.1, 0.2]))
-        assert table["r"] == [0.5, 0.5]
+        assert (table["r"], table["lambda"]) == ([0.5, 0.5], [0.1, 0.2])
+        table = evaluate_grid(protocol, 3, 2, np.array([0.6, 0.5]), 0.1)
+        assert (table["r"], table["lambda"]) == ([0.5, 0.6], [0.1, 0.1])
+        # unsorted axes come back sorted; equal keys keep the axes' order:
+        # the repeated 0.5, and -0.0 (axis position 3) after 0.0 (position 1)
+        table = evaluate_grid(protocol, 3, 2, np.array([0.6, 0.0, 0.5, -0.0, 0.5]),
+                              np.array([0.3, 0.1]))
+        assert table["r"] == [0.0] * 4 + [0.5] * 4 + [0.6] * 2
+        assert [math.copysign(1.0, r) for r in table["r"][:4]] == [1.0, -1.0] * 2
+        assert table["lambda"] == [0.1, 0.1, 0.3, 0.3] * 2 + [0.1, 0.3]
+        # every row is the row of its own point
+        assert written(table).splitlines()[1:] == [
+            written(evaluate_grid(protocol, 3, 2, r, lam)).splitlines()[1]
+            for r, lam in zip(table["r"], table["lambda"])
+        ]
 
 
 class TestCsvFormat:
@@ -123,15 +138,38 @@ class TestSweep:
             assert len(table["n"]) == 2 * 2 * r_grid.size * lam_grid.size
             keys = list(zip(table["n"], table["m"], table["r"], table["lambda"]))
             assert keys == sorted(keys)
-            # the unsorted evaluation's lines, stably sorted by (n, m, r, lambda)
-            r, lam = np.meshgrid(r_grid, lam_grid, indexing="ij")
-            unsorted = []
-            for n, m in ((3, 2), (3, 1), (2, 2), (2, 1)):
-                part = evaluate_grid("correlated", n, m, r, lam)
-                part_keys = zip(part["n"], part["m"], part["r"], part["lambda"])
-                unsorted += zip(part_keys, written(part).splitlines()[1:])
+            # each grid point's own line, stably sorted by (n, m, r, lambda)
+            unsorted = [
+                ((n, m, r, lam),
+                 written(evaluate_grid("correlated", n, m, r, lam)).splitlines()[1])
+                for n, m in ((3, 2), (3, 1), (2, 2), (2, 1))
+                for r in r_grid
+                for lam in lam_grid
+            ]
             unsorted.sort(key=lambda pair: pair[0])
             assert written(table).splitlines()[1:] == [line for _, line in unsorted]
+
+    def test_closed_form_runs_on_the_axes(self, monkeypatch):
+        # the r-only and lambda-only parts of the correlated form see the R
+        # values of the r axis and the L values of the lambda axis, not the
+        # R x L points of their product
+        seen = {"r": [], "lam": []}
+        coefficients, transition = correlated._unscaled_coefficients, correlated._transition
+
+        def spy_coefficients(n, r):
+            seen["r"].append(sorted(np.ravel(r)))
+            return coefficients(n, r)
+
+        def spy_transition(m, lam):
+            seen["lam"].append(sorted(np.ravel(lam)))
+            return transition(m, lam)
+
+        monkeypatch.setattr(correlated, "_unscaled_coefficients", spy_coefficients)
+        monkeypatch.setattr(correlated, "_transition", spy_transition)
+        r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 4)
+        table = sweep_rows("correlated", [3, 4], [1, 2], r_grid, lam_grid)
+        assert len(table["qfi"]) == 4 * 5 * 4
+        assert seen == {"r": [sorted(r_grid)] * 4, "lam": [sorted(lam_grid)] * 4}
 
     def test_rows_sorted_after_protocol_overrides_n(self):
         # sequential rows all carry n = 1, so the two requested n values give

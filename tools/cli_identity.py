@@ -73,6 +73,11 @@ CASES: list[list[str]] = [
     ["sweep", "--protocol", "sqsc", "--r-grid=-0:-0:2", "--lambda-grid", "0:0.5:2"],
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "1,2",
      "--r-grid=-0:-0:2", "--lambda-grid=-0:-0:2", "--format", "json"],
+    # a repeated nonzero r against several lambda, and a one-value lambda grid
+    ["sweep", "--protocol", "correlated", "--n", "4,3", "--m", "2",
+     "--r-grid", "0.5:0.5:2", "--lambda-grid", "0.7:0.1:3"],
+    ["sweep", "--protocol", "corr_vs_seq", "--n", "12", "--m", "1,6,12",
+     "--r-grid", "0.05:0.95:19", "--lambda-grid", "0.65:0.65:1", "--format", "json"],
     # the largest advertised n
     ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
      "--r-grid", "0:1:5", "--lambda-grid", "0:0.99:4"],
