@@ -80,7 +80,10 @@ def _transition(m: int, lam) -> np.ndarray:
         - ks * q ** np.maximum(ks - 1, 0) * p_pow
     )
     weights = np.stack([weight, d_weight])
-    return (weights @ flips).reshape(weights.shape[:-1] + (m + 1, m + 1))
+    # one 2-D product whatever lam's shape: a batched matmul of single rows
+    # takes another kernel, which rounds differently
+    flat = weights.reshape(-1, m + 1) @ flips
+    return flat.reshape(weights.shape[:-1] + (m + 1, m + 1))
 
 
 def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -210,6 +212,36 @@ class TestSweep:
         assert written(table) == written(evaluate_grid("sequential", 1, 3, 0.5, 0.8))
 
 
+# one command of each kind that writes to stdout
+STDOUT_COMMANDS = [
+    ["table", "spectator"],
+    ["figure", "cutoff"],
+    ["eval", "--protocol", "sqsc", "--r", "0.5", "--lambda", "0.7"],
+    ["eval", "--protocol", "correlated", "--n", "4", "--m", "2", "--r", "0.5",
+     "--lambda", "0.7"],
+    ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2"],
+    ["correlations", "--m", "2", "--r", "0.5", "--lambda", "0.5"],
+    ["verify", "--n", "3", "--m", "2", "--r", "0.5", "--lambda", "0.7"],
+]
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout on a full disk: its write or its flush raises OSError."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestMain:
     def test_eval_csv(self, capsys):
         code = main(
@@ -397,6 +429,16 @@ class TestMain:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    @pytest.mark.parametrize("failing", ["write", "flush", "closed"])
+    def test_unwritable_stdout_exit_3(self, argv, failing, monkeypatch, capsys):
+        stdout = None if failing == "closed" else _FailingStdout(failing)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
     def test_bad_grid_exit_2(self, capsys):
         for flags in (
             ["--r-grid", "0:1"],
@@ -536,3 +578,72 @@ class TestStartupImports:
             "print(json.dumps(steps))\n"
         )
         assert self._run(script) == [[False, False]] * 11 + [[True, False]]
+
+
+def _depolqfi(argv, cwd, env, **kwargs):
+    """`python -m depolqfi.cli argv` in a fresh interpreter."""
+    src = str(Path(__file__).parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "depolqfi.cli", *argv],
+        cwd=cwd, env=dict(env, PYTHONPATH=src), timeout=120, **kwargs,
+    )
+
+
+# a sweep whose CSV (about 200 KB) is larger than a 64 KiB pipe buffer
+BIG_SWEEP = ["sweep", "--protocol", "correlated", "--n", "10", "--m", "1,5",
+             "--r-grid", "0:1:30", "--lambda-grid", "0:0.95:30"]
+
+
+class TestEntryPoint:
+    """The `depolqfi` process ends without interpreter teardown; it must
+    still write what main writes and exit with main's code."""
+
+    @pytest.mark.parametrize(
+        "argv, cap, code",
+        [
+            (BIG_SWEEP, None, 0),
+            (BIG_SWEEP + ["-o", "out.csv"], None, 0),
+            (["verify", "--n", "7", "--m", "7", "--r", "1", "--lambda", "0.99996"],
+             None, 1),
+            (["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"], None, 2),
+            (["sweep", "--protocol", "sqsc", "-o", "missing/out.csv"], None, 3),
+            (["verify", "--n", "5", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
+             "16", 4),
+            (["--help"], None, 0),
+            (["eval", "--protocol", "sqsc", "--lambda", "0.5"], None, 2),
+        ],
+    )
+    def test_process_matches_main(self, argv, cap, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+        if cap is not None:
+            monkeypatch.setenv("DEPOLQFI_MAX_DIM", cap)
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+        proc = _depolqfi(argv, tmp_path / "process", os.environ, capture_output=True)
+        monkeypatch.chdir(tmp_path / "main")
+        try:
+            returned = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            returned = exc.code
+        captured = capsys.readouterr()
+        assert proc.returncode == returned == code
+        assert proc.stdout.decode() == captured.out
+        assert proc.stderr.decode() == captured.err
+        if argv == BIG_SWEEP:
+            assert len(proc.stdout) > 65536
+        files = [tmp_path / side / "out.csv" for side in ("process", "main")]
+        if "-o" in argv and code == 0:
+            assert files[0].read_bytes() == files[1].read_bytes()
+            assert len(files[0].read_bytes()) > 65536
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_full_stdout_exit_3(self, argv, tmp_path):
+        # buffered stdout, so that the last write fails only when flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = _depolqfi(
+                argv, tmp_path, env, stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"

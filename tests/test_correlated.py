@@ -407,6 +407,22 @@ class TestCorrelatedQfi:
             # values below 1e-25 are round-off of a true 0 (lambda = 0, m = n)
             np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-12, atol=1e-25)
 
+    def test_value_does_not_depend_on_array_shape(self):
+        # a correlated eval (numbers), a 1x1 sweep and a larger grid at the
+        # same point must agree to the last bit
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            m = int(rng.integers(1, n + 1))
+            r, lam = rng.uniform(0.01, 0.99, 2)
+            scalar = correlated_qfi(params(n, m, r, lam))
+            single = correlated_qfi(params(n, m, np.array([[r]]), np.array([[lam]])))
+            grid = correlated_qfi(
+                params(n, m, np.array([[r], [0.3]]), np.array([[0.2, lam, 0.7]]))
+            )
+            assert single[0, 0] == scalar, (n, m, r, lam)
+            assert grid[0, 1] == scalar, (n, m, r, lam)
+
     def test_grid_admits_lambda_one_only_as_limit(self):
         r, lam = np.array([0.3, 0.9]), np.array([0.5, 1.0])
         with pytest.raises(DomainError):

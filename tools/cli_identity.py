@@ -110,6 +110,17 @@ CASES: list[list[str]] = [
     ["sweep", "--protocol", "sqsc", *_GRID, "-o", "missing/out.csv"],
     ["verify", "--n", "3"],
     ["verify", "--grid", "--max-n", "0"],
+    # argparse's own exits: help, and a usage error (--r is missing)
+    ["--help"],
+    ["eval", "--protocol", "sqsc", "--lambda", "0.5"],
+    # stdout larger than a 64 KiB pipe buffer (about 250 KB)
+    ["sweep", "--protocol", "correlated", "--n", "10", "--m", "1,5",
+     "--r-grid", "0:1:30", "--lambda-grid", "0:0.95:30"],
+    # a 1x1 correlated sweep at a point where a (1, 1) array and a number
+    # once rounded apart in the last bit
+    ["sweep", "--protocol", "correlated", "--n", "35", "--m", "23",
+     "--r-grid", "0.5753340342325569:0.5753340342325569:1",
+     "--lambda-grid", "0.4758537503353373:0.4758537503353373:1", "--format", "json"],
 ]
 
 
