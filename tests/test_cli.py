@@ -435,7 +435,7 @@ class TestMain:
         stdout = None if failing == "closed" else _FailingStdout(failing)
         monkeypatch.setattr(sys, "stdout", stdout)
         code = main(argv)
-        monkeypatch.undo()
+        monkeypatch.undo()  # give capsys its own stdout back before it stops
         assert code == 3
         assert capsys.readouterr().err.startswith("error: [Errno ")
 
