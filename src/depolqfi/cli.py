@@ -12,6 +12,7 @@ process runs `run()`, which ends without the interpreter's teardown.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -55,6 +56,7 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
         if sys.stdout is None:  # the process started with its stdout closed
             raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failed final write is an I/O failure too
         return
     with open(path, "w", newline="") as handle:
         handle.write(text)
@@ -144,8 +146,7 @@ def _verify_report_dict(report) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .linalg import check_capacity
-    from .oracle import verify  # here, so that no other command loads the oracle
+    from .oracle import check_capacity, verify  # no other command loads the oracle
 
     reports = []
     if args.grid:
@@ -270,39 +271,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> None:
+    """Print an `error:` line to stderr; a closed or broken stderr drops it."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        if sys.stdout is not None:
-            sys.stdout.flush()  # a failed final write is an I/O failure too
-        return code
+        return args.func(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     except (CapacityError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _error(str(exc) or "out of memory")
         return 4
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 3
 
 
 def run() -> NoReturn:
     """The `depolqfi` process: run main on sys.argv, then end the process
-    with its exit code at once, skipping the interpreter's teardown (module
-    teardown, the final garbage collection and library destructors), which
-    costs a short command a sizeable share of its wall time.
-
-    Skipping it loses nothing: every `-o` file is closed by its `with` block
-    before main returns, main has flushed stdout and stderr is flushed here,
-    and depolqfi registers no atexit handlers and starts no threads of its
-    own. argparse's SystemExit (--help, usage errors) and uncaught exceptions
-    leave through the normal exit."""
-    code = main()
+    with its exit code at once, skipping the interpreter's teardown, which
+    costs a short command a sizeable share of its wall time. That loses
+    nothing: main flushes and closes every output, stderr is flushed here,
+    and depolqfi has no atexit handlers or threads. argparse's exits (--help,
+    usage errors) keep their code, or exit 3 if stdout cannot be flushed; a
+    broken stderr changes no code. Uncaught exceptions exit normally."""
+    try:
+        code = main()
+    except SystemExit as exc:  # from argparse, which has written its output
+        code = exc.code
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as err:
+            _error(err)
+            code = 3
     if sys.stderr is not None:
-        sys.stderr.flush()
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
     os._exit(code)
 
 

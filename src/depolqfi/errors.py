@@ -11,7 +11,3 @@ class DomainError(DepolQfiError, ValueError):
 
 class CapacityError(DepolQfiError):
     """A requested dense matrix would exceed the configured dimension cap."""
-
-
-class NumericError(DepolQfiError):
-    """A numerical routine failed to converge or produced an unusable result."""

@@ -15,20 +15,24 @@ every depolarizing use, so it leaves the QFI unchanged.
 
 Every stage works in place where it can: the arrays of a verify peak at
 about five float64 2^n x 2^n matrices, besides the eigensolver's workspace.
+The dimension is capped at DEFAULT_DIM_CAP, or at the environment variable
+DEPOLQFI_MAX_DIM; spectral_qfi checks rho is Hermitian (HERMITIAN_TOL) first.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlated import correlated_qfi, final_x_entries
-from .errors import DomainError
-from .linalg import I2, SIGMA_Y, check_capacity, hermitian_eig
+from .errors import CapacityError, DomainError
 from .protocols import ProtocolParams, check_params
 
+DEFAULT_DIM_CAP = 2**12
+HERMITIAN_TOL = 1e-12
 QFI_ELEM_EPS = 1e-9
 STATE_TOLERANCE = 1e-12
 
@@ -46,11 +50,31 @@ class VerificationReport(NamedTuple):
     pass_: bool
 
 
+def dim_cap() -> int:
+    """Current dense dimension cap; override with env var DEPOLQFI_MAX_DIM."""
+    raw = os.environ.get("DEPOLQFI_MAX_DIM")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DomainError(f"DEPOLQFI_MAX_DIM must be an integer, got {raw!r}") from None
+    if cap < 2:
+        raise DomainError(f"DEPOLQFI_MAX_DIM must be >= 2, got {cap}")
+    return cap
+
+
+def check_capacity(n: int) -> None:
+    """Raise CapacityError if a dense n-qubit matrix exceeds dim_cap()."""
+    if 2**n > dim_cap():
+        raise CapacityError(f"dimension 2**{n} exceeds cap {dim_cap()}")
+
+
 def initial_product_state(n: int, r: float) -> np.ndarray:
     """n-fold tensor power of (I + r sigma_y)/2."""
     check_params(n=n, r=r)
     check_capacity(n)
-    single = (I2 + r * SIGMA_Y) / 2.0
+    single = (np.eye(2, dtype=complex) + r * np.array([[0, -1j], [1j, 0]])) / 2.0
     rho = single
     for _ in range(n - 1):
         # np.kron(rho, single), one entry of single at a time: a product
@@ -159,12 +183,24 @@ def _channels(
     return rho, drho
 
 
+def _is_hermitian(a: np.ndarray) -> bool:
+    """max|a - a^dagger| <= HERMITIAN_TOL * max|a|: relative to a's own
+    scale, so the zero matrix passes. One temporary of a's size holds
+    a^dagger, then |a - a^dagger|, then |a|."""
+    work = np.conjugate(a.T)
+    np.subtract(a, work, out=work)
+    asymmetry = np.abs(work, out=work).real.max()
+    return bool(asymmetry <= HERMITIAN_TOL * np.abs(a, out=work).real.max())
+
+
 def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the eigenbasis matrix-element form
     H = sum_{j,k} 2 |<phi_j| drho |phi_k>|^2 / (p_j + p_k)."""
     if rho.shape != drho.shape:
         raise DomainError(f"shape mismatch: {rho.shape} vs {drho.shape}")
-    p, v = hermitian_eig(rho)
+    if not _is_hermitian(rho):
+        raise DomainError(f"rho is not Hermitian to {HERMITIAN_TOL:g} of its scale")
+    p, v = np.linalg.eigh(rho)
     # a real v is its own conjugate: no copy of it
     elems = (v.conj().T if np.iscomplexobj(v) else v.T) @ drho @ v
     del v

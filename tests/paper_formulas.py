@@ -19,13 +19,19 @@ import numpy as np
 
 from depolqfi.correlated import _blocks
 from depolqfi.errors import DomainError
-from depolqfi.linalg import _check_square, check_capacity, is_hermitian
-from depolqfi.oracle import _FRAME_PHASES, _frame_final_state
+from depolqfi.oracle import (
+    HERMITIAN_TOL,
+    _FRAME_PHASES,
+    _frame_final_state,
+    check_capacity,
+)
 from depolqfi.protocols import ProtocolParams, check_params
 
 SLD_ALPHA_TOL = 1e-14
 
+I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Single-qubit rotation bringing the final state into Bell-diagonal-like
@@ -51,12 +57,17 @@ def pure_entangled_qfi(lam: float) -> float:
     return 3.0 / ((1.0 + 3.0 * lam) * (1.0 - lam))
 
 
+def _is_hermitian(a: np.ndarray) -> bool:
+    """max|a - a^dagger| <= HERMITIAN_TOL * max|a|, the oracle's criterion."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
+
+
 def qubit_sld(rho: np.ndarray, drho: np.ndarray) -> SldComputation:
     """SLD of a 2x2 state from (rho, drho) via the corrected two-branch
     closed form; L satisfies drho = (L rho + rho L)/2."""
     if rho.shape != (2, 2) or drho.shape != (2, 2):
         raise DomainError("qubit_sld expects 2x2 matrices")
-    if not is_hermitian(rho) or not is_hermitian(drho):
+    if not _is_hermitian(rho) or not _is_hermitian(drho):
         raise DomainError("rho and drho must be Hermitian")
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-14:
@@ -156,7 +167,9 @@ def two_qubit_final_matrix(m: int, r: float, lam: float) -> np.ndarray:
 
 
 def _qubit_axes(rho: np.ndarray, qubit_index: int, n: int) -> tuple[int, int]:
-    dim = _check_square(rho, "rho")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DomainError(f"rho must be square, got shape {rho.shape}")
+    dim = rho.shape[0]
     if dim != 2**n:
         raise DomainError(f"rho has dimension {dim}, expected 2**{n}")
     if not 1 <= qubit_index <= n:

@@ -22,7 +22,6 @@ from depolqfi.correlations import (
     separability_threshold,
 )
 from depolqfi.evaluate import sweep_rows
-from depolqfi.linalg import hermitian_eig
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
@@ -167,7 +166,7 @@ def test_criterion_6_sequential_gain_properties():
 
 def _pt_min_eig(m: int, r: float, lam: float) -> float:
     pt = partial_transpose(two_qubit_final_matrix(m, r, lam), 1, 2)
-    return float(hermitian_eig(pt).eigenvalues[0])
+    return float(np.linalg.eigvalsh(pt)[0])
 
 
 def test_criterion_7_ppt_threshold():
@@ -204,7 +203,7 @@ def test_criterion_8_discord_suite():
                 inter = discord_intermediates(m, r, lam)
                 u2 = np.kron(DISCORD_ROTATION, DISCORD_ROTATION)
                 rho = two_qubit_final_matrix(m, r, lam)
-                spectrum = 4.0 * hermitian_eig(u2 @ rho @ u2.conj().T).eigenvalues
+                spectrum = 4.0 * np.linalg.eigvalsh(u2 @ rho @ u2.conj().T)
                 mus = np.sort([inter.mu0, inter.mu1, inter.mu2, inter.mu3])
                 ok = ok and float(np.max(np.abs(spectrum - mus))) <= 1e-12
     for r in np.linspace(0, 1, 20):

@@ -553,15 +553,15 @@ class TestStartupImports:
         assert "depolqfi.asymptotics" not in loaded
 
     def test_only_array_commands_load_numpy(self):
-        # whether numpy and depolqfi.linalg are loaded after the import and
+        # whether numpy and depolqfi.oracle are loaded after the import and
         # after each command in turn; a correlated eval comes last and must
         # load numpy, so this cannot pass vacuously, but not the dense
-        # linear algebra, which only the oracle uses
+        # oracle, which only verify uses
         script = (
             "import contextlib, io, json, sys\n"
             "import depolqfi.cli\n"
             "def loaded():\n"
-            "    return [m in sys.modules for m in ('numpy', 'depolqfi.linalg')]\n"
+            "    return [m in sys.modules for m in ('numpy', 'depolqfi.oracle')]\n"
             "point = ['--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
             "steps = [loaded()]\n"
             "for argv in (\n"
@@ -637,7 +637,7 @@ class TestEntryPoint:
             assert len(files[0].read_bytes()) > 65536
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS + [["--help"]])
     def test_full_stdout_exit_3(self, argv, tmp_path):
         # buffered stdout, so that the last write fails only when flushed
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -647,3 +647,34 @@ class TestEntryPoint:
             )
         assert proc.returncode == 3
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            (argv, code, stderr)
+            for argv, code in (
+                (["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"], 2),
+                (["sweep", "--protocol", "sqsc", "-o", "missing/out.csv"], 3),
+            )
+            for stderr in ("full", "closed")
+        ]
+        # argparse's usage error; with stderr closed, argparse prints the
+        # usage to stdout itself
+        + [(["eval", "--protocol", "sqsc", "--lambda", "0.5"], 2, "full")],
+    )
+    def test_broken_stderr_keeps_exit_code(self, argv, code, stderr, tmp_path):
+        # the error line cannot be written; it must change neither the exit
+        # code nor stdout. A full stderr is line-buffered, so a failed line
+        # stays buffered; stdout is unbuffered when stderr is closed, so that
+        # a line sent there would show.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            if stderr == "full":
+                redirect = dict(stderr=full)
+            else:
+                env["PYTHONUNBUFFERED"] = "1"
+                redirect = dict(preexec_fn=lambda: os.close(2))
+            proc = _depolqfi(argv, tmp_path, env, stdout=subprocess.PIPE, **redirect)
+        assert proc.returncode == code
+        assert proc.stdout == b""

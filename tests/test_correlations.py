@@ -12,7 +12,6 @@ from depolqfi.correlations import (
     separability_threshold,
 )
 from depolqfi.errors import DomainError
-from depolqfi.linalg import hermitian_eig
 from depolqfi.protocols import ProtocolParams
 from paper_formulas import (
     DISCORD_ROTATION,
@@ -68,7 +67,7 @@ class TestPpt:
             for r in grid:
                 for lam in grid:
                     pt = partial_transpose(two_qubit_final_matrix(m, r, lam), 1, 2)
-                    dense = hermitian_eig(pt).eigenvalues[0]
+                    dense = np.linalg.eigvalsh(pt)[0]
                     assert ppt_analysis(m, r, lam)[0] == pytest.approx(dense, abs=1e-14)
 
     def test_extreme_point(self):
@@ -142,7 +141,7 @@ class TestDiscord:
                     rho = two_qubit_final_matrix(m, r, lam)
                     u2 = np.kron(DISCORD_ROTATION, DISCORD_ROTATION)
                     rotated = u2 @ rho @ u2.conj().T
-                    spectrum = 4.0 * hermitian_eig(rotated).eigenvalues
+                    spectrum = 4.0 * np.linalg.eigvalsh(rotated)
                     mus = np.sort(
                         [inter.mu0, inter.mu1, inter.mu2, inter.mu3]
                     )

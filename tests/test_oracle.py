@@ -7,11 +7,12 @@ import pytest
 from depolqfi import oracle
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import CapacityError, DomainError
-from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.oracle import (
+    HERMITIAN_TOL,
     QFI_ELEM_EPS,
     _channels,
     _frame_final_state,
+    _is_hermitian,
     _to_frame,
     _transpose_in_place,
     apply_uprep,
@@ -21,7 +22,9 @@ from depolqfi.oracle import (
 )
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
 from paper_formulas import (
+    I2,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     _mix,
     apply_depolarizing,
@@ -277,6 +280,24 @@ class TestInPlaceKernels:
             for x, dx in ((rho, drho), (u @ rho @ u.conj().T, u @ drho @ u.conj().T)):
                 assert spectral_qfi(x, dx) == reference_spectral_qfi(x, dx)
 
+    def test_is_hermitian_matches_full_size_check(self):
+        # asymmetries around the relative threshold, real and complex; the
+        # input is left as it was. The zero matrix is Hermitian.
+        rng = np.random.default_rng(71)
+        for dtype in (np.float64, np.complex128):
+            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            a = (a + a.conj().T) / 2
+            a = a.real.copy() if dtype is np.float64 else a
+            skew = np.zeros((8, 8), dtype=dtype)
+            skew[2, 5] = np.max(np.abs(a))
+            for step in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0):
+                b = a + step * HERMITIAN_TOL * skew
+                kept = b.copy()
+                asymmetry = np.max(np.abs(b - b.conj().T))
+                assert _is_hermitian(b) == (asymmetry <= HERMITIAN_TOL * np.max(np.abs(b)))
+                assert np.array_equal(b, kept)
+        assert _is_hermitian(np.zeros((2, 2), dtype=complex))
+
 
 class TestSpectralQfi:
     def test_zero_for_static_state(self):
@@ -316,6 +337,13 @@ class TestSpectralQfi:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             spectral_qfi(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
+
+    def test_non_hermitian_rejected(self):
+        # the asymmetry is judged against the matrix's own scale
+        for scale in (1.0, 1e-13):
+            rho = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+            with pytest.raises(DomainError):
+                spectral_qfi(rho, np.zeros((2, 2), dtype=complex))
 
 
 class TestVerify:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from depolqfi.errors import DomainError
-from depolqfi.linalg import I2, SIGMA_Y
 from depolqfi.protocols import (
     ProtocolParams,
     check_params,
@@ -14,7 +13,9 @@ from depolqfi.protocols import (
     sqsc_qfi,
 )
 from paper_formulas import (
+    I2,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     pure_entangled_qfi,
     qubit_sld,
