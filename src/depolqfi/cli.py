@@ -280,7 +280,11 @@ def _error(message) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if sys.stderr is None:  # argparse would print its usage errors to stdout
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stderr(devnull):
+            args = parser.parse_args(argv)
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

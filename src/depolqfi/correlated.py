@@ -12,10 +12,14 @@ matrix T(lambda), so every block diagonal is an entry of H T^T with
 H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for r and
 lambda that broadcast, such as a column of r against a row of lambda.
 
-The block eigenvalues p_pm = d +/- lambda^m c are sums of nonnegative terms,
-accurate as r and lambda approach 1. The QFI is inf only where one is exactly
-0 and its slope is not, as at r = lambda = 1. For lambda < 1 one is 0 only at
-r = 1, on the blocks that no bit flip links to j = 0 or n, and so is its slope.
+A block's eigenvalues are p_pm = d +/- lambda^m c. The mirror (u, v) ->
+(n-m-u, m-v), the profile of N-x, swaps P_+ and P_- and leaves d and T
+alone, so it sends p_+ to p_-, and p_- needs no evaluation of its own: the
+QFI is 2^-(n+1) sum_(u,v) C(n-m, u) C(m, v) pdot_+^2 / p_+, one branch over
+every profile. p_+ is a sum of nonnegative terms, accurate as r and lambda
+approach 1. The QFI is inf only where p_+ is exactly 0 and its slope is not,
+as at r = lambda = 1. For lambda < 1 it is 0 only at r = 1, on the blocks
+that no bit flip links to j = 0 or n, and so is its slope.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ from .errors import DomainError
 from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
-
-
-def _check_n(n: int) -> None:
-    if n > MAX_CLOSED_FORM_N:
-        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
 
 
 def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
@@ -87,30 +86,32 @@ def _transition(m: int, lam) -> np.ndarray:
 
 
 def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """The block eigenvalues p_pm = d +/- lambda^m c and their lambda-slopes
-    pdot_pm = d_dot +/- m lambda^(m-1) c of every zero-count profile, indexed
-    [branch, ..., u, v]: p_+ then p_-, the broadcast shape of r and lam, u in
-    0..n-m and v in 0..m; without the state's scale 2^-(n+1). With j = u + v,
-    p_pm = T_(k>=1) d + (p^m + lambda^m) P_pm + (p^m - lambda^m) P_mp, where
-    p^m - lambda^m = q sum_i p^i lambda^(m-1-i): no term is negative."""
+    """The block eigenvalue p_+ = d + lambda^m c and its lambda-slope
+    pdot_+ = d_dot + m lambda^(m-1) c of every zero-count profile, indexed
+    [..., u, v]: the broadcast shape of r and lam, u in 0..n-m and v in
+    0..m; without the state's scale 2^-(n+1). With j = u + v,
+    p_+ = T_(k>=1) d + (p^m + lambda^m) P_+ + (p^m - lambda^m) P_-, where
+    p^m - lambda^m = q sum_i p^i lambda^(m-1-i): no term is negative.
+    p_- and its slope are these at the mirror (n-m-u, m-v): [..., ::-1, ::-1]."""
     n, m = params.n, params.m
-    _check_n(n)
+    if n > MAX_CLOSED_FORM_N:
+        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
     # [..., u, v'] = P[..., u + v'], so [..., u, v] is P_j
     plus, minus = (
         sliding_window_view(a, m + 1, axis=-1)
         for a in _unscaled_coefficients(n, params.r)
     )
-    flips, slope = (plus + minus) @ np.swapaxes(_transition(m, params.lam), -1, -2)
-    lam = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
+    # lam gets at least r's axes, so that no axis of r meets T's leading one
+    lam = np.asarray(params.lam, dtype=float)
+    lam = lam.reshape((1,) * (np.ndim(params.r) - lam.ndim) + lam.shape)
+    flips, slope = (plus + minus) @ np.swapaxes(_transition(m, lam), -1, -2)
+    lam = lam[..., np.newaxis, np.newaxis]
     p, i = (1.0 + lam) / 2.0, np.arange(m)
     gap = (1.0 - lam) / 2.0 * np.sum(
         p[..., np.newaxis] ** i * lam[..., np.newaxis] ** (m - 1 - i), axis=-1
     )
-    kept = p**m + lam**m
-    eig = np.stack([flips + kept * plus + gap * minus,
-                    flips + kept * minus + gap * plus])
-    tilt = m * lam ** (m - 1) * (plus - minus)
-    return eig, np.stack([slope + tilt, slope - tilt])
+    eig = flips + (p**m + lam**m) * plus + gap * minus
+    return eig, slope + m * lam ** (m - 1) * (plus - minus)
 
 
 def final_x_entries(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -121,17 +122,14 @@ def final_x_entries(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     -i lambda^m c_x if it is 1. Every other entry is 0."""
     n, m = params.n, params.m
     eig = 0.5 ** (n + 2) * _blocks(params)[0]
-    diag, counter = eig[0] + eig[1], eig[0] - eig[1]  # d and lambda^m c
-    dim = 2**n
-    x = np.arange(dim)
-    # Read every x through the member of {x, N-x} with top bit 0, so both
-    # halves of a pair carry the same d: diag at the mirrored profile
-    # (n-m-u, m-v) can differ from it in the last bit.
-    rep = np.where(x >= dim // 2, dim - 1 - x, x)
-    ones = (rep[:, np.newaxis] >> np.arange(n)) & 1
+    mirror = eig[::-1, ::-1]  # p_-, at the profile of N-x
+    # x and N-x add the same two floats, so d_x = d_(N-x) to the bit
+    diag, counter = eig + mirror, eig - mirror
+    ones = (np.arange(2**n)[:, np.newaxis] >> np.arange(n)) & 1
     u = (n - m) - ones[:, m:].sum(axis=1)
     v = m - ones[:, :m].sum(axis=1)
-    return diag[u, v], counter[u, v]
+    # an x with top bit 1 is N-x of one with top bit 0, where eig - mirror is -c
+    return diag[u, v], (1 - 2 * ones[:, -1]) * counter[u, v]
 
 
 def block_qfi(p, p_dot):
@@ -148,22 +146,22 @@ def block_qfi(p, p_dot):
 def correlated_qfi(params: ProtocolParams):
     """Total QFI of the correlated-state protocol (closed form): a float, or
     an array over the broadcast shape when params carry arrays of r and
-    lambda. It is exactly 0 wherever r = 0."""
+    lambda. It is exactly 0 wherever r = 0, and at m = n >= 2 where
+    lambda = 0."""
     n, m = params.n, params.m
-    eig, eig_dot = _blocks(params)
-    # Each pair {x, N-x} counts once, through the x whose top bit is 0: so
-    # u >= 1 when that bit is a spectator (m < n), v >= 1 when it is not.
-    if m < n:
-        present = np.s_[..., 1:, :]
-        weight = np.outer(_comb_row(n - m - 1), _comb_row(m))
-    else:
-        present = np.s_[..., :, 1:]
-        weight = _comb_row(n - 1)
-    h = block_qfi(eig[present], eig_dot[present]).sum(axis=0)
+    # p_+ once per x: the mirrors N-x supply each block's p_-
+    h = block_qfi(*_blocks(params))
+    weight = np.outer(_comb_row(n - m), _comb_row(m))
     total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
     # r = 0 prepares I/2^n, which every lambda leaves alone: the QFI is exactly
     # 0 there, where the sum above leaves round-off of about 1e-32
-    total = np.where(np.asarray(params.r) == 0.0, 0.0, total)
+    zero = np.asarray(params.r) == 0.0
+    if 2 <= m == n:
+        # at lambda = 0 with every qubit hit, d rho is the sum of each prepared
+        # one-qubit marginal minus I/2 (times I/2^(n-1)); for n >= 2 each
+        # marginal is I/2, so d rho = 0 and the QFI is exactly 0
+        zero = zero | (np.asarray(params.lam) == 0.0)
+    total = np.where(zero, 0.0, total)
     return float(total) if total.ndim == 0 else total
 
 

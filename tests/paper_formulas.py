@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from depolqfi.correlated import _blocks
+from depolqfi.correlated import final_x_entries
 from depolqfi.errors import DomainError
 from depolqfi.oracle import (
     HERMITIAN_TOL,
@@ -207,23 +207,13 @@ def final_state(params: ProtocolParams) -> np.ndarray:
     """Dense 2^n x 2^n final (post-channel) state for scalar r and lambda,
     sum_x [d_x (|x><x| + |N-x><N-x|) + i lambda^m c_x (|x><N-x| - |N-x><x|)]
     over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
-    n, m = params.n, params.m
-    check_capacity(n)
-    eig = 0.5 ** (n + 2) * _blocks(params)[0]
-    diag, counter = eig[0] + eig[1], eig[0] - eig[1]  # d and lambda^m c
-    dim = 2**n
+    check_capacity(params.n)
+    diag, counter = final_x_entries(params)
+    dim = len(diag)
     x = np.arange(dim)
-    # Read every x through the member of {x, N-x} with top bit 0, so both
-    # halves of a pair carry the same d: diag at the mirrored profile
-    # (n-m-u, m-v) can differ from it in the last bit.
-    mirrored = x >= dim // 2
-    rep = np.where(mirrored, dim - 1 - x, x)
-    ones = (rep[:, np.newaxis] >> np.arange(n)) & 1
-    u = (n - m) - ones[:, m:].sum(axis=1)
-    v = m - ones[:, :m].sum(axis=1)
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[x, x] = diag[u, v]
-    rho[x, dim - 1 - x] = np.where(mirrored, -1j, 1j) * counter[u, v]
+    rho[x, x] = diag
+    rho[x, dim - 1 - x] = np.where(x >= dim // 2, -1j, 1j) * counter
     return rho
 
 

@@ -264,6 +264,20 @@ class TestMain:
         assert data["protocol"] == "correlated"
         assert data["n"] == 3
 
+    def test_eval_all_qubits_hit_at_lambda_zero(self, capsys):
+        # m = n >= 2 at lambda = 0: the QFI prints as exactly 0 and its
+        # variance bound as inf, where round-off once printed about 1e-35
+        rng = np.random.default_rng(1313)
+        for n in range(2, 61):
+            r = repr(float(rng.uniform(0.0, 1.0)))
+            argv = ["eval", "--protocol", "correlated", "--n", str(n), "--m", str(n),
+                    "--r", r, "--lambda", "0", "--format", "json"]
+            assert main(argv) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert float(data["qfi"]) == 0.0, (n, r)
+            assert float(data["gain_vs_sqsc"]) == 0.0, (n, r)
+            assert data["crb_variance_bound"] == "inf", (n, r)
+
     def test_sweep_to_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -656,12 +670,11 @@ class TestEntryPoint:
             for argv, code in (
                 (["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"], 2),
                 (["sweep", "--protocol", "sqsc", "-o", "missing/out.csv"], 3),
+                # argparse's usage error: --r is missing
+                (["eval", "--protocol", "sqsc", "--lambda", "0.5"], 2),
             )
             for stderr in ("full", "closed")
-        ]
-        # argparse's usage error; with stderr closed, argparse prints the
-        # usage to stdout itself
-        + [(["eval", "--protocol", "sqsc", "--lambda", "0.5"], 2, "full")],
+        ],
     )
     def test_broken_stderr_keeps_exit_code(self, argv, code, stderr, tmp_path):
         # the error line cannot be written; it must change neither the exit

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ def zero_counts(x, n, m):
 
 def scaled_blocks(p):
     """Block eigenvalues p_pm and their lambda-slopes, indexed
-    [branch, u, v], with the state's scale 2^-(n+1) applied."""
-    return tuple(0.5 ** (p.n + 1) * a for a in _blocks(p))
+    [branch, u, v], with the state's scale 2^-(n+1) applied: p_- is p_+ at
+    the mirrored profile (n-m-u, m-v)."""
+    return tuple(
+        0.5 ** (p.n + 1) * np.stack([a, a[::-1, ::-1]]) for a in _blocks(p)
+    )
 
 
 def diagonal(p):
@@ -381,6 +385,19 @@ class TestCorrelatedQfi:
                 assert np.all(values[np.broadcast_to(r, values.shape) == 0.0] == 0.0)
         assert correlated_qfi(params(8, 7, np.array([0.0, 0.5]), 0.3875))[1] > 0.0
 
+    def test_all_qubits_hit_at_lambda_zero_gives_zero(self):
+        # m = n >= 2 at lambda = 0: every one-qubit marginal of the prepared
+        # state is I/2, so d rho / d lambda = 0 whatever r is
+        r = np.append(np.random.default_rng(13).uniform(0.0, 1.0, 8), 1.0)
+        lam = np.array([0.0, -0.0, 0.5])
+        for n in range(2, MAX_CLOSED_FORM_N + 1):
+            assert [correlated_qfi(params(n, n, a, 0.0)) for a in r] == [0.0] * 9
+            grid = correlated_qfi(params(n, n, r[:, np.newaxis], lam))
+            assert np.all(grid[:, :2] == 0.0) and np.all(grid[:, 2] > 0.0), n
+        # one qubit, or one spectator, keeps a QFI at lambda = 0
+        assert correlated_qfi(params(1, 1, 0.5, 0.0)) == sqsc_qfi(0.5, 0.0) > 0.0
+        assert correlated_qfi(params(8, 7, 0.5, 0.0)) > 0.0
+
     def test_per_channel_field(self):
         row = point("correlated", 4, 2, 0.5, 0.7)
         assert row["qfi"] == correlated_qfi(params(4, 2, 0.5, 0.7))
@@ -403,8 +420,19 @@ class TestCorrelatedQfi:
                 correlated_qfi(params(n, m, a, b))
                 for a, b in zip(r.flat, lam.flat)
             ]
-            # values below 1e-25 are round-off of a true 0 (lambda = 0, m = n)
-            np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-12, atol=1e-25)
+            np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-12)
+
+    def test_r_with_more_axes_than_lambda(self):
+        # a column of r against a 1-D lambda: T's leading (value, slope) axis
+        # once met r's axis, which raised for 3 values of r and gave wrong
+        # numbers for 2
+        lam = np.array([0.1, 0.4, 0.8])
+        for size in (2, 3):
+            r = np.linspace(0.2, 0.9, size)[:, np.newaxis]
+            for n, m in [(4, 2), (6, 6), (9, 1)]:
+                grid = correlated_qfi(params(n, m, r, lam))
+                rows = correlated_qfi(params(n, m, r, lam[np.newaxis]))
+                np.testing.assert_array_equal(grid, rows)
 
     def test_value_does_not_depend_on_array_shape(self):
         # a correlated eval (numbers), a 1x1 sweep and a larger grid at the
@@ -473,6 +501,27 @@ def _double_sum_qfi(n, m, r, lam):
                 elif eig_dot:  # a rank drop
                     return math.inf
         return float(total / 2 ** (n + 1))
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "n, m, size", [(60, 30, 16), (60, 60, 64), (20, 10, 16)]
+    )
+    def test_peak_is_a_few_grid_arrays(self, n, m, size):
+        # one unit is a float64 array over the (r, lambda) grid and the
+        # (u, v) profiles; the grid is large enough that T(lambda) is not
+        # the peak at m = n = 60
+        r = np.linspace(0.01, 0.99, size)[:, np.newaxis]
+        lam = np.linspace(0.0, 0.95, size)[np.newaxis, :]
+        p = params(n, m, r, lam)
+        correlated_qfi(p)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            correlated_qfi(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * size * size * (n - m + 1) * (m + 1)
 
 
 class TestHighPrecisionReference:

@@ -81,6 +81,11 @@ CASES: list[list[str]] = [
     # the largest advertised n
     ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
      "--r-grid", "0:1:5", "--lambda-grid", "0:0.99:4"],
+    ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
+     "--r-grid", "0:1:6", "--lambda-grid", "0:0.95:5"],
+    # m = n >= 2 at lambda = 0: every qubit's marginal is I/2, so H is exactly 0
+    ["eval", "--protocol", "correlated", "--n", "8", "--m", "8", "--r", "0.1",
+     "--lambda", "0"],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "5", "--m", "1,5", *_GRID, "-o", OUT],
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2", *_GRID,
      "--format", "json", "-o", OUT],
