@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import math
 import os
 import sys
@@ -23,12 +22,6 @@ from typing import NoReturn, Optional
 from .errors import CapacityError, DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params
 
-CSV_HEADER = (
-    "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
-    "gain_vs_sqsc,gain_vs_seq,crb_variance_bound,method"
-)
-
-CSV_COLUMNS = CSV_HEADER.split(",")
 JSON_NUMBERS = ("n", "m", "r", "lambda")  # the columns JSON keeps as numbers
 
 
@@ -65,20 +58,28 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
 def _write_table(
     path: Optional[str], table: dict, fmt: str, one_record: bool = False
 ) -> None:
-    """Write a table (columns keyed by CSV column name) as CSV lines, or as a
-    JSON list of records of the CSV fields with n, m, r and lambda as
-    numbers; with one_record, as its first record alone."""
+    """Write a table, its columns keyed by name in column order, as CSV lines
+    under a header of its keys, or as a JSON list of records of the CSV
+    fields with n, m, r and lambda as numbers; with one_record, as its first
+    record alone. The one place a CSV row is formatted."""
     as_json = fmt == "json"
     columns = (
-        table[c] if as_json and c in JSON_NUMBERS else map(_fmt, table[c])
-        for c in CSV_COLUMNS
+        values if as_json and c in JSON_NUMBERS else map(_fmt, values)
+        for c, values in table.items()
     )
     rows = zip(*columns)  # lazy: each row's fields are formatted as it is joined
     if not as_json:
-        _write_lines(path, [CSV_HEADER, *map(",".join, rows)])
+        _write_lines(path, [",".join(table), *map(",".join, rows)])
         return
-    records = [dict(zip(CSV_COLUMNS, row)) for row in rows]
-    _write_lines(path, [json.dumps(records[0] if one_record else records, indent=2)])
+    records = [dict(zip(table, row)) for row in rows]
+    _write_json(path, records[0] if one_record else records)
+
+
+def _write_json(path: Optional[str], data) -> None:
+    """Write data as indented JSON. json loads here only, for JSON output."""
+    import json
+
+    _write_lines(path, [json.dumps(data, indent=2)])
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +124,10 @@ TABLE_MODES = {
 def cmd_table(args: argparse.Namespace) -> int:
     from .asymptotics import optimal_invocation_table  # table and cutoff only
 
-    mode = TABLE_MODES[args.which]
-    lines = ["lambda,m_opt,tie_partner,gain"]
-    for rec in optimal_invocation_table(mode):
-        tie = "" if rec.tie_partner is None else str(rec.tie_partner)
-        lines.append(
-            f"{_fmt(rec.lam)},{rec.m_opt},{tie},{_fmt(rec.optimal_gain_coefficient)}"
-        )
-    _write_lines(args.output, lines)
+    rows = optimal_invocation_table(TABLE_MODES[args.which])
+    lam, _, m_opt, tie, gain = zip(*rows)  # _ is the mode
+    table = {"lambda": lam, "m_opt": m_opt, "tie_partner": tie, "gain": gain}
+    _write_table(args.output, table, "csv")
     return 0
 
 
@@ -167,9 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports.append(
             verify(ProtocolParams(args.n, args.m, args.r, args.lam), tolerance=args.tol)
         )
-    _write_lines(
-        args.output, [json.dumps([_verify_report_dict(r) for r in reports], indent=2)]
-    )
+    _write_json(args.output, [_verify_report_dict(r) for r in reports])
     return 0 if all(r.pass_ for r in reports) else 1
 
 
@@ -177,7 +172,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     from .correlations import correlation_report  # loaded by this command only
 
     report = correlation_report(args.m, args.r, args.lam)
-    _write_lines(None, [json.dumps(report._asdict(), indent=2)])
+    _write_json(None, report._asdict())
     return 0
 
 
@@ -195,11 +190,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "cutoff":
         from .asymptotics import sequential_cutoff
 
-        lines = ["m,cutoff,squared_cutoff"]
-        for m in range(1, 41):
-            curve = sequential_cutoff(m)
-            lines.append(f"{m},{_fmt(curve.cutoff)},{_fmt(curve.squared_cutoff)}")
-        _write_lines(args.output, lines)
+        ms, cutoff, squared = zip(*map(sequential_cutoff, range(1, 41)))
+        table = {"m": ms, "cutoff": cutoff, "squared_cutoff": squared}
+        _write_table(args.output, table, "csv")
         return 0
     from .evaluate import _parse_grid, sweep_rows
 

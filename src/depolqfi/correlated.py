@@ -58,9 +58,9 @@ def _transition(m: int, lam) -> np.ndarray:
     flips[k, v, v'] = C(v, l) C(m-v, f). All terms are positive, so T
     carries no cancellation.
     """
-    v, el, f = np.indices((m + 1,) * 3).reshape(3, -1)
-    keep = (el <= v) & (f <= m - v)
-    v, el, f = v[keep], el[keep], f[keep]
+    ks = np.arange(m + 1)
+    v, el, f = ks[:, np.newaxis, np.newaxis], ks[:, np.newaxis], ks
+    v, el, f = np.nonzero((el <= v) & (f <= m - v))  # the triples that occur
     binom = np.array(
         [[math.comb(a, b) for b in range(m + 1)] for a in range(m + 1)], dtype=float
     )
@@ -69,7 +69,6 @@ def _transition(m: int, lam) -> np.ndarray:
     flips = flips.reshape(m + 1, -1)
     lam = np.asarray(lam, dtype=float)[..., np.newaxis]
     p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    ks = np.arange(m + 1)
     q_pow, p_pow = q**ks, p ** (m - ks)  # q^k and p^(m-k)
     weight = (ks > 0) * q_pow * p_pow  # the flip terms of T only
     # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2;

@@ -68,10 +68,11 @@ def evaluate_grid(
 ) -> dict[str, list]:
     """Evaluate one protocol for one (n, m) at every point of the outer
     product of r_axis and lam_axis, 1-D arrays or numbers (one-value axes).
-    Returns a table: its columns as lists keyed by the CSV column names, one
-    entry per point, sorted stably by (r, lambda) (-0.0 ties with 0.0). A gain
-    is None where r = 0, where lambda = 1 or where its reference QFI is 0.
-    Two numbers load numpy only for the correlated protocols."""
+    Returns a table: its columns as lists keyed by the CSV column names, in
+    output order, one entry per point, sorted stably by (r, lambda) (-0.0
+    ties with 0.0). A gain is None where r = 0, where lambda = 1 or where
+    its reference QFI is 0. Two numbers load numpy only for the correlated
+    protocols."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     n, m = _carried_shape(protocol, n, m)

@@ -11,12 +11,18 @@ import numpy as np
 import pytest
 
 from depolqfi import correlated
-from depolqfi.cli import CSV_HEADER, PROTOCOLS, main
+from depolqfi.cli import PROTOCOLS, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
 from depolqfi.evaluate import evaluate_grid, sweep_rows
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 from table_helpers import point, written
+
+# the header of eval and sweep CSV output, which evaluate_grid's keys fix
+CSV_HEADER = (
+    "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
+    "gain_vs_sqsc,gain_vs_seq,crb_variance_bound,method"
+)
 
 
 class TestEvaluatePoint:
@@ -91,6 +97,23 @@ class TestCsvFormat:
             "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
             "gain_vs_sqsc,gain_vs_seq,crb_variance_bound,method"
         )
+        header = written(evaluate_grid("sqsc", 1, 1, 0.5, 0.8)).splitlines()[0]
+        assert header == CSV_HEADER
+
+    def test_columns_in_key_order(self):
+        # any table, in the order of its keys: the header is the keys, and a
+        # JSON record keeps them in order, with n, m, r and lambda as numbers
+        table = {"z": [1, None], "lambda": [0.5, 0.25], "a": ["x", "y"], "m": [2, 3]}
+        assert written(table).splitlines() == [
+            "z,lambda,a,m",
+            "1,5.000000000e-01,x,2",
+            ",2.500000000e-01,y,3",
+        ]
+        records = json.loads(written(table, "json"))
+        assert [list(record.items()) for record in records] == [
+            [("z", "1"), ("lambda", 0.5), ("a", "x"), ("m", 2)],
+            [("z", ""), ("lambda", 0.25), ("a", "y"), ("m", 3)],
+        ]
 
     def test_row_rendering(self):
         text = written(evaluate_grid("sqsc", 1, 1, 0.5, 0.8)).splitlines()[1]
@@ -592,6 +615,31 @@ class TestStartupImports:
             "print(json.dumps(steps))\n"
         )
         assert self._run(script) == [[False, False]] * 11 + [[True, False]]
+
+    def test_only_json_output_loads_json(self):
+        # whether json is loaded after the import and after each command in
+        # turn; the script imports json itself only to print, after the last
+        # check, and the JSON eval at the end must load it
+        script = (
+            "import contextlib, io, sys\n"
+            "import depolqfi.cli\n"
+            "point = ['--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
+            "steps = ['json' in sys.modules]\n"
+            "for argv in (\n"
+            "    ['table', 'spectator'], ['table', 'I'], ['figure', 'cutoff'],\n"
+            "    *(['eval', '--protocol', p, *point]\n"
+            "      for p in ('sqsc', 'independent', 'sequential')),\n"
+            "    ['eval', '--protocol', 'correlated', '--n', '4', *point],\n"
+            "    ['sweep', '--protocol', 'sqsc', '--r-grid', '0:1:2'],\n"
+            "    ['eval', '--protocol', 'sqsc', *point, '--format', 'json'],\n"
+            "):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert depolqfi.cli.main(argv) == 0\n"
+            "    steps.append('json' in sys.modules)\n"
+            "import json\n"
+            "print(json.dumps(steps))\n"
+        )
+        assert self._run(script) == [False] * 9 + [True]
 
 
 def _depolqfi(argv, cwd, env, **kwargs):

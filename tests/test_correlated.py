@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from depolqfi.correlated import (
     MAX_CLOSED_FORM_N,
     _blocks,
+    _transition,
     _unscaled_coefficients,
     block_qfi,
     correlated_qfi,
@@ -142,6 +144,35 @@ class TestPrepCoefficients:
     def test_cap(self):
         with pytest.raises(DomainError):
             correlated_qfi(params(MAX_CLOSED_FORM_N + 1, 1, 0.5, 0.5))
+
+
+def transition_sums(m, lam):
+    """T(lambda) without its no-flip term p^m I, and dT/dlambda, as exact
+    fractions: the triple sum over the zero count v, the flipped zeros l and
+    the flipped ones f of C(v, l) C(m-v, f) q^k p^(m-k), k = l + f, into
+    T[v, v - l + f]."""
+    p, q = (1 + Fraction(lam)) / 2, (1 - Fraction(lam)) / 2
+    t = np.zeros((2, m + 1, m + 1), dtype=object)
+    for v in range(m + 1):
+        for el in range(v + 1):
+            for f in range(m - v + 1):
+                k, count = el + f, math.comb(v, el) * math.comb(m - v, f)
+                # d/dlambda of q^k p^(m-k), through p and through q
+                by_p = (m - k) * q**k * p ** (m - k - 1)
+                slope = by_p - k * q ** (k - 1) * p ** (m - k)
+                t[0, v, v - el + f] += count * q**k * p ** (m - k) if k else 0
+                t[1, v, v - el + f] += count * slope / 2
+    return t
+
+
+class TestTransition:
+    @pytest.mark.parametrize("m", [1, 2, 5, 14])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_equals_the_triple_sum(self, m, lam):
+        # at lambda = 0 and 1/2 every weight and partial sum is a float64
+        # exactly, so T and dT/dlambda must match the fractions to the bit
+        expected = transition_sums(m, lam).astype(float)
+        np.testing.assert_array_equal(_transition(m, lam), expected)
 
 
 class TestPreparedState:
@@ -513,15 +544,25 @@ class TestMemory:
         # the peak at m = n = 60
         r = np.linspace(0.01, 0.99, size)[:, np.newaxis]
         lam = np.linspace(0.0, 0.95, size)[np.newaxis, :]
-        p = params(n, m, r, lam)
-        correlated_qfi(p)  # first-call allocations out of the count
-        tracemalloc.start()
-        try:
-            correlated_qfi(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(params(n, m, r, lam))
         assert peak <= 6 * 8 * size * size * (n - m + 1) * (m + 1)
+
+    def test_one_point_peak_is_about_two_tables(self):
+        # at one point the bit-flip table of T(lambda), (m+1)^3 float64, is
+        # the peak: the table and the (v, l, f) triples that fill it, with
+        # no full (m+1)^3 index cube beside them
+        assert traced_peak(params(60, 60, 0.5, 0.5)) <= 2.5 * 8 * 61**3
+
+
+def traced_peak(p):
+    """The tracemalloc peak of one correlated_qfi call, in bytes."""
+    correlated_qfi(p)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        correlated_qfi(p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestHighPrecisionReference:

@@ -86,6 +86,9 @@ CASES: list[list[str]] = [
     # m = n >= 2 at lambda = 0: every qubit's marginal is I/2, so H is exactly 0
     ["eval", "--protocol", "correlated", "--n", "8", "--m", "8", "--r", "0.1",
      "--lambda", "0"],
+    # the largest bit-flip table T(lambda), at one point
+    ["eval", "--protocol", "correlated", "--n", "60", "--m", "60", "--r", "0.5",
+     "--lambda", "0.5"],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "5", "--m", "1,5", *_GRID, "-o", OUT],
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2", *_GRID,
      "--format", "json", "-o", OUT],
@@ -94,7 +97,9 @@ CASES: list[list[str]] = [
         "corr-gain-n4-multi", "corr-vs-seq-n4", "cutoff",
     )),
     ["figure", "corr-gain-n4-multi", "-o", OUT],
+    ["figure", "cutoff", "-o", OUT],
     ["table", "spectator"],
+    ["table", "I"],
     ["table", "all-qubits", "-o", OUT],
     ["correlations", "--m", "2", "--r", "0.5", "--lambda", "0.5"],
     ["correlations", "--m", "1", "--r", "0.8", "--lambda", "0.6"],
