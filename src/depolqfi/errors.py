@@ -10,4 +10,4 @@ class DomainError(DepolQfiError, ValueError):
 
 
 class CapacityError(DepolQfiError):
-    """A requested dense matrix would exceed the configured dimension cap."""
+    """A requested dense matrix would exceed the oracle's qubit cap."""

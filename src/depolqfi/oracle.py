@@ -15,14 +15,14 @@ every depolarizing use, so it leaves the QFI unchanged.
 
 Every stage works in place where it can: the arrays of a verify peak at
 about five float64 2^n x 2^n matrices, besides the eigensolver's workspace.
-The dimension is capped at DEFAULT_DIM_CAP, or at the environment variable
-DEPOLQFI_MAX_DIM; spectral_qfi checks rho is Hermitian (HERMITIAN_TOL) first.
+The oracle allows n <= MAX_DENSE_N qubits, the counterpart of the closed
+form's MAX_CLOSED_FORM_N; spectral_qfi checks rho is Hermitian
+(HERMITIAN_TOL) first.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .correlated import correlated_qfi, final_x_entries
 from .errors import CapacityError, DomainError
 from .protocols import ProtocolParams, check_params
 
-DEFAULT_DIM_CAP = 2**12
+MAX_DENSE_N = 12  # 2^12 x 2^12 matrices: about 0.8 GB for one verify
 HERMITIAN_TOL = 1e-12
 QFI_ELEM_EPS = 1e-9
 STATE_TOLERANCE = 1e-12
@@ -50,24 +50,11 @@ class VerificationReport(NamedTuple):
     pass_: bool
 
 
-def dim_cap() -> int:
-    """Current dense dimension cap; override with env var DEPOLQFI_MAX_DIM."""
-    raw = os.environ.get("DEPOLQFI_MAX_DIM")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"DEPOLQFI_MAX_DIM must be an integer, got {raw!r}") from None
-    if cap < 2:
-        raise DomainError(f"DEPOLQFI_MAX_DIM must be >= 2, got {cap}")
-    return cap
-
-
 def check_capacity(n: int) -> None:
-    """Raise CapacityError if a dense n-qubit matrix exceeds dim_cap()."""
-    if 2**n > dim_cap():
-        raise CapacityError(f"dimension 2**{n} exceeds cap {dim_cap()}")
+    """Raise CapacityError if n exceeds MAX_DENSE_N, before anything of size
+    2^n is formed."""
+    if n > MAX_DENSE_N:
+        raise CapacityError(f"dimension 2**{n} exceeds cap {2**MAX_DENSE_N}")
 
 
 def initial_product_state(n: int, r: float) -> np.ndarray:

@@ -15,15 +15,21 @@ from typing import NamedTuple
 from .errors import DomainError
 
 PROTOCOLS = ("sqsc", "independent", "sequential", "correlated", "corr_vs_seq")
+MAX_COUNT = 2**53  # every integer up to here is a float64 exactly
 
 
 def check_params(n=None, m=None, r=None, lam=None, include_limit: bool = False) -> None:
     """Raise DomainError unless each argument given is in its domain: n and m
-    integers >= 1, r in [0, 1] and lambda in [0, 1), or in [0, 1] with
-    include_limit. Arguments left at None are not checked. r and lambda may
-    be arrays; every entry is checked, and NaN fails."""
+    integers in [1, MAX_COUNT], r in [0, 1] and lambda in [0, 1), or in
+    [0, 1] with include_limit. Arguments left at None are not checked. r and
+    lambda may be arrays; every entry is checked, and NaN fails."""
     for name, k in (("m", m), ("n", n)):
-        if k is not None and not (k >= 1 and float(k).is_integer()):
+        if k is None:
+            continue
+        # past MAX_COUNT, float(k) and the closed forms' lambda**k can overflow
+        if k > MAX_COUNT:
+            raise DomainError(f"{name} must be an integer <= 2**53, got {k}")
+        if not (k >= 1 and float(k).is_integer()):
             raise DomainError(f"{name} must be an integer >= 1, got {k}")
     for name, values, closed in (("r", r, True), ("lambda", lam, include_limit)):
         if values is None:

@@ -206,7 +206,8 @@ def oracle_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
 def final_state(params: ProtocolParams) -> np.ndarray:
     """Dense 2^n x 2^n final (post-channel) state for scalar r and lambda,
     sum_x [d_x (|x><x| + |N-x><N-x|) + i lambda^m c_x (|x><N-x| - |N-x><x|)]
-    over the x whose top bit is 0. Raises CapacityError above dim_cap()."""
+    over the x whose top bit is 0. Raises CapacityError above the oracle's
+    MAX_DENSE_N qubits."""
     check_capacity(params.n)
     diag, counter = final_x_entries(params)
     dim = len(diag)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -427,8 +428,7 @@ class TestMain:
         )
         assert code == 2
 
-    def test_capacity_exit_4(self, monkeypatch):
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", str(2**12))
+    def test_capacity_exit_4(self, capsys):
         code = main(
             [
                 "verify", "--n", "13", "--m", "1", "--r", "0.5",
@@ -436,6 +436,7 @@ class TestMain:
             ]
         )
         assert code == 4
+        assert capsys.readouterr().err == "error: dimension 2**13 exceeds cap 4096\n"
 
     def test_out_of_memory_exit_4(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -447,14 +448,6 @@ class TestMain:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate 74.5 GiB\n"
-
-    def test_malformed_dim_cap_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "abc")
-        code = main(
-            ["verify", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5"]
-        )
-        assert code == 2
-        assert "error: DEPOLQFI_MAX_DIM" in capsys.readouterr().err
 
     def test_io_failure_exit_3(self, tmp_path):
         code = main(
@@ -544,16 +537,45 @@ class TestMain:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # past the float range: float(k) itself overflows
+            ["eval", "--protocol", "sqsc", "--n", str(10**400), "--r", "0.5",
+             "--lambda", "0.5"],
+            ["correlations", "--m", str(10**400), "--r", "0.5", "--lambda", "0.5"],
+            ["verify", "--grid", "--max-n", str(10**400)],
+            # a float, but m * m and lambda^(2m) are not
+            *(["eval", "--protocol", p, "--m", str(10**300), "--r", "0.5",
+               "--lambda", "0.5"] for p in ("sequential", "independent")),
+            ["sweep", "--protocol", "sequential", "--m", str(10**300)],
+        ],
+    )
+    def test_count_past_2_53_exit_2(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_count_up_to_2_53_is_evaluated(self, capsys):
+        for m in (10**12, 2**53):
+            code = main(["eval", "--protocol", "sequential", "--m", str(m),
+                         "--r", "0.5", "--lambda", "0.5"])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[1]
+            assert row.startswith(f"sequential,1,{m},5.000000000e-01,5.000000000e-01,")
+
     def test_verify_grid_checks_cap_before_verifying(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(
             "depolqfi.oracle.verify", lambda *a, **kw: calls.append(a)
         )
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "16")
-        code = main(["verify", "--grid", "--max-n", "5"])
+        code = main(["verify", "--grid", "--max-n", "13"])
         assert code == 4
         assert calls == []
-        assert "error: dimension 2**5" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dimension 2**13 exceeds cap 4096\n"
 
     def test_verify_grid_small(self, capsys):
         code = main(["verify", "--grid", "--max-n", "2"])
@@ -661,7 +683,7 @@ class TestEntryPoint:
     still write what main writes and exit with main's code."""
 
     @pytest.mark.parametrize(
-        "argv, cap, code",
+        "argv, seconds, code",
         [
             (BIG_SWEEP, None, 0),
             (BIG_SWEEP + ["-o", "out.csv"], None, 0),
@@ -669,19 +691,27 @@ class TestEntryPoint:
              None, 1),
             (["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"], None, 2),
             (["sweep", "--protocol", "sqsc", "-o", "missing/out.csv"], None, 3),
-            (["verify", "--n", "5", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
-             "16", 4),
+            (["verify", "--n", "13", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
+             None, 4),
             (["--help"], None, 0),
             (["eval", "--protocol", "sqsc", "--lambda", "0.5"], None, 2),
+            # refused on n alone, where 2**n would be a 250 MB integer
+            (["verify", "--n", "2000000000", "--m", "1", "--r", "0.5",
+              "--lambda", "0.5"], 5, 4),
         ],
     )
-    def test_process_matches_main(self, argv, cap, code, tmp_path, monkeypatch, capsys):
+    def test_process_matches_main(
+        self, argv, seconds, code, tmp_path, monkeypatch, capsys
+    ):
+        """seconds, where given, bounds the process's wall time, interpreter
+        start included."""
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
-        if cap is not None:
-            monkeypatch.setenv("DEPOLQFI_MAX_DIM", cap)
         for side in ("process", "main"):
             (tmp_path / side).mkdir()
+        start = time.perf_counter()
         proc = _depolqfi(argv, tmp_path / "process", os.environ, capture_output=True)
+        if seconds is not None:
+            assert time.perf_counter() - start < seconds
         monkeypatch.chdir(tmp_path / "main")
         try:
             returned = main(argv)

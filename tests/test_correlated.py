@@ -283,13 +283,10 @@ class TestFinalState:
         with pytest.raises(DomainError):
             final_state(params(2, 3, 0.5, 0.5))
 
-    def test_capacity(self, monkeypatch):
-        with pytest.raises(CapacityError):
-            final_state(params(30, 3, 0.5, 0.5))
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
-        final_state(params(3, 3, 0.5, 0.5))
-        with pytest.raises(CapacityError):
-            final_state(params(4, 3, 0.5, 0.5))
+    def test_capacity(self):
+        for n in (13, 30):
+            with pytest.raises(CapacityError):
+                final_state(params(n, 3, 0.5, 0.5))
 
 
 def branches(d, c, d_dot, m, lam):
@@ -425,6 +422,11 @@ class TestCorrelatedQfi:
             assert [correlated_qfi(params(n, n, a, 0.0)) for a in r] == [0.0] * 9
             grid = correlated_qfi(params(n, n, r[:, np.newaxis], lam))
             assert np.all(grid[:, :2] == 0.0) and np.all(grid[:, 2] > 0.0), n
+        # the exact QFI is 0 there too
+        for n in range(2, 13):
+            for a in r:
+                exact = _exact_qfi(n, n, a, 0.0)
+                assert correlated_qfi(params(n, n, a, 0.0)) == exact == 0
         # one qubit, or one spectator, keeps a QFI at lambda = 0
         assert correlated_qfi(params(1, 1, 0.5, 0.0)) == sqsc_qfi(0.5, 0.0) > 0.0
         assert correlated_qfi(params(8, 7, 0.5, 0.0)) > 0.0
@@ -490,48 +492,62 @@ class TestCorrelatedQfi:
         assert grid[1] == pytest.approx(limit, rel=1e-12)
 
 
+def _bit_flip_sum(n, m, r, lam):
+    """The QFI as the sum over blocks (u, v) of bit-flip double sums, in the
+    arithmetic of r and lam (mpmath numbers or Fractions): the sum counts k
+    flips, l of them among the v channel zeros. math.inf at a rank drop."""
+    p, q = (1 + lam) / 2, (1 - lam) / 2
+    plus = [(1 + r) ** j * (1 - r) ** (n - j) for j in range(n + 1)]
+    d = [plus[j] + plus[n - j] for j in range(n + 1)]
+    c = [plus[j] - plus[n - j] for j in range(n + 1)]
+    w = [q**k * p ** (m - k) for k in range(m + 1)]
+    dw = [
+        (
+            ((m - k) * q**k * p ** (m - k - 1) if k < m else 0)
+            - (k * q ** (k - 1) * p ** (m - k) if k > 0 else 0)
+        )
+        / 2
+        for k in range(m + 1)
+    ]
+    if m < n:
+        blocks = [
+            (u, v, math.comb(n - m - 1, u - 1) * math.comb(m, v))
+            for u in range(1, n - m + 1)
+            for v in range(m + 1)
+        ]
+    else:
+        blocks = [(0, v, math.comb(n - 1, v - 1)) for v in range(1, n + 1)]
+    total = 0 * r
+    for u, v, weight in blocks:
+        diag = slope = 0 * r
+        for k in range(m + 1):
+            inner = sum(
+                math.comb(v, el) * math.comb(m - v, k - el) * d[u + v + k - 2 * el]
+                for el in range(max(k + v - m, 0), min(k, v) + 1)
+            )
+            diag += w[k] * inner
+            slope += dw[k] * inner
+        for sign in (1, -1):
+            eig = diag + sign * lam**m * c[u + v]
+            eig_dot = slope + sign * m * lam ** (m - 1) * c[u + v]
+            if eig:
+                total += weight * eig_dot**2 / eig
+            elif eig_dot:  # a rank drop
+                return math.inf
+    return total / 2 ** (n + 1)
+
+
 def _double_sum_qfi(n, m, r, lam):
-    """The QFI as the sum over blocks (u, v) of bit-flip double sums, at 50
-    digits: the sum counts k flips, l of them among the v channel zeros."""
+    """_bit_flip_sum at 50 digits, as a float."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        r, lam = mpmath.mpf(r), mpmath.mpf(lam)
-        p, q = (1 + lam) / 2, (1 - lam) / 2
-        plus = [(1 + r) ** j * (1 - r) ** (n - j) for j in range(n + 1)]
-        d = [plus[j] + plus[n - j] for j in range(n + 1)]
-        c = [plus[j] - plus[n - j] for j in range(n + 1)]
-        w = [q**k * p ** (m - k) for k in range(m + 1)]
-        dw = [
-            ((m - k) * q**k * p ** (m - k - 1) if k < m else 0) / 2
-            - (k * q ** (k - 1) * p ** (m - k) if k > 0 else 0) / 2
-            for k in range(m + 1)
-        ]
-        if m < n:
-            blocks = [
-                (u, v, math.comb(n - m - 1, u - 1) * math.comb(m, v))
-                for u in range(1, n - m + 1)
-                for v in range(m + 1)
-            ]
-        else:
-            blocks = [(0, v, math.comb(n - 1, v - 1)) for v in range(1, n + 1)]
-        total = mpmath.mpf(0)
-        for u, v, weight in blocks:
-            diag = slope = mpmath.mpf(0)
-            for k in range(m + 1):
-                inner = sum(
-                    math.comb(v, el) * math.comb(m - v, k - el) * d[u + v + k - 2 * el]
-                    for el in range(max(k + v - m, 0), min(k, v) + 1)
-                )
-                diag += w[k] * inner
-                slope += dw[k] * inner
-            for sign in (1, -1):
-                eig = diag + sign * lam**m * c[u + v]
-                eig_dot = slope + sign * m * lam ** (m - 1) * c[u + v]
-                if eig:
-                    total += weight * eig_dot**2 / eig
-                elif eig_dot:  # a rank drop
-                    return math.inf
-        return float(total / 2 ** (n + 1))
+        return float(_bit_flip_sum(n, m, mpmath.mpf(r), mpmath.mpf(lam)))
+
+
+def _exact_qfi(n, m, r, lam):
+    """_bit_flip_sum in Fractions: every float is a dyadic rational, so this
+    is the exact QFI, a Fraction (or math.inf)."""
+    return _bit_flip_sum(n, m, Fraction(r), Fraction(lam))
 
 
 class TestMemory:
@@ -565,21 +581,33 @@ def traced_peak(p):
         tracemalloc.stop()
 
 
+MID_SIZE = [
+    (10, 3, 0.35, 0.8),
+    (10, 10, 0.95, 0.05),
+    (12, 1, 0.8, 0.9),
+    (12, 12, 0.9, 0.5),
+    (14, 7, 0.65, 0.2),
+    (14, 13, 0.05, 0.95),
+]
+
+
 class TestHighPrecisionReference:
-    @pytest.mark.parametrize(
-        "n, m, r, lam",
-        [
-            (10, 3, 0.35, 0.8),
-            (10, 10, 0.95, 0.05),
-            (12, 1, 0.8, 0.9),
-            (12, 12, 0.9, 0.5),
-            (14, 7, 0.65, 0.2),
-            (14, 13, 0.05, 0.95),
-        ],
-    )
+    @pytest.mark.parametrize("n, m, r, lam", MID_SIZE)
     def test_mid_size(self, n, m, r, lam):
         value = correlated_qfi(params(n, m, r, lam))
         assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, r, lam", [p for p in MID_SIZE if p[0] <= 12])
+    def test_mid_size_exact(self, n, m, r, lam):
+        value = correlated_qfi(params(n, m, r, lam))
+        assert value == pytest.approx(float(_exact_qfi(n, m, r, lam)), rel=1e-12)
+
+    def test_exact_value_at_tiny_r_and_lambda(self):
+        # recorded for the closed form's small-r, small-lambda slopes, which
+        # lose it to cancellation (4.8e-34 where this is 6.0e-36), so the
+        # closed form is not compared here
+        exact = _exact_qfi(5, 3, 1e-9, 1e-9)
+        assert float(exact) == pytest.approx(6.0000000000000017e-36, rel=1e-15)
 
     @pytest.mark.parametrize(
         "n, m, r, lam, expected",

@@ -9,6 +9,7 @@ from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.oracle import (
     HERMITIAN_TOL,
+    MAX_DENSE_N,
     QFI_ELEM_EPS,
     _channels,
     _frame_final_state,
@@ -16,6 +17,7 @@ from depolqfi.oracle import (
     _to_frame,
     _transpose_in_place,
     apply_uprep,
+    check_capacity,
     initial_product_state,
     spectral_qfi,
     verify,
@@ -57,10 +59,22 @@ class TestInitialState:
                 partial_trace(rho, traced_out, 2), single, atol=1e-13
             )
 
-    def test_capacity(self, monkeypatch):
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
-        with pytest.raises(CapacityError):
-            initial_product_state(4, 0.5)
+    def test_capacity(self):
+        check_capacity(MAX_DENSE_N)
+        cap = r"^dimension 2\*\*13 exceeds cap 4096$"
+        with pytest.raises(CapacityError, match=cap):
+            initial_product_state(MAX_DENSE_N + 1, 0.5)
+
+    def test_refusal_forms_nothing_of_size_2_to_the_n(self):
+        # 2**(10**8) alone would be a 12.5 MB integer
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                check_capacity(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_equals_kron_chain(self):
         for n in (1, 2, 5):
@@ -89,10 +103,10 @@ class TestPrepCircuit:
                 apply_uprep(a, n), u @ a @ u.conj().T, rtol=0, atol=1e-12
             )
 
-    def test_capacity(self, monkeypatch):
-        monkeypatch.setenv("DEPOLQFI_MAX_DIM", "8")
+    def test_capacity(self):
+        # refused on n alone, before the shape check
         with pytest.raises(CapacityError):
-            apply_uprep(np.eye(16, dtype=complex) / 16, 4)
+            apply_uprep(np.eye(2), MAX_DENSE_N + 1)
 
     def test_transpose_in_place(self):
         # sides below, at and above the tile side

@@ -70,7 +70,9 @@ class TestParams:
         check_params(lam=with_one, include_limit=True)
         with pytest.raises(DomainError):
             check_params(lam=np.nextafter(1.0, 2.0), include_limit=True)
-        for k in (2.5, math.nan, 0):
+        # counts are the integers that a float64 holds exactly
+        check_params(n=2**53, m=2**53)
+        for k in (2.5, math.nan, 0, math.inf, 2**53 + 1, 10**400):
             with pytest.raises(DomainError):
                 check_params(n=k)
             with pytest.raises(DomainError):
@@ -83,6 +85,9 @@ class TestParams:
             check_params(m=0)
         with pytest.raises(DomainError, match=r"^m must be an integer >= 1, got 1.5$"):
             check_params(m=1.5)
+        too_large = r"^m must be an integer <= 2\*\*53, got 9007199254740993$"
+        with pytest.raises(DomainError, match=too_large):
+            check_params(m=2**53 + 1)
         # an argument left out is not checked at a default value
         check_params(n=2, lam=1.0, include_limit=True)
         check_params(r=1.0)

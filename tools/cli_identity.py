@@ -62,6 +62,9 @@ CASES: list[list[str]] = [
     ["eval", "--protocol", "sequential", "--m", "3", "--r", "0", "--lambda", "0.5"],
     ["eval", "--protocol", "correlated", "--n", "3", "--m", "2", "--r", "0.5",
      "--lambda", "1", "--include-limit", "--format", "json"],
+    # a count far past any qubit count, still below 2**53
+    ["eval", "--protocol", "sequential", "--m", "1000000000000", "--r", "0.5",
+     "--lambda", "0.5"],
     # grid order: unsorted, descending, a repeated value and signed zeros
     ["sweep", "--protocol", "correlated", "--n", "4,2", "--m", "2,1",
      "--r-grid", "0.9:0.1:5", "--lambda-grid", "0.8:0.2:4"],
@@ -120,6 +123,9 @@ CASES: list[list[str]] = [
     ["sweep", "--protocol", "sqsc", *_GRID, "-o", "missing/out.csv"],
     ["verify", "--n", "3"],
     ["verify", "--grid", "--max-n", "0"],
+    # the dense cap, n <= 12
+    ["verify", "--n", "13", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
+    ["verify", "--grid", "--max-n", "13"],
     # argparse's own exits: help, and a usage error (--r is missing)
     ["--help"],
     ["eval", "--protocol", "sqsc", "--lambda", "0.5"],
