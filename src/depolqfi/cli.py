@@ -43,6 +43,25 @@ def _parse_int_list(raw: str) -> list[int]:
     return values
 
 
+def _parse_grid(raw: str):
+    """np.linspace(start, stop, count) of a start:stop:count grid, refused
+    unless every value is finite."""
+    try:
+        start, stop, count = raw.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
+    if count < 1:
+        raise DomainError(f"grid count must be >= 1, got {count}")
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # inf - inf and overflow give inf or NaN
+        grid = np.linspace(start, stop, count)
+    if not np.isfinite(grid).all():
+        raise DomainError(f"grid values must be finite, got {raw!r}")
+    return grid
+
+
 def _write_lines(path: Optional[str], lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -98,7 +117,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evaluate import _parse_grid, sweep_rows
+    from .evaluate import sweep_rows
 
     table = sweep_rows(
         args.protocol,
@@ -194,7 +213,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         table = {"m": ms, "cutoff": cutoff, "squared_cutoff": squared}
         _write_table(args.output, table, "csv")
         return 0
-    from .evaluate import _parse_grid, sweep_rows
+    from .evaluate import sweep_rows
 
     preset = FIGURE_PRESETS[args.name]
     grid = _parse_grid(FIGURE_GRID)

@@ -144,15 +144,3 @@ def sweep_rows(
             table.setdefault(column, []).extend(values)
     return table
 
-
-def _parse_grid(raw: str) -> np.ndarray:
-    try:
-        start, stop, count = raw.split(":")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError:
-        raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
-    if count < 1:
-        raise DomainError(f"grid count must be >= 1, got {count}")
-    import numpy as np
-
-    return np.linspace(start, stop, count)

@@ -1,11 +1,12 @@
 """Brute-force density-matrix oracle for the correlated-state protocol.
 
 Builds the full 2^n x 2^n pipeline (product input, preparatory circuit,
-per-qubit channel) and evaluates the QFI spectrally. Each channel use
-replaces the hit qubit with I/2 times its partial trace, in place, on the
-two diagonal sub-blocks of that qubit. The lambda-derivative is carried
-forward beside rho, so m channel uses cost O(m) channel applications. Used
-to verify every closed form in the package.
+per-qubit channel) and evaluates the QFI spectrally. The circuit is 2n
+sum/difference butterflies written over the product state. Each channel use
+replaces the hit qubit with I/2 times its partial trace, in place, on its
+two diagonal sub-blocks. The lambda-derivative is carried forward beside
+rho, so m channel uses cost O(m) channel applications. Used to verify every
+closed form in the package.
 
 The channels and the eigensolve run in a fixed phase frame: S^dagger rho S
 with S = diag(1, i) on qubit n. The prepared state is exactly real there, so
@@ -73,48 +74,32 @@ def initial_product_state(n: int, r: float) -> np.ndarray:
     return rho
 
 
-def _transpose_in_place(t: np.ndarray) -> None:
-    """t = t.T for a square C-contiguous t, one pair of 32 x 32 tiles at a
-    time."""
-    b = 32
-    for i in range(0, len(t), b):
-        for j in range(i, len(t), b):
-            upper = t[i:i + b, j:j + b].copy()
-            if j > i:
-                t[i:i + b, j:j + b] = t[j:j + b, i:i + b].T
-            t[j:j + b, i:i + b] = upper.T
-
-
 def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     """U rho U^dagger for the preparatory circuit U (controlled-Z on every
-    qubit pair, then a Hadamard on every qubit): the CZ signs (-1)^C(popcount
-    x, 2) on both sides, then a sum/difference butterfly on each of the n row
-    bits, most significant first, and then on each column bit as a row bit of
-    the transpose. O(n 4^n) with no 2^n x 2^n unitary; every pass works on
-    contiguous runs of one new matrix, which is transposed in place."""
+    qubit pair, then a Hadamard on every qubit), written over rho, a writable
+    C-contiguous float or complex array: the CZ signs (-1)^C(popcount x, 2)
+    on both sides, then a sum/difference butterfly on each of the 2n bits of
+    the flat (row, column) index, top bit first. O(n 4^n); its one buffer is
+    half of rho (a peak of 1.05 float64 2^n x 2^n units for a complex rho)."""
     check_capacity(n)
     dim = 2**n
     if rho.shape != (dim, dim):
         raise DomainError(f"rho must have shape ({dim}, {dim}), got {rho.shape}")
+    if not (rho.flags.c_contiguous and rho.flags.writeable and rho.dtype.kind in "fc"):
+        # reshape would copy an array of another layout, not transform it
+        raise DomainError("rho must be a writable C-contiguous float or complex array")
     ones = ((np.arange(dim)[:, np.newaxis] >> np.arange(n)) & 1).sum(axis=1)
     signs = np.where(ones * (ones - 1) // 2 % 2, -1.0, 1.0)
     # each of the 2n Hadamards carries 1/sqrt(2)
-    t = rho * (0.5**n * signs)[:, np.newaxis]
-    t *= signs
-    # a quarter of t: each butterfly runs on the two halves of its pairs in
-    # turn, which also halves the buffers numpy gives a strided operation
-    diff = np.empty(t.size // 4, dtype=t.dtype)
-    for _ in range(2):  # the rows, then the columns as rows of the transpose
-        for bit in range(n):
-            pairs = t.reshape(2**bit, 2, 2, -1)
-            for half in range(2):
-                low, high = pairs[:, 0, half], pairs[:, 1, half]
-                low_minus_high = diff.reshape(low.shape)
-                np.subtract(low, high, out=low_minus_high)
-                low += high
-                high[...] = low_minus_high
-        _transpose_in_place(t)
-    return t
+    rho *= (0.5**n * signs)[:, np.newaxis]
+    rho *= signs
+    diff = np.empty(rho.size // 2, dtype=rho.dtype)
+    for bit in range(2 * n):
+        low, high = np.moveaxis(rho.reshape(2**bit, 2, -1), 1, 0)
+        low_minus_high = np.subtract(low, high, out=diff.reshape(low.shape))
+        low += high
+        high[...] = low_minus_high
+    return rho
 
 
 # (S^dagger rho S)[x, y] = i^(b(y) - b(x)) rho[x, y], b = the top bit (qubit n)
@@ -172,12 +157,8 @@ def _channels(
 
 def _is_hermitian(a: np.ndarray) -> bool:
     """max|a - a^dagger| <= HERMITIAN_TOL * max|a|: relative to a's own
-    scale, so the zero matrix passes. One temporary of a's size holds
-    a^dagger, then |a - a^dagger|, then |a|."""
-    work = np.conjugate(a.T)
-    np.subtract(a, work, out=work)
-    asymmetry = np.abs(work, out=work).real.max()
-    return bool(asymmetry <= HERMITIAN_TOL * np.abs(a, out=work).real.max())
+    scale, so the zero matrix passes."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
 
 
 def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
@@ -251,8 +232,7 @@ def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationRepor
     max_state_err, symmetry_err = _state_errors(rho, params)
 
     if math.isinf(closed) and math.isinf(oracle_value):
-        abs_err = 0.0
-        rel_err = 0.0
+        abs_err = rel_err = 0.0
     elif math.isinf(closed) or math.isinf(oracle_value):
         abs_err = rel_err = math.inf  # inf / inf would make rel_err NaN
     else:

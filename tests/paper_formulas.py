@@ -20,9 +20,9 @@ import numpy as np
 from depolqfi.correlated import final_x_entries
 from depolqfi.errors import DomainError
 from depolqfi.oracle import (
-    HERMITIAN_TOL,
     _FRAME_PHASES,
     _frame_final_state,
+    _is_hermitian,
     check_capacity,
 )
 from depolqfi.protocols import ProtocolParams, check_params
@@ -55,11 +55,6 @@ def pure_entangled_qfi(lam: float) -> float:
     entangled qubit pair (the isotropic-state family lam*Phi + (1-lam)I/4)."""
     check_params(lam=lam)
     return 3.0 / ((1.0 + 3.0 * lam) * (1.0 - lam))
-
-
-def _is_hermitian(a: np.ndarray) -> bool:
-    """max|a - a^dagger| <= HERMITIAN_TOL * max|a|, the oracle's criterion."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
 
 
 def qubit_sld(rho: np.ndarray, drho: np.ndarray) -> SldComputation:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,10 +484,21 @@ class TestMain:
             # the given ones are checked
             ["--m", "0"],
             ["--n", "0"],
+            # grids whose values are not all finite, formed without a
+            # numpy warning
+            ["--r-grid", "0:inf:3", "--lambda-grid", "0:0.5:2"],
+            ["--r-grid=-inf:0:1"],
+            ["--r-grid=-1e308:1e308:3"],
         ):
-            code = main(["sweep", "--protocol", "sqsc", *flags])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["sweep", "--protocol", "sqsc", *flags])
             assert code == 2, flags
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and err.startswith("error:"), flags
+        # a one-value grid is its start, whatever its stop
+        assert main(["sweep", "--protocol", "sqsc", "--r-grid", "0.5:7:1"]) == 0
+        capsys.readouterr()
         for protocol in ("sqsc", "independent", "sequential"):
             code = main(
                 ["eval", "--protocol", protocol, "--n", "0", "--r", ".5", "--lambda", ".5"]

@@ -15,7 +15,6 @@ from depolqfi.oracle import (
     _frame_final_state,
     _is_hermitian,
     _to_frame,
-    _transpose_in_place,
     apply_uprep,
     check_capacity,
     initial_product_state,
@@ -100,7 +99,7 @@ class TestPrepCircuit:
             u = had * np.array(signs)
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             np.testing.assert_allclose(
-                apply_uprep(a, n), u @ a @ u.conj().T, rtol=0, atol=1e-12
+                apply_uprep(a.copy(), n), u @ a @ u.conj().T, rtol=0, atol=1e-12
             )
 
     def test_capacity(self):
@@ -108,20 +107,39 @@ class TestPrepCircuit:
         with pytest.raises(CapacityError):
             apply_uprep(np.eye(2), MAX_DENSE_N + 1)
 
-    def test_transpose_in_place(self):
-        # sides below, at and above the tile side
-        rng = np.random.default_rng(61)
-        for dim in (2, 32, 128):
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            t = a.copy()
-            _transpose_in_place(t)
-            assert np.array_equal(t, a.T)
-
-    def test_leaves_its_input_alone(self):
+    def test_transforms_its_input_in_place(self):
         rho = initial_product_state(3, 0.6)
-        kept = rho.copy()
-        apply_uprep(rho, 3)
-        assert np.array_equal(rho, kept)
+        assert apply_uprep(rho, 3) is rho
+        closed = final_state(params(3, 1, 0.6, 1.0, include_limit=True))
+        assert np.max(np.abs(rho - closed)) <= 1e-14
+        # a float input stays float: |0><0| -> the all-1/8 matrix
+        real = np.zeros((8, 8))
+        real[0, 0] = 1.0
+        assert apply_uprep(real, 3) is real
+        assert real.dtype == np.float64
+        assert np.array_equal(real, np.full((8, 8), 0.125))
+
+    def test_peak_memory(self):
+        # besides its input, a buffer of half the input's bytes; one unit is
+        # a float64 2^n x 2^n matrix
+        n = 10
+        rho = initial_product_state(n, 0.35)
+        tracemalloc.start()
+        try:
+            apply_uprep(rho, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 4**n
+
+    def test_refuses_what_it_cannot_overwrite(self):
+        # an F-ordered array would be copied by reshape, not transformed
+        rho = initial_product_state(2, 0.5)
+        read_only = rho.copy()
+        read_only.flags.writeable = False
+        for bad in (np.asfortranarray(rho), np.ones((4, 4), dtype=int), read_only):
+            with pytest.raises(DomainError, match="C-contiguous float or complex"):
+                apply_uprep(bad, 2)
 
     def test_wrong_shape(self):
         for shape in ((8, 8), (4, 8), (2, 2), (16,)):

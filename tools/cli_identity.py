@@ -108,17 +108,23 @@ CASES: list[list[str]] = [
     ["correlations", "--m", "1", "--r", "0.8", "--lambda", "0.6"],
     ["verify", "--n", "3", "--m", "2", *_POINT],
     ["verify", "--grid", "--max-n", "3", "-o", OUT],
+    # the 720-point grid up to n = 8
+    ["verify", "--grid", "--max-n", "8", "-o", OUT],
     # one side of the comparison infinite
     ["verify", "--n", "6", "--m", "5", "--r", "0.9999999", "--lambda", "0.9999999"],
     # the benchmark's size, and a point the oracle cannot resolve (exit 1)
     *(["verify", "--n", "8", "--m", m, "--r", "0.35", "--lambda", "0.65"] for m in "24"),
     ["verify", "--n", "7", "--m", "7", "--r", "1", "--lambda", "0.99996"],
+    # n = 10, where the butterflies' strides differ most from n = 8
+    ["verify", "--n", "10", "--m", "5", "--r", "0.35", "--lambda", "0.65"],
     # error exits
     ["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"],
     ["eval", "--protocol", "correlated", "--n", "2", "--m", "3", *_POINT],
     ["eval", "--protocol", "correlated", "--n", "2", "--m", "1", "--r", "0.5",
      "--lambda", "1"],
     ["sweep", "--protocol", "sqsc", "--r-grid", "0:1"],
+    # a grid with an infinite stop: refused as not finite
+    ["sweep", "--protocol", "sqsc", "--r-grid", "0:inf:3", "--lambda-grid", "0:0.5:2"],
     ["sweep", "--protocol", "sqsc", "--n", "1,b"],
     ["sweep", "--protocol", "sqsc", *_GRID, "-o", "missing/out.csv"],
     ["verify", "--n", "3"],
