@@ -80,7 +80,7 @@ def apply_uprep(rho: np.ndarray, n: int) -> np.ndarray:
     C-contiguous float or complex array: the CZ signs (-1)^C(popcount x, 2)
     on both sides, then a sum/difference butterfly on each of the 2n bits of
     the flat (row, column) index, top bit first. O(n 4^n); its one buffer is
-    half of rho (a peak of 1.05 float64 2^n x 2^n units for a complex rho)."""
+    half of rho (a peak of 1.05 float64 2^n x 2^n matrices for a complex rho)."""
     check_capacity(n)
     dim = 2**n
     if rho.shape != (dim, dim):
