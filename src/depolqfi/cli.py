@@ -110,16 +110,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluate import evaluate_grid
 
     table = evaluate_grid(
-        args.protocol, args.n, args.m, args.r, args.lam, args.include_limit
+        args.protocol, [args.n], [args.m], args.r, args.lam, args.include_limit
     )
     _write_table(None, table, args.format, one_record=True)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evaluate import sweep_rows
+    from .evaluate import evaluate_grid
 
-    table = sweep_rows(
+    table = evaluate_grid(
         args.protocol,
         _parse_int_list(args.n),
         _parse_int_list(args.m),
@@ -213,11 +213,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         table = {"m": ms, "cutoff": cutoff, "squared_cutoff": squared}
         _write_table(args.output, table, "csv")
         return 0
-    from .evaluate import sweep_rows
+    from .evaluate import evaluate_grid
 
-    preset = FIGURE_PRESETS[args.name]
     grid = _parse_grid(FIGURE_GRID)
-    table = sweep_rows(preset["protocol"], preset["ns"], preset["ms"], grid, grid)
+    table = evaluate_grid(r_axis=grid, lam_axis=grid, **FIGURE_PRESETS[args.name])
     _write_table(args.output, table, "csv")
     return 0
 

@@ -46,10 +46,10 @@ def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
     return plus, plus[..., ::-1]
 
 
-def _transition(m: int, lam) -> np.ndarray:
+def _transition(m: int, lam) -> tuple[np.ndarray, np.ndarray]:
     """T(lambda) without its no-flip part p^m I, and dT/dlambda in full,
-    acting on the zero count v of the m channel bits, stacked with shape
-    (2,) + lam.shape + (m+1, m+1).
+    acting on the zero count v of the m channel bits: a pair of arrays of
+    shape lam.shape + (m+1, m+1).
 
     T[v, v'] sums the bit-flip terms C(v, l) C(m-v, f) q^k p^(m-k), where l
     of the v zeros and f of the m-v ones flip (k = l + f, v' = v - l + f).
@@ -81,7 +81,8 @@ def _transition(m: int, lam) -> np.ndarray:
     # one 2-D product whatever lam's shape: a batched matmul of single rows
     # takes another kernel, which rounds differently
     flat = weights.reshape(-1, m + 1) @ flips
-    return flat.reshape(weights.shape[:-1] + (m + 1, m + 1))
+    t, d_t = flat.reshape(weights.shape[:-1] + (m + 1, m + 1))
+    return t, d_t
 
 
 def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -100,11 +101,9 @@ def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
         sliding_window_view(a, m + 1, axis=-1)
         for a in _unscaled_coefficients(n, params.r)
     )
-    # lam gets at least r's axes, so that no axis of r meets T's leading one
-    lam = np.asarray(params.lam, dtype=float)
-    lam = lam.reshape((1,) * (np.ndim(params.r) - lam.ndim) + lam.shape)
-    flips, slope = (plus + minus) @ np.swapaxes(_transition(m, lam), -1, -2)
-    lam = lam[..., np.newaxis, np.newaxis]
+    d = plus + minus
+    flips, slope = (d @ np.swapaxes(t, -1, -2) for t in _transition(m, params.lam))
+    lam = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
     p, i = (1.0 + lam) / 2.0, np.arange(m)
     gap = (1.0 - lam) / 2.0 * np.sum(
         p[..., np.newaxis] ** i * lam[..., np.newaxis] ** (m - 1 - i), axis=-1

@@ -12,7 +12,7 @@ from depolqfi.evaluate import evaluate_grid
 
 def point(protocol: str, n: int, m: int, r, lam, include_limit: bool = False) -> dict:
     """The one row of a one-point evaluate_grid table, keyed by column."""
-    table = evaluate_grid(protocol, n, m, r, lam, include_limit)
+    table = evaluate_grid(protocol, [n], [m], r, lam, include_limit)
     assert all(len(values) == 1 for values in table.values())
     return {column: values[0] for column, values in table.items()}
 

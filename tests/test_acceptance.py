@@ -21,7 +21,7 @@ from depolqfi.correlations import (
     discord_intermediates,
     separability_threshold,
 )
-from depolqfi.evaluate import sweep_rows
+from depolqfi.evaluate import evaluate_grid
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
@@ -213,7 +213,7 @@ def test_criterion_8_discord_suite():
 
 
 def test_criterion_9_figure_data():
-    table = sweep_rows(
+    table = evaluate_grid(
         "corr_vs_seq",
         [4],
         [2, 3, 4],

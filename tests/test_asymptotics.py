@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from depolqfi.asymptotics import (
@@ -170,12 +169,8 @@ class TestCramerRao:
         assert cramer_rao_bound(4.0) == 0.25
         assert cramer_rao_bound(0.0) == math.inf
         assert cramer_rao_bound(math.inf) == 0.0
-        bounds = cramer_rao_bound(np.array([[4.0, 0.0], [math.inf, 0.5]]))
-        np.testing.assert_array_equal(bounds, [[0.25, math.inf], [0.0, 2.0]])
 
     def test_negative_rejected(self):
         for bad in (-1.0, math.nan):
             with pytest.raises(DomainError):
                 cramer_rao_bound(bad)
-            with pytest.raises(DomainError):
-                cramer_rao_bound(np.array([1.0, bad]))

@@ -16,7 +16,7 @@ from depolqfi import correlated
 from depolqfi.cli import PROTOCOLS, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
-from depolqfi.evaluate import evaluate_grid, sweep_rows
+from depolqfi.evaluate import evaluate_grid
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 from table_helpers import point, written
 
@@ -68,27 +68,27 @@ class TestEvaluatePoint:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_axes_give_their_outer_product(self, protocol):
         # an r axis of 2 and a lambda axis of 3: 6 points in (r, lambda) order
-        table = evaluate_grid(protocol, 3, 2, np.array([0.5, 0.6]),
+        table = evaluate_grid(protocol, [3], [2], np.array([0.5, 0.6]),
                               np.array([0.1, 0.2, 0.3]))
         assert len(table) == 11
         assert {len(column) for column in table.values()} == {6}
         assert table["r"] == [0.5, 0.5, 0.5, 0.6, 0.6, 0.6]
         assert table["lambda"] == [0.1, 0.2, 0.3] * 2
         # a number is a one-value axis, beside an array or another number
-        table = evaluate_grid(protocol, 3, 2, 0.5, np.array([0.1, 0.2]))
+        table = evaluate_grid(protocol, [3], [2], 0.5, np.array([0.1, 0.2]))
         assert (table["r"], table["lambda"]) == ([0.5, 0.5], [0.1, 0.2])
-        table = evaluate_grid(protocol, 3, 2, np.array([0.6, 0.5]), 0.1)
+        table = evaluate_grid(protocol, [3], [2], np.array([0.6, 0.5]), 0.1)
         assert (table["r"], table["lambda"]) == ([0.5, 0.6], [0.1, 0.1])
         # unsorted axes come back sorted; equal keys keep the axes' order:
         # the repeated 0.5, and -0.0 (axis position 3) after 0.0 (position 1)
-        table = evaluate_grid(protocol, 3, 2, np.array([0.6, 0.0, 0.5, -0.0, 0.5]),
+        table = evaluate_grid(protocol, [3], [2], np.array([0.6, 0.0, 0.5, -0.0, 0.5]),
                               np.array([0.3, 0.1]))
         assert table["r"] == [0.0] * 4 + [0.5] * 4 + [0.6] * 2
         assert [math.copysign(1.0, r) for r in table["r"][:4]] == [1.0, -1.0] * 2
         assert table["lambda"] == [0.1, 0.1, 0.3, 0.3] * 2 + [0.1, 0.3]
         # every row is the row of its own point
         assert written(table).splitlines()[1:] == [
-            written(evaluate_grid(protocol, 3, 2, r, lam)).splitlines()[1]
+            written(evaluate_grid(protocol, [3], [2], r, lam)).splitlines()[1]
             for r, lam in zip(table["r"], table["lambda"])
         ]
 
@@ -99,7 +99,7 @@ class TestCsvFormat:
             "protocol,n,m,r,lambda,qfi,qfi_per_channel,"
             "gain_vs_sqsc,gain_vs_seq,crb_variance_bound,method"
         )
-        header = written(evaluate_grid("sqsc", 1, 1, 0.5, 0.8)).splitlines()[0]
+        header = written(evaluate_grid("sqsc", [1], [1], 0.5, 0.8)).splitlines()[0]
         assert header == CSV_HEADER
 
     def test_columns_in_key_order(self):
@@ -118,7 +118,7 @@ class TestCsvFormat:
         ]
 
     def test_row_rendering(self):
-        text = written(evaluate_grid("sqsc", 1, 1, 0.5, 0.8)).splitlines()[1]
+        text = written(evaluate_grid("sqsc", [1], [1], 0.5, 0.8)).splitlines()[1]
         fields = text.split(",")
         assert fields[0] == "sqsc"
         assert fields[1] == "1" and fields[2] == "1"
@@ -126,7 +126,7 @@ class TestCsvFormat:
         assert fields[-1] == "closed_form"
 
     def test_inf_and_empty_tokens(self):
-        text = written(evaluate_grid("sqsc", 1, 1, 0.0, 0.8)).splitlines()[1]
+        text = written(evaluate_grid("sqsc", [1], [1], 0.0, 0.8)).splitlines()[1]
         fields = text.split(",")
         header = CSV_HEADER.split(",")
         assert fields[header.index("gain_vs_sqsc")] == ""
@@ -136,8 +136,8 @@ class TestCsvFormat:
     def test_dict_holds_the_csv_fields(self):
         # a correlated row, then a row with empty gains and an infinite bound
         parts = [
-            evaluate_grid("correlated", 3, 2, 0.5, 0.7),
-            evaluate_grid("sequential", 1, 3, 0.0, 0.5),
+            evaluate_grid("correlated", [3], [2], 0.5, 0.7),
+            evaluate_grid("sequential", [1], [3], 0.0, 0.5),
         ]
         table = {column: parts[0][column] + parts[1][column] for column in parts[0]}
         records = json.loads(written(table, "json"))
@@ -161,14 +161,14 @@ class TestSweep:
             (np.array([0.5, 0.2, 0.5]), np.array([0.3, 0.1, 0.3])),  # repeated
             (np.array([-0.0, 0.0]), np.array([0.5, 0.1])),  # equal keys, unequal bits
         ):
-            table = sweep_rows("correlated", [2, 3], [1, 2], r_grid, lam_grid)
+            table = evaluate_grid("correlated", [2, 3], [1, 2], r_grid, lam_grid)
             assert len(table["n"]) == 2 * 2 * r_grid.size * lam_grid.size
             keys = list(zip(table["n"], table["m"], table["r"], table["lambda"]))
             assert keys == sorted(keys)
             # each grid point's own line, stably sorted by (n, m, r, lambda)
             unsorted = [
                 ((n, m, r, lam),
-                 written(evaluate_grid("correlated", n, m, r, lam)).splitlines()[1])
+                 written(evaluate_grid("correlated", [n], [m], r, lam)).splitlines()[1])
                 for n, m in ((3, 2), (3, 1), (2, 2), (2, 1))
                 for r in r_grid
                 for lam in lam_grid
@@ -194,14 +194,14 @@ class TestSweep:
         monkeypatch.setattr(correlated, "_unscaled_coefficients", spy_coefficients)
         monkeypatch.setattr(correlated, "_transition", spy_transition)
         r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 4)
-        table = sweep_rows("correlated", [3, 4], [1, 2], r_grid, lam_grid)
+        table = evaluate_grid("correlated", [3, 4], [1, 2], r_grid, lam_grid)
         assert len(table["qfi"]) == 4 * 5 * 4
         assert seen == {"r": [sorted(r_grid)] * 4, "lam": [sorted(lam_grid)] * 4}
 
     def test_rows_sorted_after_protocol_overrides_n(self):
         # sequential rows all carry n = 1, so the two requested n values give
         # one set of rows, which the sort puts in ascending r
-        table = sweep_rows(
+        table = evaluate_grid(
             "sequential", [2, 1], [1], np.linspace(0.6, 0.5, 2), np.array([0.5])
         )
         assert list(zip(table["n"], table["r"])) == [(1, 0.5), (1, 0.6)]
@@ -213,28 +213,46 @@ class TestSweep:
         ns, ms = [3, 4], [1, 3]
         r_grid = np.array([0.0, 0.4, 1.0])
         lam_grid = np.array([0.0, 0.5, 1.0 if limit else 0.9])
-        table = sweep_rows(protocol, ns, ms, r_grid, lam_grid, include_limit=limit)
+        table = evaluate_grid(protocol, ns, ms, r_grid, lam_grid, include_limit=limit)
         # a sweep evaluates each (n, m) that its rows carry once
         points = {}
         for n in ns:
             for m in ms:
                 for r in r_grid:
                     for lam in lam_grid:
-                        one = evaluate_grid(protocol, n, m, r, lam, include_limit=limit)
+                        one = evaluate_grid(protocol, [n], [m], r, lam, limit)
                         key = tuple(one[c][0] for c in ("n", "m", "r", "lambda"))
                         points[key] = written(one).splitlines()[1]
         assert written(table).splitlines()[1:] == [points[k] for k in sorted(points)]
         if not limit:
             with pytest.raises(DomainError):
-                sweep_rows(protocol, ns, ms, r_grid, np.array([1.0]), True)
+                evaluate_grid(protocol, ns, ms, r_grid, np.array([1.0]), True)
             with pytest.raises(DomainError):
-                evaluate_grid(protocol, 3, 1, 0.4, 1.0, include_limit=True)
+                evaluate_grid(protocol, [3], [1], 0.4, 1.0, include_limit=True)
 
     def test_single_point_sweep_equals_eval(self):
-        table = sweep_rows(
+        table = evaluate_grid(
             "sequential", [1], [3], np.array([0.5]), np.array([0.8])
         )
-        assert written(table) == written(evaluate_grid("sequential", 1, 3, 0.5, 0.8))
+        one = evaluate_grid("sequential", [1], [3], 0.5, 0.8)
+        assert written(table) == written(one)
+
+    @pytest.mark.parametrize("args, include_limit, message", [
+        # the counts before the closed form's domain checks
+        (("sqsc", [0], [1], 2.0, 0.5), False, "n must be an integer >= 1, got 0"),
+        # the correlated lambda check is closed with include_limit; the
+        # single-qubit forms ignore include_limit and keep lambda < 1
+        (("correlated", [3], [2], 0.5, -0.5), True, "lambda must lie in [0, 1], got -0.5"),
+        (("sqsc", [1], [1], 0.5, 1.0), True, "lambda must lie in [0, 1), got 1.0"),
+        # r and lambda before m <= n
+        (("correlated", [2], [3], 1.5, 0.5), False, "r must lie in [0, 1], got 1.5"),
+        # the protocol name before everything
+        (("nope", [0], [1], 0.5, 0.5), False, "unknown protocol 'nope'"),
+    ])
+    def test_first_fault_is_reported(self, args, include_limit, message):
+        with pytest.raises(DomainError) as raised:
+            evaluate_grid(*args, include_limit=include_limit)
+        assert str(raised.value) == message
 
 
 # one command of each kind that writes to stdout
@@ -443,7 +461,7 @@ class TestMain:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setattr("depolqfi.evaluate.sweep_rows", exhausted)
+        monkeypatch.setattr("depolqfi.evaluate.evaluate_grid", exhausted)
         code = main(["sweep", "--protocol", "correlated", "--n", "4", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 4

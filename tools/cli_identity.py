@@ -79,6 +79,8 @@ CASES: list[list[str]] = [
     # a repeated nonzero r against several lambda, and a one-value lambda grid
     ["sweep", "--protocol", "correlated", "--n", "4,3", "--m", "2",
      "--r-grid", "0.5:0.5:2", "--lambda-grid", "0.7:0.1:3"],
+    ["sweep", "--protocol", "corr_vs_seq", "--n", "4,3", "--m", "1,3",
+     "--r-grid", "0.5:0.5:2", "--lambda-grid", "0.7:0.1:3", "--format", "json"],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "12", "--m", "1,6,12",
      "--r-grid", "0.05:0.95:19", "--lambda-grid", "0.65:0.65:1", "--format", "json"],
     # the largest advertised n
@@ -119,6 +121,12 @@ CASES: list[list[str]] = [
     ["verify", "--n", "10", "--m", "5", "--r", "0.35", "--lambda", "0.65"],
     # error exits
     ["eval", "--protocol", "sqsc", "--r", "1.5", "--lambda", "0.5"],
+    # inputs with several faults: the first check's message wins
+    ["eval", "--protocol", "sqsc", "--n", "0", "--m", "1", "--r", "2.0",
+     "--lambda", "0.5"],
+    ["eval", "--protocol", "correlated", "--n", "3", "--m", "2", "--r", "0.5",
+     "--lambda=-0.5", "--include-limit"],
+    ["eval", "--protocol", "sqsc", "--r", "0.5", "--lambda", "1.0", "--include-limit"],
     ["eval", "--protocol", "correlated", "--n", "2", "--m", "3", *_POINT],
     ["eval", "--protocol", "correlated", "--n", "2", "--m", "1", "--r", "0.5",
      "--lambda", "1"],
