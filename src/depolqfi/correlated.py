@@ -2,24 +2,24 @@
 
 n qubits are prepared jointly (pairwise controlled-Z gates, then Hadamards)
 from identical polarization-r inputs; the channel then acts once on each of
-the m least significant qubits. The resulting density matrix splits into
-2x2 blocks on span{|x>, |N-x>} with N = 2^n - 1, which makes the QFI a
-finite combinatorial sum.
+the m least significant qubits. The final state splits into 2x2 blocks on
+span{|x>, |N-x>} (N = 2^n - 1) with eigenvalues p_pm = d +/- lambda^m c, set
+by the zero counts u of x's n-m spectator bits and v of its m channel bits.
 
-A block depends on x only through the zero counts u (spectator bits) and
-v (channel bits). The m channel uses act on v as one (m+1)x(m+1) stochastic
-matrix T(lambda), so every block diagonal is an entry of H T^T with
-H[u, v'] = d_{u+v'}; _blocks evaluates all of them at once, for r and
-lambda that broadcast, such as a column of r against a row of lambda.
-
-A block's eigenvalues are p_pm = d +/- lambda^m c. The mirror (u, v) ->
-(n-m-u, m-v), the profile of N-x, swaps P_+ and P_- and leaves d and T
-alone, so it sends p_+ to p_-, and p_- needs no evaluation of its own: the
-QFI is 2^-(n+1) sum_(u,v) C(n-m, u) C(m, v) pdot_+^2 / p_+, one branch over
-every profile. p_+ is a sum of nonnegative terms, accurate as r and lambda
-approach 1. The QFI is inf only where p_+ is exactly 0 and its slope is not,
-as at r = lambda = 1. For lambda < 1 it is 0 only at r = 1, on the blocks
-that no bit flip links to j = 0 or n, and so is its slope.
+The prepared diagonal is P_+ + P_-: P_+ weighs each zero bit by a = 1+r and
+each one bit by b = 1-r, P_- the reverse. A channel use flips its bit with
+probability (1-lambda)/2, which maps (a, b) to (A, B) = (1 + lambda r,
+(1-r) + (1-lambda) r). With alpha_u = a^u b^(n-m-u) and alpha'_u =
+b^u a^(n-m-u), p_+ = alpha_u X_v + alpha'_u Y_v, X_v = A^v B^(m-v) +
+lambda^m a^v b^(m-v) and Y_v = B^v A^(m-v) - lambda^m b^v a^(m-v) =
+-B^v A^(m-v) expm1(v ln(lambda b/B) + (m-v) ln(lambda a/A)): no term is
+negative, so p_+ keeps its relative accuracy as r, lambda -> 1. Its slope
+takes the slopes of X_v and Y_v; where their terms cancel by more than
+CANCELLATION it is r/(AB) [k delta - m lambda r d] + m lambda^(m-1) c,
+k = 2v - m, with delta = alpha_u A^v B^(m-v) - alpha'_u B^v A^(m-v) and
+c = P_+ - P_- each their larger term times -expm1(-|s|), s the log ratio of
+their terms. The mirror (u, v) -> (n-m-u, m-v), the profile of N-x, sends
+p_+ to p_-: the QFI is 2^-(n+1) sum_(u,v) C(n-m, u) C(m, v) pdot_+^2 / p_+.
 """
 
 from __future__ import annotations
@@ -27,89 +27,81 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
+CHUNK_ELEMENTS = 2**14  # per work array (128 kB): a grid runs in chunks of rows
+CANCELLATION = 64.0  # slope terms that sum to more than this times the slope
 
 
-def _unscaled_coefficients(n: int, r) -> tuple[np.ndarray, np.ndarray]:
-    """P+_j = (1+r)^j (1-r)^(n-j) and P-_j = P+_(n-j), indexed by the zero
-    count j of the n-bit string along a last axis appended to the shape of r.
-    2^(n+1) times the prepared state's diagonal is d_j = P+_j + P-_j, and its
-    counter-diagonal c_j = P+_j - P-_j."""
-    r = np.asarray(r, dtype=float)[..., np.newaxis]
-    j = np.arange(n + 1)
-    plus = (1.0 + r) ** j * (1.0 - r) ** (n - j)
-    return plus, plus[..., ::-1]
+def _powers(k: int, hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """hi^i lo^(k-i) and lo^i hi^(k-i) over i = 0..k, along a last axis
+    appended to the broadcast shape of hi and lo."""
+    i = np.arange(k + 1)
+    first = hi[..., np.newaxis] ** i * lo[..., np.newaxis] ** (k - i)
+    return first, first[..., ::-1]
 
 
-def _transition(m: int, lam) -> tuple[np.ndarray, np.ndarray]:
-    """T(lambda) without its no-flip part p^m I, and dT/dlambda in full,
-    acting on the zero count v of the m channel bits: a pair of arrays of
-    shape lam.shape + (m+1, m+1).
+def _blocks(n: int, m: int, r, lam, out) -> tuple[np.ndarray, np.ndarray]:
+    """p_+ and its lambda-slope pdot_+ of every profile, indexed [..., u, v]
+    over the broadcast shape of r and lam, without the state's scale
+    2^-(n+1), in out, a stack of three float arrays of that shape. p_- and
+    its slope are these at the mirror, [..., ::-1, ::-1]."""
+    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+    a, b, lam_r = 1.0 + r, 1.0 - r, lam * r
+    big, small = 1.0 + lam_r, b + (1.0 - lam) * r  # A and B
+    alpha, (pa, pb) = _powers(n - m, a, b), _powers(m, a, b)
+    f, g = _powers(m, big, small)
+    lam_m, lam_m1 = (lam[..., np.newaxis] ** e for e in (m, m - 1))
+    v, (slope, size, work) = np.arange(m + 1), out
 
-    T[v, v'] sums the bit-flip terms C(v, l) C(m-v, f) q^k p^(m-k), where l
-    of the v zeros and f of the m-v ones flip (k = l + f, v' = v - l + f).
-    (k, v, v') fixes l and f, so T = w @ flips and dT/dlambda = w' @ flips,
-    with w_k = q^k p^(m-k) and the lambda-free table
-    flips[k, v, v'] = C(v, l) C(m-v, f). All terms are positive, so T
-    carries no cancellation.
-    """
-    ks = np.arange(m + 1)
-    v, el, f = ks[:, np.newaxis, np.newaxis], ks[:, np.newaxis], ks
-    v, el, f = np.nonzero((el <= v) & (f <= m - v))  # the triples that occur
-    binom = np.array(
-        [[math.comb(a, b) for b in range(m + 1)] for a in range(m + 1)], dtype=float
-    )
-    flips = np.zeros((m + 1,) * 3)
-    flips[el + f, v, v - el + f] = binom[v, el] * binom[m - v, f]
-    flips = flips.reshape(m + 1, -1)
-    lam = np.asarray(lam, dtype=float)[..., np.newaxis]
-    p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    q_pow, p_pow = q**ks, p ** (m - ks)  # q^k and p^(m-k)
-    weight = (ks > 0) * q_pow * p_pow  # the flip terms of T only
-    # d/dlambda of q^k p^(m-k), with dp/dlambda = 1/2 and dq/dlambda = -1/2;
-    # an exponent is clipped at 0 only where its factor m-k or k is 0
-    d_weight = 0.5 * (
-        (m - ks) * q_pow * p ** np.maximum(m - ks - 1, 0)
-        - ks * q ** np.maximum(ks - 1, 0) * p_pow
-    )
-    weights = np.stack([weight, d_weight])
-    # one 2-D product whatever lam's shape: a batched matmul of single rows
-    # takes another kernel, which rounds differently
-    flat = weights.reshape(-1, m + 1) @ flips
-    t, d_t = flat.reshape(weights.shape[:-1] + (m + 1, m + 1))
-    return t, d_t
-
-
-def _blocks(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """The block eigenvalue p_+ = d + lambda^m c and its lambda-slope
-    pdot_+ = d_dot + m lambda^(m-1) c of every zero-count profile, indexed
-    [..., u, v]: the broadcast shape of r and lam, u in 0..n-m and v in
-    0..m; without the state's scale 2^-(n+1). With j = u + v,
-    p_+ = T_(k>=1) d + (p^m + lambda^m) P_+ + (p^m - lambda^m) P_-, where
-    p^m - lambda^m = q sum_i p^i lambda^(m-1-i): no term is negative.
-    p_- and its slope are these at the mirror (n-m-u, m-v): [..., ::-1, ::-1]."""
-    n, m = params.n, params.m
-    if n > MAX_CLOSED_FORM_N:
-        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
-    # [..., u, v'] = P[..., u + v'], so [..., u, v] is P_j
-    plus, minus = (
-        sliding_window_view(a, m + 1, axis=-1)
-        for a in _unscaled_coefficients(n, params.r)
-    )
-    d = plus + minus
-    flips, slope = (d @ np.swapaxes(t, -1, -2) for t in _transition(m, params.lam))
-    lam = np.asarray(params.lam, dtype=float)[..., np.newaxis, np.newaxis]
-    p, i = (1.0 + lam) / 2.0, np.arange(m)
-    gap = (1.0 - lam) / 2.0 * np.sum(
-        p[..., np.newaxis] ** i * lam[..., np.newaxis] ** (m - 1 - i), axis=-1
-    )
-    eig = flips + (p**m + lam**m) * plus + gap * minus
-    return eig, slope + m * lam ** (m - 1) * (plus - minus)
+    def log_ratio(weight, image):
+        # ln(lambda weight / image), 0 at lambda = 1; log 0 is clamped to
+        # -1e3, below the log of any double, so that 0 times it is 0
+        gap = np.where(lam < 1.0, (1.0 - lam) / image, 0.0)
+        ratio = np.where(gap < 0.5, np.log1p(-gap), np.log(lam * weight / image))
+        return np.maximum(ratio, -1e3)[..., np.newaxis]
+    def combine(x, y, result, scratch):  # alpha_u x_v + alpha'_u y_v
+        np.multiply(alpha[0][..., np.newaxis], x[..., np.newaxis, :], out=result)
+        np.multiply(alpha[1][..., np.newaxis], y[..., np.newaxis, :], out=scratch)
+        return np.add(result, scratch, out=result)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expm1 = np.expm1(v * log_ratio(b, small) + (m - v) * log_ratio(a, big))
+        r_, lam_r_, big_, small_ = (x[..., np.newaxis] for x in (r, lam_r, big, small))
+        rate, k = r_ / (big_ * small_), 2 * v - m
+        f_dot = f * (rate * (k - m * lam_r_))
+        g_dot = g * (rate * (-k - m * lam_r_)) * -expm1
+        tilt = m * lam_m1 * pa  # the slopes of the lambda^m terms of X_v and Y_v
+        untilt = -lam_m1 * pb * (m + lam_r_ * (v / small_ - (m - v) / big_))
+        combine(f_dot + tilt, g_dot + untilt, slope, work)
+        combine(np.abs(f_dot) + tilt, np.abs(g_dot) - untilt, size, work)
+        np.abs(slope, out=work)
+        work *= CANCELLATION
+        redo = np.nonzero(work < size)
+        eig = combine(f + lam_m * pa, g * -expm1, work, size)
+        if not redo[0].size:
+            return eig, slope
+        # the slope again where its terms cancel, from each factor there
+        point, u, v = redo[:-2], redo[-2], redo[-1]
+        def at(x, *profile):  # x at those entries; an array, as in a grid
+            lead = point[len(point) - x.ndim + len(profile) :]
+            return x[tuple(i * (j > 1) for j, i in zip(x.shape, lead)) + profile]
+        r, lam, plus, minus = at(r), at(lam), at(alpha[0], u), at(alpha[1], u)
+        f, g, pa, pb = (at(x, v) for x in (f, g, pa, pb))
+        big, small = 1.0 + lam * r, (1.0 - r) + (1.0 - lam) * r
+        log_r, k, j = np.log1p(2.0 * r / (1.0 - r)), 2 * v - m, 2 * u + m - n
+        # the log ratio of each pair's terms, where 0 times ln(a/b) = inf is 0
+        s, s_c = (np.where(i == 0, 0.0, i * log_r) for i in (j, j + k))
+        s += k * np.log1p(2.0 * lam * r / small)
+        delta, c = (
+            np.sign(x) * np.maximum(y, z) * -np.expm1(-np.abs(x))
+            for x, y, z in ((s, plus * f, minus * g), (s_c, plus * pa, minus * pb))
+        )
+        d = r / (big * small) * (k * delta - m * lam * r * (plus * f + minus * g))
+        slope[redo] = d + m * lam ** (m - 1) * c
+    return eig, slope
 
 
 def final_x_entries(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +111,8 @@ def final_x_entries(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     rho[x, N-x] = i lambda^m c_x if the top bit of x is 0 and
     -i lambda^m c_x if it is 1. Every other entry is 0."""
     n, m = params.n, params.m
-    eig = 0.5 ** (n + 2) * _blocks(params)[0]
+    work = np.empty((3, n - m + 1, m + 1))
+    eig = 0.5 ** (n + 2) * _blocks(n, m, params.r, params.lam, work)[0]
     mirror = eig[::-1, ::-1]  # p_-, at the profile of N-x
     # x and N-x add the same two floats, so d_x = d_(N-x) to the bit
     diag, counter = eig + mirror, eig - mirror
@@ -145,24 +138,30 @@ def correlated_qfi(params: ProtocolParams):
     """Total QFI of the correlated-state protocol (closed form): a float, or
     an array over the broadcast shape when params carry arrays of r and
     lambda. It is exactly 0 wherever r = 0, and at m = n >= 2 where
-    lambda = 0."""
+    lambda = 0; inf at r = lambda = 1."""
     n, m = params.n, params.m
-    # p_+ once per x: the mirrors N-x supply each block's p_-
-    h = block_qfi(*_blocks(params))
-    weight = np.outer(_comb_row(n - m), _comb_row(m))
-    total = 0.5 ** (n + 1) * np.sum(weight * h, axis=(-2, -1))
-    # r = 0 prepares I/2^n, which every lambda leaves alone: the QFI is exactly
-    # 0 there, where the sum above leaves round-off of about 1e-32
-    zero = np.asarray(params.r) == 0.0
-    if 2 <= m == n:
-        # at lambda = 0 with every qubit hit, d rho is the sum of each prepared
-        # one-qubit marginal minus I/2 (times I/2^(n-1)); for n >= 2 each
-        # marginal is I/2, so d rho = 0 and the QFI is exactly 0
-        zero = zero | (np.asarray(params.lam) == 0.0)
-    total = np.where(zero, 0.0, total)
-    return float(total) if total.ndim == 0 else total
-
-
-def _comb_row(k: int) -> np.ndarray:
-    """C(k, 0..k) as floats."""
-    return np.array([math.comb(k, i) for i in range(k + 1)], dtype=float)
+    if n > MAX_CLOSED_FORM_N:
+        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
+    shape = np.broadcast_shapes(np.shape(params.r), np.shape(params.lam))
+    # a number runs as a one-entry axis, through the same ufunc loops as an
+    # array, so that both get the same value to the bit
+    r, lam = np.atleast_1d(params.r, params.lam)
+    full, profiles = np.broadcast_shapes(r.shape, lam.shape), (n - m + 1, m + 1)
+    rows = max(1, CHUNK_ELEMENTS // max(1, math.prod(full[1:] + profiles)))
+    work = np.empty((3, min(rows, full[0])) + full[1:] + profiles)
+    weight = np.outer(*([math.comb(j, i) for i in range(j + 1)] for j in (n - m, m)))
+    total = np.empty(full)
+    for start in range(0, full[0], rows):
+        # the chunk's rows of r and lambda, or all of one that broadcasts
+        r_rows, lam_rows = (
+            x if x.ndim < len(full) or len(x) == 1 else x[start : start + rows]
+            for x in (r, lam)
+        )
+        eig, slope = _blocks(n, m, r_rows, lam_rows, work[:, : full[0] - start])
+        h = (block_qfi(eig, slope) * weight).reshape(eig.shape[:-2] + (weight.size,))
+        # one contiguous row per point, so each point sums the same way
+        total[start : start + rows] = np.sum(h, axis=-1)
+    total = 0.5 ** (n + 1) * total
+    # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
+    total[(r == 1.0) & (lam == 1.0)] = math.inf
+    return float(total[0]) if not shape else total.reshape(shape)

@@ -177,26 +177,31 @@ class TestSweep:
             assert written(table).splitlines()[1:] == [line for _, line in unsorted]
 
     def test_closed_form_runs_on_the_axes(self, monkeypatch):
-        # the r-only and lambda-only parts of the correlated form see the R
-        # values of the r axis and the L values of the lambda axis, not the
-        # R x L points of their product
-        seen = {"r": [], "lam": []}
-        coefficients, transition = correlated._unscaled_coefficients, correlated._transition
+        # the correlated form gets the R values of the r axis and the L
+        # values of the lambda axis, not the R x L points of their product;
+        # its r-only factors, the bit weights (1+r)^i (1-r)^(k-i) of the
+        # spectator and channel bits, see the R values, and only the
+        # channel's image of them, which mixes r and lambda, sees the points
+        seen = {"r": [], "lam": [], "weights": []}
+        blocks, powers = correlated._blocks, correlated._powers
 
-        def spy_coefficients(n, r):
+        def spy_blocks(n, m, r, lam, out):
             seen["r"].append(sorted(np.ravel(r)))
-            return coefficients(n, r)
-
-        def spy_transition(m, lam):
             seen["lam"].append(sorted(np.ravel(lam)))
-            return transition(m, lam)
+            return blocks(n, m, r, lam, out)
 
-        monkeypatch.setattr(correlated, "_unscaled_coefficients", spy_coefficients)
-        monkeypatch.setattr(correlated, "_transition", spy_transition)
+        def spy_powers(k, hi, lo):
+            seen["weights"].append(np.size(hi))
+            return powers(k, hi, lo)
+
+        monkeypatch.setattr(correlated, "_blocks", spy_blocks)
+        monkeypatch.setattr(correlated, "_powers", spy_powers)
         r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 4)
         table = evaluate_grid("correlated", [3, 4], [1, 2], r_grid, lam_grid)
         assert len(table["qfi"]) == 4 * 5 * 4
-        assert seen == {"r": [sorted(r_grid)] * 4, "lam": [sorted(lam_grid)] * 4}
+        assert seen["r"] == [sorted(r_grid)] * 4
+        assert seen["lam"] == [sorted(lam_grid)] * 4
+        assert seen["weights"] == [5, 5, 5 * 4] * 4
 
     def test_rows_sorted_after_protocol_overrides_n(self):
         # sequential rows all carry n = 1, so the two requested n values give

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from depolqfi.correlated import (
+    CHUNK_ELEMENTS,
     MAX_CLOSED_FORM_N,
     _blocks,
-    _transition,
-    _unscaled_coefficients,
+    _powers,
     block_qfi,
     correlated_qfi,
 )
@@ -35,7 +35,8 @@ def scaled_blocks(p):
     [branch, u, v], with the state's scale 2^-(n+1) applied: p_- is p_+ at
     the mirrored profile (n-m-u, m-v)."""
     return tuple(
-        0.5 ** (p.n + 1) * np.stack([a, a[::-1, ::-1]]) for a in _blocks(p)
+        0.5 ** (p.n + 1) * np.stack([a, a[::-1, ::-1]])
+        for a in _blocks(p.n, p.m, p.r, p.lam, np.empty((3, p.n - p.m + 1, p.m + 1)))
     )
 
 
@@ -48,8 +49,10 @@ def diagonal(p):
 
 def coefficients(n, r):
     """The prepared state's (d_j, c_j), indexed by the zero count j: d is
-    P_+ + P_- and c is P_+ - P_-."""
-    plus, minus = _unscaled_coefficients(n, r)
+    P_+ + P_- and c is P_+ - P_-, with P_+ = (1+r)^j (1-r)^(n-j) the
+    product weights that _powers gives."""
+    r = np.asarray(r, dtype=float)
+    plus, minus = _powers(n, 1.0 + r, 1.0 - r)
     return 0.5 ** (n + 1) * (plus + minus), 0.5 ** (n + 1) * (plus - minus)
 
 
@@ -105,7 +108,8 @@ class TestPrepCoefficients:
 
     def test_branch_coefficients(self):
         # P_+ = (1+r)^j (1-r)^(n-j) and P_- is P_+ reversed, on any shape of r
-        plus, minus = _unscaled_coefficients(2, np.array([[0.5], [1.0]]))
+        r = np.array([[0.5], [1.0]])
+        plus, minus = _powers(2, 1.0 + r, 1.0 - r)
         assert plus.shape == minus.shape == (2, 1, 3)
         np.testing.assert_array_equal(plus[:, 0], [[0.25, 0.75, 2.25], [0, 0, 4]])
         np.testing.assert_array_equal(minus, plus[..., ::-1])
@@ -169,10 +173,27 @@ class TestTransition:
     @pytest.mark.parametrize("m", [1, 2, 5, 14])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_equals_the_triple_sum(self, m, lam):
-        # at lambda = 0 and 1/2 every weight and partial sum is a float64
-        # exactly, so T and dT/dlambda must match the fractions to the bit
-        expected = transition_sums(m, lam).astype(float)
-        np.testing.assert_array_equal(_transition(m, lam), expected)
+        # the product form's channel step: the bit-flip triple sum carries
+        # the channel bits' weights a^v b^(m-v) (a, b = 1 +/- r) to
+        # A^v B^(m-v) (A, B = 1 +/- lambda r), and its lambda-slope to the
+        # slope of that, exactly; _powers forms those products
+        r, lam_ = Fraction(3, 8), Fraction(lam)
+        t, d_t = transition_sums(m, lam)
+        t = t + np.diag([((1 + lam_) / 2) ** m] * (m + 1))  # the no-flip term
+        v = range(m + 1)
+        weights = np.array([(1 + r) ** i * (1 - r) ** (m - i) for i in v])
+        big, small = 1 + lam_ * r, 1 - lam_ * r
+        image = [big**i * small ** (m - i) for i in v]
+        image_dot = [
+            r * (i * big ** (i - 1) * small ** (m - i) if i else 0)
+            - r * ((m - i) * big**i * small ** (m - i - 1) if i < m else 0)
+            for i in v
+        ]
+        assert list(t @ weights) == image
+        assert list(d_t @ weights) == image_dot
+        floats = _powers(m, np.array(float(big)), np.array(float(small)))
+        np.testing.assert_allclose(floats[0], np.array(image, dtype=float), rtol=1e-15)
+        np.testing.assert_array_equal(floats[1], floats[0][::-1])
 
 
 class TestPreparedState:
@@ -550,24 +571,83 @@ def _exact_qfi(n, m, r, lam):
     return _bit_flip_sum(n, m, Fraction(r), Fraction(lam))
 
 
+def _exact_product_qfi(n, m, r, lam, bits=None):
+    """The QFI from the product form in integers, a second derivation that
+    shares no channel sum with _bit_flip_sum. With r = R/D and lambda =
+    L/E, the bit weights D(1 +/- r) and DE(1 +/- lambda r) are integers, so
+    each block's p_+ is an integer over D^n E^m and its slope one over
+    D^n E^(m-1). Returns the exact QFI as a Fraction (math.inf at a rank
+    drop); with bits, a float summed from block terms each cut to bits bits
+    below the largest, so within (n+1)^2 2^(1-bits) of it, relative."""
+    R, D = Fraction(r).as_integer_ratio()
+    L, E = Fraction(lam).as_integer_ratio()
+    a, b = D + R, D - R
+    big, small = D * E + L * R, D * E - L * R
+    x, y, x_dot, y_dot = [], [], [], []
+    for v in range(m + 1):
+        pa, pb = a**v * b ** (m - v), b**v * a ** (m - v)
+        f, g = big**v * small ** (m - v), small**v * big ** (m - v)
+        x.append(f + L**m * pa)
+        y.append(g - L**m * pb)
+        # the slopes of f and g, through d(1 +/- lambda r)/dlambda = +/- r
+        up = v and v * big ** (v - 1) * small ** (m - v)
+        down = (m - v) and (m - v) * big**v * small ** (m - v - 1)
+        x_dot.append(R * (up - down) + m * L ** (m - 1) * pa)
+        up = (m - v) and (m - v) * small**v * big ** (m - v - 1)
+        down = v and v * small ** (v - 1) * big ** (m - v)
+        y_dot.append(R * (up - down) - m * L ** (m - 1) * pb)
+    terms = []
+    for u in range(n - m + 1):
+        plus, minus = a**u * b ** (n - m - u), b**u * a ** (n - m - u)
+        for v in range(m + 1):
+            eig = plus * x[v] + minus * y[v]
+            slope = plus * x_dot[v] + minus * y_dot[v]
+            if slope and not eig:
+                return math.inf
+            if slope:
+                terms.append((math.comb(n - m, u) * math.comb(m, v) * slope**2, eig))
+    # each term over eig is pdot^2/p times D^n E^(m-2)
+    scale = Fraction(E * E, E**m * D**n * 2 ** (n + 1))
+    if bits is None:
+        return sum((Fraction(t, eig) for t, eig in terms), Fraction(0)) * scale
+    if not terms:
+        return 0.0
+    shift = bits - max(t.bit_length() - eig.bit_length() for t, eig in terms)
+    total = sum((t << max(shift, 0)) // (eig << max(-shift, 0)) for t, eig in terms)
+    return float(total * Fraction(2) ** -shift * scale)
+
+
 class TestMemory:
     @pytest.mark.parametrize(
         "n, m, size", [(60, 30, 16), (60, 60, 64), (20, 10, 16)]
     )
     def test_peak_is_a_few_grid_arrays(self, n, m, size):
         # one unit is a float64 array over the (r, lambda) grid and the
-        # (u, v) profiles; the grid is large enough that T(lambda) is not
-        # the peak at m = n = 60
+        # (u, v) profiles; a grid of more than CHUNK_ELEMENTS such entries
+        # runs in chunks of rows and peaks below this
         r = np.linspace(0.01, 0.99, size)[:, np.newaxis]
         lam = np.linspace(0.0, 0.95, size)[np.newaxis, :]
         peak = traced_peak(params(n, m, r, lam))
         assert peak <= 6 * 8 * size * size * (n - m + 1) * (m + 1)
 
-    def test_one_point_peak_is_about_two_tables(self):
-        # at one point the bit-flip table of T(lambda), (m+1)^3 float64, is
-        # the peak: the table and the (v, l, f) triples that fill it, with
-        # no full (m+1)^3 index cube beside them
-        assert traced_peak(params(60, 60, 0.5, 0.5)) <= 2.5 * 8 * 61**3
+    @pytest.mark.parametrize("n, m", [(60, 30), (60, 60), (20, 10)])
+    def test_peak_does_not_grow_with_the_grid(self, n, m):
+        # two and eight chunks of r rows against 16 lambda hold the same
+        # work arrays at once
+        lam = np.linspace(0.0, 0.95, 16)
+        rows = max(1, CHUNK_ELEMENTS // (16 * (n - m + 1) * (m + 1)))
+        peaks = [
+            traced_peak(params(n, m, np.linspace(0.01, 0.99, count)[:, np.newaxis], lam))
+            for count in (2 * rows, 8 * rows)
+        ]
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_one_point_peak_is_a_few_profile_arrays(self):
+        # at one point every array is over the (u, v) profiles or smaller,
+        # with no (m+1)^3 table: a few of them, besides a fixed 16 kB
+        for n, m in [(60, 30), (60, 60)]:
+            profile_array = 8 * (n - m + 1) * (m + 1)
+            assert traced_peak(params(n, m, 0.5, 0.5)) <= 10 * profile_array + 2**14
 
 
 def traced_peak(p):
@@ -603,11 +683,12 @@ class TestHighPrecisionReference:
         assert value == pytest.approx(float(_exact_qfi(n, m, r, lam)), rel=1e-12)
 
     def test_exact_value_at_tiny_r_and_lambda(self):
-        # recorded for the closed form's small-r, small-lambda slopes, which
-        # lose it to cancellation (4.8e-34 where this is 6.0e-36), so the
-        # closed form is not compared here
+        # the slope's four terms cancel from O(1) down to this; formed
+        # without them, the closed form keeps it
         exact = _exact_qfi(5, 3, 1e-9, 1e-9)
         assert float(exact) == pytest.approx(6.0000000000000017e-36, rel=1e-15)
+        value = correlated_qfi(params(5, 3, 1e-9, 1e-9))
+        assert value == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, m, r, lam, expected",
@@ -655,6 +736,165 @@ class TestHighPrecisionReference:
             value = correlated_qfi(params(n, m, r, lam))
             reference = _double_sum_qfi(n, m, r, lam)
             assert value == pytest.approx(reference, rel=1e-14), (n, m, r, lam)
+
+
+def _kappa(n, m, r, lam):
+    """|d ln H / d ln r| + |d ln H / d ln lambda|, by central differences of
+    the product-form reference. Where r or lambda exceeds 1/2, its exact
+    complement 1 - r or 1 - lambda takes its place; a 0 there adds nothing.
+    A step that rounds away (1 - lambda = 2^-52) is widened."""
+    total = 0.0
+    for i, x in enumerate((r, lam)):
+        near_one = x > 0.5
+        gap = 1.0 - x if near_one else x
+        for step in (1e-6, 1e-3, 0.5):
+            if gap == 0.0:
+                break
+            ends = []
+            for sign in (1.0, -1.0):
+                point = [r, lam]
+                point[i] = gap * (1.0 + sign * step)
+                if near_one:
+                    point[i] = 1.0 - point[i]
+                moved = 1.0 - point[i] if near_one else point[i]  # the float that ran
+                h = _exact_product_qfi(n, m, *point, bits=200)
+                ends.append((math.log(h), math.log(moved)))
+            (h_hi, x_hi), (h_lo, x_lo) = ends
+            if x_hi != x_lo:
+                total += abs((h_hi - h_lo) / (x_hi - x_lo))
+                break
+    return total
+
+
+def assert_meets_kappa_bar(n, m, r, lam):
+    """The closed form against the product-form reference: exactly 0 or inf
+    where the QFI is; elsewhere within 1e-12 relative where the condition
+    number kappa is at most 1e3, and within 100 eps kappa beyond."""
+    reference = _exact_product_qfi(n, m, r, lam, bits=200)
+    value = correlated_qfi(params(n, m, r, lam))
+    if reference in (0.0, math.inf):
+        assert value == reference, (n, m, r, lam, value)
+        return
+    kappa = _kappa(n, m, r, lam)
+    error = abs(value - reference) / reference
+    bar = 1e-12 if kappa <= 1e3 else 100 * np.finfo(float).eps * kappa
+    print(f"({n}, {m}, {r!r}, {lam!r}): rel err {error:.1e}, kappa {kappa:.1e}")
+    assert error <= bar, (n, m, r, lam, error, kappa)
+
+
+def _uniform(low, high):
+    return lambda rng: rng.uniform(low, high)
+
+
+def _power(low, high):
+    return lambda rng: 10.0 ** rng.uniform(low, high)
+
+
+def _below_one(low, high):
+    return lambda rng: 1.0 - 10.0 ** rng.uniform(low, high)
+
+
+MID, SMALL, NEAR_ONE = _uniform(0.01, 0.99), _power(-9.0, -2.0), _below_one(-9.0, -2.0)
+
+
+def _switch_band(rng):
+    r = rng.uniform(0.7, 1.0)
+    return r, rng.uniform(0.3, 0.7) / r
+
+
+# (r, lambda) draws of the seeded edge bands: where cancellation or a tiny
+# eigenvalue threatens, and around lambda r = 1/2
+EDGE_BANDS = {
+    "both mid": lambda rng: (MID(rng), MID(rng)),
+    "small r": lambda rng: (
+        _power(-9.0, -3.0)(rng), (MID, SMALL, NEAR_ONE)[rng.integers(3)](rng)
+    ),
+    "small lambda": lambda rng: (MID(rng), SMALL(rng)),
+    "r near 1, small lambda": lambda rng: (NEAR_ONE(rng), SMALL(rng)),
+    "r near 1": lambda rng: (NEAR_ONE(rng), MID(rng)),
+    "lambda near 1": lambda rng: (MID(rng), NEAR_ONE(rng)),
+    "both near 1": lambda rng: (NEAR_ONE(rng), NEAR_ONE(rng)),
+    "lambda r near 1/2": _switch_band,
+}
+
+# the corners of the domain: m = n, and a few m < n, at its edges in r and
+# lambda, with exact values 0 at r = 0 and at m = n >= 2, lambda = 0
+CORNERS = [
+    (n, m, r, lam)
+    for n, m in [(1, 1), (2, 2), (5, 5), (12, 12), (40, 40), (2, 1), (3, 2), (6, 3),
+                 (12, 1), (30, 29)]
+    for r, lam in [(1.0, 0.0), (1.0, 0.5), (0.5, 0.0), (1e-9, 0.0), (1.0, 1e-9)]
+]
+
+# points where a closed form formed with cancelling terms lost 4 to 20 digits
+NAMED_POINTS = [
+    (30, 30, 1e-9, 1e-9),
+    (4, 4, 5.3e-8, 6.8e-8),
+    (5, 3, 1e-9, 1e-9),
+    (18, 7, 1.06e-9, 0.035),
+    (57, 57, 9.9e-6, 1.2e-5),
+    (25, 25, 0.435, 1.39e-6),
+    (21, 9, 1.37e-5, 0.0939),
+    (1, 1, 1e-9, 0.0),
+    (2, 2, 1.0, 1e-9),
+    (12, 12, 1.0, 1e-9),
+    # where the dense oracle cannot resolve the smallest eigenvalues
+    (7, 7, 1.0, 0.99996),
+    (6, 5, 1 - 1e-9, 1 - 1e-9),
+    (5, 2, 1.0, 1 - 2**-52),
+]
+
+
+class TestEdgeAccuracy:
+    """The closed form over the edges of its domain, n <= 60, against the
+    exact product form."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product_form_equals_bit_flip_sum(self, seed):
+        # two exact derivations of the QFI agree as Fractions
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(1, n + 1))
+        r, lam = rng.uniform(0.0, 1.0, 2)
+        r, lam = [(r, lam), (1.0, lam), (r, 0.0)][seed % 3]
+        assert _exact_product_qfi(n, m, r, lam) == _exact_qfi(n, m, r, lam)
+
+    @pytest.mark.parametrize("n, m, r, lam", CORNERS)
+    def test_corner(self, n, m, r, lam):
+        # n <= 12 against the bit-flip sum, beyond it against the product
+        # form, where the 50-digit bit-flip sum leaves 6.6e-102 at
+        # (40, 40, 1e-9, 0) for an exact 0
+        exact = _exact_qfi(n, m, r, lam) if n <= 12 else _exact_product_qfi(n, m, r, lam)
+        value = correlated_qfi(params(n, m, r, lam))
+        if exact == 0:
+            assert value == 0.0
+        else:
+            assert value == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, r, lam", NAMED_POINTS)
+    def test_named_point(self, n, m, r, lam):
+        assert_meets_kappa_bar(n, m, r, lam)
+
+    @pytest.mark.parametrize("band", list(EDGE_BANDS))
+    def test_seeded_band(self, band):
+        rng = np.random.default_rng(list(EDGE_BANDS).index(band) + 1)
+        for _ in range(20):
+            n = int(rng.integers(1, MAX_CLOSED_FORM_N + 1))
+            m = int(rng.integers(1, n + 1))
+            assert_meets_kappa_bar(n, m, *map(float, EDGE_BANDS[band](rng)))
+
+    @pytest.mark.parametrize(
+        "n, m", [(1, 1), (2, 1), (3, 2), (5, 5), (12, 7), (60, 1), (60, 60)]
+    )
+    def test_pure_noiseless_limit_is_infinite(self, n, m):
+        # r = lambda = 1, the --include-limit point: the pure state's rank
+        # jumps for any lambda < 1, in a number and in a grid alike
+        assert _exact_product_qfi(n, m, 1.0, 1.0) == math.inf
+        assert correlated_qfi(params(n, m, 1.0, 1.0, include_limit=True)) == math.inf
+        grid = correlated_qfi(
+            params(n, m, np.array([[1.0], [0.5]]), np.array([1.0, 0.3]), include_limit=True)
+        )
+        assert grid[0, 0] == math.inf and np.all(np.isfinite(grid.flat[1:]))
 
 
 class TestGains:

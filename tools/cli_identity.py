@@ -91,9 +91,29 @@ CASES: list[list[str]] = [
     # m = n >= 2 at lambda = 0: every qubit's marginal is I/2, so H is exactly 0
     ["eval", "--protocol", "correlated", "--n", "8", "--m", "8", "--r", "0.1",
      "--lambda", "0"],
-    # the largest bit-flip table T(lambda), at one point
+    # the most channel bits, at one point
     ["eval", "--protocol", "correlated", "--n", "60", "--m", "60", "--r", "0.5",
      "--lambda", "0.5"],
+    # points where the slope's terms cancel from O(1) down to a tiny QFI
+    *(
+        ["eval", "--protocol", "correlated", "--n", n, "--m", m, "--r", r,
+         "--lambda", lam]
+        for n, m, r, lam in (
+            ("30", "30", "1e-9", "1e-9"), ("4", "4", "5.3e-8", "6.8e-8"),
+            ("5", "3", "1e-9", "1e-9"), ("18", "7", "1.06e-9", "0.035"),
+            ("57", "57", "9.9e-6", "1.2e-5"), ("25", "25", "0.435", "1.39e-6"),
+            ("21", "9", "1.37e-5", "0.0939"), ("1", "1", "1e-9", "0"),
+            ("2", "2", "1", "1e-9"), ("12", "12", "1", "1e-9"),
+        )
+    ),
+    # the pure state through a noiseless channel, r = lambda = 1: inf
+    *(
+        ["eval", "--protocol", "correlated", "--n", n, "--m", m, "--r", "1",
+         "--lambda", "1", "--include-limit"]
+        for n, m in (("1", "1"), ("3", "2"), ("5", "5"), ("60", "60"))
+    ),
+    ["sweep", "--protocol", "correlated", "--n", "3", "--m", "1,2",
+     "--r-grid", "0.5:1:2", "--lambda-grid", "0.5:1:2", "--include-limit"],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "5", "--m", "1,5", *_GRID, "-o", OUT],
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2", *_GRID,
      "--format", "json", "-o", OUT],
