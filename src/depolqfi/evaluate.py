@@ -3,12 +3,10 @@ function: evaluate_grid, one protocol's QFI, per-channel QFI, gains and
 Cramer-Rao bound for lists of n and m over the outer product of an r axis
 and a lambda axis (a number is a one-value axis), as a table of columns.
 
-Nothing here imports numpy at module level. A point of sqsc, independent or
-sequential is computed with math, so `eval` of those protocols never loads
-numpy, as `table`, `correlations` and `figure cutoff` never do. The commands
-that load it are `sweep` and the figure presets, which build grids, `verify`,
-through the oracle, and `eval` of the correlated protocols, whose closed form
-evaluates arrays even at one point.
+Nothing here imports numpy at module level. A point of any protocol is
+computed with math, so `eval` never loads numpy, as `table`, `correlations`
+and `figure cutoff` never do. The commands that load it are `sweep` and the
+figure presets, which build grids, and `verify`, through the oracle.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ def evaluate_grid(
     the distinct (n, m) that they carry (sqsc, independent and sequential
     map several requested pairs to one), in ascending (n, m), each sorted
     stably by (r, lambda) (-0.0 ties with 0.0). A gain is None where r = 0,
-    where lambda = 1 or where its reference QFI is 0. Numbers load numpy
-    only for the correlated protocols."""
+    where lambda = 1 or where its reference QFI is 0. Numbers never load
+    numpy."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
@@ -95,7 +93,7 @@ def evaluate_grid(
         else:
             if protocol == "sequential":
                 value = _column(sequential_qfi(m, r, lam))
-            else:  # correlated / corr_vs_seq: the one closed form that needs numpy
+            else:  # correlated / corr_vs_seq
                 from .correlated import correlated_qfi
 
                 params = ProtocolParams(n, m, r, lam, include_limit)

@@ -648,7 +648,8 @@ class TestStartupImports:
 
     def test_only_array_commands_load_numpy(self):
         # whether numpy and depolqfi.oracle are loaded after the import and
-        # after each command in turn; a correlated eval comes last and must
+        # after each command in turn; every eval, the correlated ones too,
+        # computes its one point with math. A sweep comes last and must
         # load numpy, so this cannot pass vacuously, but not the dense
         # oracle, which only verify uses
         script = (
@@ -656,22 +657,24 @@ class TestStartupImports:
             "import depolqfi.cli\n"
             "def loaded():\n"
             "    return [m in sys.modules for m in ('numpy', 'depolqfi.oracle')]\n"
-            "point = ['--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
+            "point = ['--n', '4', '--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
             "steps = [loaded()]\n"
             "for argv in (\n"
             "    ['table', 'spectator'], ['table', 'all-qubits'], ['figure', 'cutoff'],\n"
             "    ['correlations', '--m', '2', '--r', '0.5', '--lambda', '0.5'],\n"
             "    *(['eval', '--protocol', p, *point, *f]\n"
-            "      for p in ('sqsc', 'independent', 'sequential')\n"
+            "      for p in ('sqsc', 'independent', 'sequential', 'correlated',\n"
+            "                'corr_vs_seq')\n"
             "      for f in ([], ['--format', 'json'])),\n"
-            "    ['eval', '--protocol', 'correlated', '--n', '4', *point],\n"
+            "    ['sweep', '--protocol', 'correlated', '--n', '4', '--m', '3',\n"
+            "     '--r-grid', '0:1:3', '--lambda-grid', '0:0.8:2'],\n"
             "):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert depolqfi.cli.main(argv) == 0\n"
             "    steps.append(loaded())\n"
             "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [[False, False]] * 11 + [[True, False]]
+        assert self._run(script) == [[False, False]] * 15 + [[True, False]]
 
     def test_only_json_output_loads_json(self):
         # whether json is loaded after the import and after each command in

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +22,24 @@ from table_helpers import point
 
 def params(n, m, r, lam, **kw):
     return ProtocolParams(n=n, m=m, r=r, lam=lam, **kw)
+
+
+def both_paths(n, m, r, lam, **kw):
+    """correlated_qfi at one point on its two paths: the number path (math)
+    and the array path (numpy, a one-entry array), as two floats."""
+    number = correlated_qfi(params(n, m, r, lam, **kw))
+    array = correlated_qfi(params(n, m, np.array([r]), np.array([lam]), **kw))
+    assert type(number) is float and array.shape == (1,)
+    return number, float(array[0])
+
+
+def assert_paths_agree(n, m, r, lam, **kw):
+    """The two paths agree within 1e-14 relative and in every printed
+    field; exactly where either is 0 or inf."""
+    number, array = both_paths(n, m, r, lam, **kw)
+    if number != array:
+        assert abs(number - array) <= 1e-14 * abs(array), (n, m, r, lam, number, array)
+        assert f"{number:.9e}" == f"{array:.9e}", (n, m, r, lam, number, array)
 
 
 def zero_counts(x, n, m):
@@ -489,20 +508,29 @@ class TestCorrelatedQfi:
                 np.testing.assert_array_equal(grid, rows)
 
     def test_value_does_not_depend_on_array_shape(self):
-        # a correlated eval (numbers), a 1x1 sweep and a larger grid at the
-        # same point must agree to the last bit
+        # a 1x1 sweep and a larger grid at the same point agree to the last
+        # bit; a correlated eval (numbers) takes math, whose expm1, log1p,
+        # log and pow can differ from numpy's in the last bit, so it agrees
+        # with them to 1e-14 relative and in every printed field
         rng = np.random.default_rng(18)
         for _ in range(300):
             n = int(rng.integers(1, 61))
             m = int(rng.integers(1, n + 1))
             r, lam = rng.uniform(0.01, 0.99, 2)
-            scalar = correlated_qfi(params(n, m, r, lam))
             single = correlated_qfi(params(n, m, np.array([[r]]), np.array([[lam]])))
             grid = correlated_qfi(
                 params(n, m, np.array([[r], [0.3]]), np.array([[0.2, lam, 0.7]]))
             )
-            assert single[0, 0] == scalar, (n, m, r, lam)
-            assert grid[0, 1] == scalar, (n, m, r, lam)
+            assert grid[0, 1] == single[0, 0], (n, m, r, lam)
+            assert_paths_agree(n, m, float(r), float(lam))
+        # where math raises and numpy does not: r = 1 (b = 0, log 0), lambda
+        # = 0 (log 0, and 0^0 at m = 1), r = 0, and m = n
+        for n, m in [(1, 1), (2, 1), (2, 2), (5, 5), (12, 1), (12, 7), (60, 30),
+                     (60, 60)]:
+            for r, lam in [(1.0, 0.5), (1.0, 0.0), (1.0, 1e-9), (1.0, 1 - 2**-52),
+                           (0.5, 0.0), (1e-9, 0.0), (0.0, 0.5), (0.0, 0.0), (-0.0, 0.7),
+                           (0.5, 1.0), (1.0, 1.0)]:
+                assert_paths_agree(n, m, r, lam, include_limit=True)
 
     def test_grid_admits_lambda_one_only_as_limit(self):
         r, lam = np.array([0.3, 0.9]), np.array([0.5, 1.0])
@@ -643,11 +671,20 @@ class TestMemory:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_one_point_peak_is_a_few_profile_arrays(self):
-        # at one point every array is over the (u, v) profiles or smaller,
-        # with no (m+1)^3 table: a few of them, besides a fixed 16 kB
+        # at one point (a one-entry array) every array is over the (u, v)
+        # profiles or smaller, with no (m+1)^3 table: a few of them, besides
+        # a fixed 16 kB
         for n, m in [(60, 30), (60, 60)]:
             profile_array = 8 * (n - m + 1) * (m + 1)
-            assert traced_peak(params(n, m, 0.5, 0.5)) <= 10 * profile_array + 2**14
+            one = params(n, m, np.array([0.5]), np.array([0.5]))
+            assert traced_peak(one) <= 10 * profile_array + 2**14
+
+    def test_number_peak_is_at_most_a_float_per_profile(self):
+        # the number path sums its terms as it forms them: at most one
+        # Python float per (u, v) profile is alive at once
+        n, m = 60, 30
+        peak = traced_peak(params(n, m, 0.5, 0.5))
+        assert peak <= (n - m + 1) * (m + 1) * sys.getsizeof(0.5), peak
 
 
 def traced_peak(p):
@@ -672,23 +709,28 @@ MID_SIZE = [
 
 
 class TestHighPrecisionReference:
+    """Both paths of the closed form, numbers and one-entry arrays, against
+    50-digit and exact references."""
+
     @pytest.mark.parametrize("n, m, r, lam", MID_SIZE)
     def test_mid_size(self, n, m, r, lam):
-        value = correlated_qfi(params(n, m, r, lam))
-        assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-12)
+        reference = _double_sum_qfi(n, m, r, lam)
+        for value in both_paths(n, m, r, lam):
+            assert value == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("n, m, r, lam", [p for p in MID_SIZE if p[0] <= 12])
     def test_mid_size_exact(self, n, m, r, lam):
-        value = correlated_qfi(params(n, m, r, lam))
-        assert value == pytest.approx(float(_exact_qfi(n, m, r, lam)), rel=1e-12)
+        exact = float(_exact_qfi(n, m, r, lam))
+        for value in both_paths(n, m, r, lam):
+            assert value == pytest.approx(exact, rel=1e-12)
 
     def test_exact_value_at_tiny_r_and_lambda(self):
         # the slope's four terms cancel from O(1) down to this; formed
         # without them, the closed form keeps it
         exact = _exact_qfi(5, 3, 1e-9, 1e-9)
         assert float(exact) == pytest.approx(6.0000000000000017e-36, rel=1e-15)
-        value = correlated_qfi(params(5, 3, 1e-9, 1e-9))
-        assert value == pytest.approx(float(exact), rel=1e-12)
+        for value in both_paths(5, 3, 1e-9, 1e-9):
+            assert value == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, m, r, lam, expected",
@@ -700,10 +742,10 @@ class TestHighPrecisionReference:
         ],
     )
     def test_small_blocks_stay_finite(self, n, m, r, lam, expected):
-        value = correlated_qfi(params(n, m, r, lam))
         reference = _double_sum_qfi(n, m, r, lam)
         assert reference == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(reference, rel=1e-12)
+        for value in both_paths(n, m, r, lam):
+            assert value == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, m, r, lam",
@@ -715,15 +757,17 @@ class TestHighPrecisionReference:
         ],
     )
     def test_near_pure_weak_noise(self, n, m, r, lam):
-        value = correlated_qfi(params(n, m, r, lam))
-        assert value == pytest.approx(_double_sum_qfi(n, m, r, lam), rel=1e-14)
+        reference = _double_sum_qfi(n, m, r, lam)
+        for value in both_paths(n, m, r, lam):
+            assert value == pytest.approx(reference, rel=1e-14)
 
     def test_tiny_eigenvalue_is_not_a_rank_drop(self):
         # p_- of about 1e-16 is accurate and nonzero: the QFI is finite
-        value = correlated_qfi(params(5, 2, 1.0, 1 - 2**-52))
-        assert math.isfinite(value)
-        assert value == pytest.approx(6.755399441055745e15, rel=1e-14)
-        assert value == pytest.approx(_double_sum_qfi(5, 2, 1.0, 1 - 2**-52), rel=1e-14)
+        reference = _double_sum_qfi(5, 2, 1.0, 1 - 2**-52)
+        for value in both_paths(5, 2, 1.0, 1 - 2**-52):
+            assert math.isfinite(value)
+            assert value == pytest.approx(6.755399441055745e15, rel=1e-14)
+            assert value == pytest.approx(reference, rel=1e-14)
 
     def test_seeded_band_near_one(self):
         # r and lambda both in 1 - 10^[-9, -2], where the eigenvalues p_-
@@ -732,10 +776,10 @@ class TestHighPrecisionReference:
         for _ in range(24):
             n = int(rng.integers(1, 31))
             m = int(rng.integers(1, n + 1))
-            r, lam = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0, 2)
-            value = correlated_qfi(params(n, m, r, lam))
+            r, lam = map(float, 1.0 - 10.0 ** rng.uniform(-9.0, -2.0, 2))
             reference = _double_sum_qfi(n, m, r, lam)
-            assert value == pytest.approx(reference, rel=1e-14), (n, m, r, lam)
+            for value in both_paths(n, m, r, lam):
+                assert value == pytest.approx(reference, rel=1e-14), (n, m, r, lam)
 
 
 def _kappa(n, m, r, lam):
@@ -767,19 +811,22 @@ def _kappa(n, m, r, lam):
 
 
 def assert_meets_kappa_bar(n, m, r, lam):
-    """The closed form against the product-form reference: exactly 0 or inf
-    where the QFI is; elsewhere within 1e-12 relative where the condition
-    number kappa is at most 1e3, and within 100 eps kappa beyond."""
+    """The closed form on both paths against the product-form reference:
+    exactly 0 or inf where the QFI is; elsewhere within 1e-12 relative
+    where the condition number kappa is at most 1e3, and within 100 eps
+    kappa beyond."""
     reference = _exact_product_qfi(n, m, r, lam, bits=200)
-    value = correlated_qfi(params(n, m, r, lam))
+    values = both_paths(n, m, r, lam)
     if reference in (0.0, math.inf):
-        assert value == reference, (n, m, r, lam, value)
+        assert values == (reference, reference), (n, m, r, lam, values)
         return
     kappa = _kappa(n, m, r, lam)
-    error = abs(value - reference) / reference
     bar = 1e-12 if kappa <= 1e3 else 100 * np.finfo(float).eps * kappa
-    print(f"({n}, {m}, {r!r}, {lam!r}): rel err {error:.1e}, kappa {kappa:.1e}")
-    assert error <= bar, (n, m, r, lam, error, kappa)
+    for path, value in zip(("number", "array"), values):
+        error = abs(value - reference) / reference
+        print(f"({n}, {m}, {r!r}, {lam!r}) {path}: rel err {error:.1e}, "
+              f"kappa {kappa:.1e}")
+        assert error <= bar, (n, m, r, lam, path, error, kappa)
 
 
 def _uniform(low, high):
@@ -823,7 +870,8 @@ CORNERS = [
     (n, m, r, lam)
     for n, m in [(1, 1), (2, 2), (5, 5), (12, 12), (40, 40), (2, 1), (3, 2), (6, 3),
                  (12, 1), (30, 29)]
-    for r, lam in [(1.0, 0.0), (1.0, 0.5), (0.5, 0.0), (1e-9, 0.0), (1.0, 1e-9)]
+    for r, lam in [(1.0, 0.0), (1.0, 0.5), (0.5, 0.0), (1e-9, 0.0), (1.0, 1e-9),
+                   (0.0, 0.5)]
 ]
 
 # points where a closed form formed with cancelling terms lost 4 to 20 digits
@@ -846,8 +894,8 @@ NAMED_POINTS = [
 
 
 class TestEdgeAccuracy:
-    """The closed form over the edges of its domain, n <= 60, against the
-    exact product form."""
+    """The closed form over the edges of its domain, n <= 60, on both paths
+    (numbers and one-entry arrays), against the exact product form."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_product_form_equals_bit_flip_sum(self, seed):
@@ -865,11 +913,11 @@ class TestEdgeAccuracy:
         # form, where the 50-digit bit-flip sum leaves 6.6e-102 at
         # (40, 40, 1e-9, 0) for an exact 0
         exact = _exact_qfi(n, m, r, lam) if n <= 12 else _exact_product_qfi(n, m, r, lam)
-        value = correlated_qfi(params(n, m, r, lam))
-        if exact == 0:
-            assert value == 0.0
-        else:
-            assert value == pytest.approx(float(exact), rel=1e-12)
+        for value in both_paths(n, m, r, lam):
+            if exact == 0:
+                assert value == 0.0
+            else:
+                assert value == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("n, m, r, lam", NAMED_POINTS)
     def test_named_point(self, n, m, r, lam):
@@ -890,7 +938,7 @@ class TestEdgeAccuracy:
         # r = lambda = 1, the --include-limit point: the pure state's rank
         # jumps for any lambda < 1, in a number and in a grid alike
         assert _exact_product_qfi(n, m, 1.0, 1.0) == math.inf
-        assert correlated_qfi(params(n, m, 1.0, 1.0, include_limit=True)) == math.inf
+        assert both_paths(n, m, 1.0, 1.0, include_limit=True) == (math.inf, math.inf)
         grid = correlated_qfi(
             params(n, m, np.array([[1.0], [0.5]]), np.array([1.0, 0.3]), include_limit=True)
         )

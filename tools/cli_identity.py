@@ -106,6 +106,22 @@ CASES: list[list[str]] = [
             ("2", "2", "1", "1e-9"), ("12", "12", "1", "1e-9"),
         )
     ),
+    # one correlated point in plain floats: corr_vs_seq in both formats, and
+    # the inputs where math raises and numpy does not: r = 0, lambda = 0 at
+    # m = n, r = 1 (b = 0) at lambda = 0; then the most (u, v) profiles
+    *(
+        ["eval", "--protocol", "corr_vs_seq", "--n", "14", "--m", "7", "--r", "0.35",
+         "--lambda", "0.65", *fmt]
+        for fmt in ([], ["--format", "json"])
+    ),
+    *(
+        ["eval", "--protocol", "correlated", "--n", n, "--m", m, "--r", r,
+         "--lambda", lam]
+        for n, m, r, lam in (
+            ("5", "5", "0", "0.5"), ("5", "5", "0.5", "0"), ("5", "2", "1", "0"),
+            ("60", "30", "0.5", "0.7"),
+        )
+    ),
     # the pure state through a noiseless channel, r = lambda = 1: inf
     *(
         ["eval", "--protocol", "correlated", "--n", n, "--m", m, "--r", "1",
