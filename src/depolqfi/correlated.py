@@ -36,7 +36,7 @@ from .errors import DomainError
 from .protocols import ProtocolParams
 
 MAX_CLOSED_FORM_N = 60
-CHUNK_ELEMENTS = 2**14  # per work array (128 kB): a grid runs in chunks of rows
+CHUNK_ELEMENTS = 2**14  # (point, profile) entries per work array (128 kB)
 CANCELLATION = 64.0  # slope terms that sum to more than this times the slope
 
 
@@ -108,18 +108,17 @@ def _point_qfi(n: int, m: int, r: float, lam: float) -> float:
 
 
 def _blocks(n: int, m: int, r, lam, out) -> tuple:
-    """p_+ and its lambda-slope pdot_+ of every profile, indexed [..., u, v]
-    over the broadcast shape of r and lam, without the state's scale
-    2^-(n+1), in out, a stack of three float arrays of that shape. p_- and
-    its slope are these at the mirror, [..., ::-1, ::-1]."""
+    """p_+ and its lambda-slope pdot_+ of every profile at the points of the
+    1-D float arrays r and lam, of one length, indexed [point, u, v], without
+    the state's scale 2^-(n+1), in out, a stack of three float arrays of that
+    shape. p_- and its slope are these at the mirror, [:, ::-1, ::-1]."""
     import numpy as np
 
-    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     a, b, lam_r = 1.0 + r, 1.0 - r, lam * r
     big, small = 1.0 + lam_r, b + (1.0 - lam) * r  # A and B
     alpha, (pa, pb) = _powers(n - m, a, b), _powers(m, a, b)
     f, g = _powers(m, big, small)
-    lam_m, lam_m1 = (lam[..., np.newaxis] ** e for e in (m, m - 1))
+    lam_m, lam_m1 = (lam[:, np.newaxis] ** e for e in (m, m - 1))
     v, (slope, size, work) = np.arange(m + 1), out
 
     def log_ratio(weight, image):
@@ -127,14 +126,14 @@ def _blocks(n: int, m: int, r, lam, out) -> tuple:
         # -1e3, below the log of any double, so that 0 times it is 0
         gap = np.where(lam < 1.0, (1.0 - lam) / image, 0.0)
         ratio = np.where(gap < 0.5, np.log1p(-gap), np.log(lam * weight / image))
-        return np.maximum(ratio, -1e3)[..., np.newaxis]
+        return np.maximum(ratio, -1e3)[:, np.newaxis]
     def combine(x, y, result, scratch):  # alpha_u x_v + alpha'_u y_v
-        np.multiply(alpha[0][..., np.newaxis], x[..., np.newaxis, :], out=result)
-        np.multiply(alpha[1][..., np.newaxis], y[..., np.newaxis, :], out=scratch)
+        np.multiply(alpha[0][:, :, np.newaxis], x[:, np.newaxis, :], out=result)
+        np.multiply(alpha[1][:, :, np.newaxis], y[:, np.newaxis, :], out=scratch)
         return np.add(result, scratch, out=result)
     with np.errstate(divide="ignore", invalid="ignore"):
         expm1 = np.expm1(v * log_ratio(b, small) + (m - v) * log_ratio(a, big))
-        r_, lam_r_, big_, small_ = (x[..., np.newaxis] for x in (r, lam_r, big, small))
+        r_, lam_r_, big_, small_ = (x[:, np.newaxis] for x in (r, lam_r, big, small))
         rate, k = r_ / (big_ * small_), 2 * v - m
         f_dot = f * (rate * (k - m * lam_r_))
         g_dot = g * (rate * (-k - m * lam_r_)) * -expm1
@@ -144,28 +143,29 @@ def _blocks(n: int, m: int, r, lam, out) -> tuple:
         combine(np.abs(f_dot) + tilt, np.abs(g_dot) - untilt, size, work)
         np.abs(slope, out=work)
         work *= CANCELLATION
-        redo = np.nonzero(work < size)
+        redo = np.flatnonzero(work < size)
         eig = combine(f + lam_m * pa, g * -expm1, work, size)
-        if not redo[0].size:
+        if not redo.size:
             return eig, slope
-        # the slope again where its terms cancel, from each factor there
-        point, u, v = redo[:-2], redo[-2], redo[-1]
-        def at(x, *profile):  # x at those entries; an array, as in a grid
-            lead = point[len(point) - x.ndim + len(profile) :]
-            return x[tuple(i * (j > 1) for j, i in zip(x.shape, lead)) + profile]
-        r, lam, plus, minus = at(r), at(lam), at(alpha[0], u), at(alpha[1], u)
-        f, g, pa, pb = (at(x, v) for x in (f, g, pa, pb))
-        big, small = 1.0 + lam * r, (1.0 - r) + (1.0 - lam) * r
-        log_r, k, j = np.log1p(2.0 * r / (1.0 - r)), 2 * v - m, 2 * u + m - n
-        # the log ratio of each pair's terms, where 0 times ln(a/b) = inf is 0
-        s, s_c = (np.where(i == 0, 0.0, i * log_r) for i in (j, j + k))
-        s += k * np.log1p(2.0 * lam * r / small)
-        delta, c = (
-            np.sign(x) * np.maximum(y, z) * -np.expm1(-np.abs(x))
-            for x, y, z in ((s, plus * f, minus * g), (s_c, plus * pa, minus * pb))
-        )
-        d = r / (big * small) * (k * delta - m * lam * r * (plus * f + minus * g))
-        slope[redo] = d + m * lam ** (m - 1) * c
+        # the slope again where its terms cancel, from each factor there, in
+        # batches of a sixteenth of a chunk: their dozen or so gathered
+        # arrays then hold about as much as one work array
+        log_r, log_k = np.log1p(2.0 * r / b), np.log1p(2.0 * lam * r / small)
+        for start in range(0, redo.size, CHUNK_ELEMENTS // 16):
+            at = redo[start : start + CHUNK_ELEMENTS // 16]
+            p, u, v = np.unravel_index(at, slope.shape)
+            k, j = 2 * v - m, 2 * u + m - n
+            # the log ratio of each pair's terms, where 0 times ln(a/b) = inf is 0
+            s, s_c = (np.where(i == 0, 0.0, i * log_r[p]) for i in (j, j + k))
+            s += k * log_k[p]
+            plus, minus = alpha[0][p, u], alpha[1][p, u]
+            x, y = plus * f[p, v], minus * g[p, v]
+            delta, c = (
+                np.sign(t) * np.maximum(hi, lo) * -np.expm1(-np.abs(t))
+                for t, hi, lo in ((s, x, y), (s_c, plus * pa[p, v], minus * pb[p, v]))
+            )
+            d = rate[p, 0] * (k * delta - (m * lam * r)[p] * (x + y))
+            slope.reshape(-1)[at] = d + (m * lam ** (m - 1))[p] * c
     return eig, slope
 
 
@@ -178,8 +178,9 @@ def final_x_entries(params: ProtocolParams) -> tuple:
     import numpy as np
 
     n, m = params.n, params.m
-    work = np.empty((3, n - m + 1, m + 1))
-    eig = 0.5 ** (n + 2) * _blocks(n, m, params.r, params.lam, work)[0]
+    r, lam = np.array([[params.r], [params.lam]], dtype=float)  # one point
+    work = np.empty((3, 1, n - m + 1, m + 1))
+    eig = 0.5 ** (n + 2) * _blocks(n, m, r, lam, work)[0][0]
     mirror = eig[::-1, ::-1]  # p_-, at the profile of N-x
     # x and N-x add the same two floats, so d_x = d_(N-x) to the bit
     diag, counter = eig + mirror, eig - mirror
@@ -227,26 +228,26 @@ def correlated_qfi(params: ProtocolParams):
         return _point_qfi(n, m, float(params.r), float(params.lam))
     import numpy as np
 
-    shape = np.broadcast_shapes(np.shape(params.r), np.shape(params.lam))
-    # a 0-d array runs as a one-entry axis, through the same ufunc loops as
-    # any other array, so that every shape gets the same value to the bit
-    r, lam = np.atleast_1d(params.r, params.lam)
-    full, profiles = np.broadcast_shapes(r.shape, lam.shape), (n - m + 1, m + 1)
-    rows = max(1, CHUNK_ELEMENTS // max(1, math.prod(full[1:] + profiles)))
-    work = np.empty((3, min(rows, full[0])) + full[1:] + profiles)
+    # every shape runs the same 1-D computation, so gets the same value to
+    # the bit: its points on one flat, r-major axis, in chunks of points
+    r, lam = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in params[2:]))
+    total = np.empty(r.shape)
+    flat, chunk = total.reshape(-1), max(1, CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
+    work = np.empty((3, min(chunk, flat.size), n - m + 1, m + 1))
     weight = np.outer(*([math.comb(j, i) for i in range(j + 1)] for j in (n - m, m)))
-    total = np.empty(full)
-    for start in range(0, full[0], rows):
-        # the chunk's rows of r and lambda, or all of one that broadcasts
-        r_rows, lam_rows = (
-            x if x.ndim < len(full) or len(x) == 1 else x[start : start + rows]
-            for x in (r, lam)
-        )
-        eig, slope = _blocks(n, m, r_rows, lam_rows, work[:, : full[0] - start])
-        h = (block_qfi(eig, slope) * weight).reshape(eig.shape[:-2] + (weight.size,))
+    for start in range(0, flat.size, chunk):
+        points = slice(start, start + chunk)
+        r_at, lam_at = r.flat[points], lam.flat[points]
+        eig, h = _blocks(n, m, r_at, lam_at, work[:, : r_at.size])
+        drops = np.flatnonzero(eig == 0.0)  # p_+ = 0: block_qfi gives 0 or inf
+        h_drops = block_qfi(eig.flat[drops], h.flat[drops])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.multiply(h, h, out=h), eig, out=h)
+        h.flat[drops] = h_drops
+        h *= weight
         # one contiguous row per point, so each point sums the same way
-        total[start : start + rows] = np.sum(h, axis=-1)
-    total = 0.5 ** (n + 1) * total
-    # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
-    total[(r == 1.0) & (lam == 1.0)] = math.inf
-    return float(total[0]) if not shape else total.reshape(shape)
+        np.sum(h.reshape(r_at.size, -1), axis=-1, out=flat[points])
+        # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
+        flat[points][(r_at == 1.0) & (lam_at == 1.0)] = math.inf
+    total *= 0.5 ** (n + 1)
+    return float(total) if not total.ndim else total

@@ -72,13 +72,11 @@ def evaluate_grid(
     if not (isinstance(r, (int, float)) and isinstance(lam, (int, float))):
         import numpy as np
 
-        # a column of r against a row of lambda: the closed forms broadcast
-        # them, so their r-only and lambda-only parts run on the axes alone
-        r = np.asarray(r, dtype=float).reshape(-1, 1)
-        lam = np.asarray(lam, dtype=float).reshape(1, -1)
+        # the points of the grid on one flat, r-major axis
+        axes = (np.asarray(x, dtype=float) for x in (r, lam))
+        r, lam = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
     lam_ref = lam * (lam < 1.0)  # 0 at lambda = 1 keeps the references defined
     rs, lams = _column(r), _column(lam)
-    rs, lams = [x for x in rs for _ in lams], lams * len(rs)
     usable = [x > 0.0 and y < 1.0 for x, y in zip(rs, lams)]
     size = len(rs)
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable

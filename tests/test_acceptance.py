@@ -25,6 +25,7 @@ from depolqfi.evaluate import evaluate_grid
 from depolqfi.oracle import verify
 from depolqfi.protocols import (
     ProtocolParams,
+    sequential_qfi,
     sqsc_qfi,
 )
 from paper_formulas import (
@@ -228,3 +229,62 @@ def test_criterion_9_figure_data():
     ok = ok and all(b > a for a, b in zip(cutoffs, cutoffs[1:]))
     ok = ok and cutoffs[-1] < 1.0
     report(9, ok, "correlated-vs-sequential sweep and cutoff-curve endpoints")
+
+
+def _best_product(r: float, lam: float) -> float:
+    """The best per-use QFI of the product-state protocols: sqsc, and one
+    qubit through k <= 60 sequential uses."""
+    return max([sqsc_qfi(r, lam)] + [sequential_qfi(k, r, lam) / k for k in range(1, 61)])
+
+
+def _per_use(n: int, m: int, r: float, lam: float) -> float:
+    return correlated_qfi(ProtocolParams(n, m, r, lam)) / m
+
+
+def test_criterion_10_correlated_wins_only_somewhere():
+    # the abstract's first claim: per channel use, the correlated protocol
+    # beats the best product protocol for some parameters, not for all
+    win = _per_use(4, 4, 0.5, 0.95) / _best_product(0.5, 0.95)
+    loss = _per_use(2, 2, 0.99, 0.1) / _best_product(0.99, 0.1)
+    ok = win >= 1.1 and loss <= 1 / 1.1
+    report(10, ok, f"correlated over best product per use: (4, 4, 0.5, 0.95) "
+                   f"{win:.4f}, (2, 2, 0.99, 0.1) {loss:.4f}")
+
+
+def test_criterion_11_more_than_two_qubits_help():
+    # the abstract's second claim: at r = 0.5, some n >= 3 beats every
+    # n <= 2 and every product protocol per channel use
+    r, margins = 0.5, []
+    for lam in (0.1, 0.5, 0.9):
+        small = max(
+            [_best_product(r, lam)]
+            + [_per_use(n, m, r, lam) for n in (1, 2) for m in range(1, n + 1)]
+        )
+        best, n, m = max(
+            (_per_use(n, m, r, lam), n, m) for n in range(3, 13) for m in range(1, n + 1)
+        )
+        margins.append((best / small, lam, n, m))
+    margin, lam, n, m = min(margins)
+    ok = margin >= 1.1
+    report(11, ok, f"some n >= 3 beats every n <= 2 at r = 0.5: least margin "
+                   f"{margin:.4f}, by (n, m) = ({n}, {m}) at lambda = {lam}")
+
+
+def test_criterion_12_pure_inputs_favour_one_pair():
+    # the abstract's third claim: with pure inputs (r = 1), one entangled
+    # pair through one channel use is optimal per use among n <= 12; every
+    # (n, 1) ties with it, every other (n, m) is strictly below
+    ok, tie, below = True, 0.0, 0.0
+    for lam in (0.1, 0.3, 0.5, 0.7):
+        bar = _per_use(2, 1, 1.0, lam)
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                ratio = _per_use(n, m, 1.0, lam) / bar
+                if m == 1 and n >= 2:
+                    tie = max(tie, abs(ratio - 1.0))
+                    ok = ok and abs(ratio - 1.0) <= 1e-12
+                else:
+                    below = max(below, ratio)
+                    ok = ok and ratio <= 1 / 1.1
+    report(12, ok, f"(2, 1) optimal at r = 1 for n <= 12: (n, 1) ties within "
+                   f"{tie:.1e}, the rest at most {below:.4f} of it")

@@ -176,32 +176,30 @@ class TestSweep:
             unsorted.sort(key=lambda pair: pair[0])
             assert written(table).splitlines()[1:] == [line for _, line in unsorted]
 
-    def test_closed_form_runs_on_the_axes(self, monkeypatch):
-        # the correlated form gets the R values of the r axis and the L
-        # values of the lambda axis, not the R x L points of their product;
-        # its r-only factors, the bit weights (1+r)^i (1-r)^(k-i) of the
-        # spectator and channel bits, see the R values, and only the
-        # channel's image of them, which mixes r and lambda, sees the points
-        seen = {"r": [], "lam": [], "weights": []}
-        blocks, powers = correlated._blocks, correlated._powers
+    def test_closed_form_runs_on_flat_chunks(self, monkeypatch):
+        # the correlated form gets the grid's points on one flat, r-major
+        # axis, cut into chunks of at most CHUNK_ELEMENTS (point, profile)
+        # entries: each call 1-D r and lambda of one length
+        seen = []
+        blocks = correlated._blocks
 
         def spy_blocks(n, m, r, lam, out):
-            seen["r"].append(sorted(np.ravel(r)))
-            seen["lam"].append(sorted(np.ravel(lam)))
+            seen.append(((n, m), np.ndim(r), np.ndim(lam), r.copy(), lam.copy()))
             return blocks(n, m, r, lam, out)
 
-        def spy_powers(k, hi, lo):
-            seen["weights"].append(np.size(hi))
-            return powers(k, hi, lo)
-
         monkeypatch.setattr(correlated, "_blocks", spy_blocks)
-        monkeypatch.setattr(correlated, "_powers", spy_powers)
-        r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 4)
-        table = evaluate_grid("correlated", [3, 4], [1, 2], r_grid, lam_grid)
-        assert len(table["qfi"]) == 4 * 5 * 4
-        assert seen["r"] == [sorted(r_grid)] * 4
-        assert seen["lam"] == [sorted(lam_grid)] * 4
-        assert seen["weights"] == [5, 5, 5 * 4] * 4
+        r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 120)
+        evaluate_grid("correlated", [12], [3, 6], r_grid, lam_grid)
+        for n, m in [(12, 3), (12, 6)]:
+            calls = [call[1:] for call in seen if call[0] == (n, m)]
+            chunk = max(1, correlated.CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
+            assert len(calls) == -(-r_grid.size * lam_grid.size // chunk) > 1
+            for r_ndim, lam_ndim, r, lam in calls:
+                assert r_ndim == lam_ndim == 1
+                assert 1 <= len(r) == len(lam) <= chunk
+            r_points, lam_points = (np.concatenate(x) for x in list(zip(*calls))[2:])
+            np.testing.assert_array_equal(r_points, np.repeat(r_grid, lam_grid.size))
+            np.testing.assert_array_equal(lam_points, np.tile(lam_grid, r_grid.size))
 
     def test_rows_sorted_after_protocol_overrides_n(self):
         # sequential rows all carry n = 1, so the two requested n values give

@@ -88,6 +88,12 @@ CASES: list[list[str]] = [
      "--r-grid", "0:1:5", "--lambda-grid", "0:0.99:4"],
     ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
      "--r-grid", "0:1:6", "--lambda-grid", "0:0.95:5"],
+    # grids whose chunks of points split a row of lambda values, one with a
+    # descending r grid
+    ["sweep", "--protocol", "correlated", "--n", "40", "--m", "20",
+     "--r-grid", "0:1:3", "--lambda-grid", "0:0.99:300"],
+    ["sweep", "--protocol", "correlated", "--n", "30", "--m", "10,15",
+     "--r-grid", "0.9:0.1:5", "--lambda-grid", "0:0.99:50"],
     # m = n >= 2 at lambda = 0: every qubit's marginal is I/2, so H is exactly 0
     ["eval", "--protocol", "correlated", "--n", "8", "--m", "8", "--r", "0.1",
      "--lambda", "0"],
