@@ -43,9 +43,12 @@ def _parse_int_list(raw: str) -> list[int]:
     return values
 
 
-def _parse_grid(raw: str):
-    """np.linspace(start, stop, count) of a start:stop:count grid, refused
-    unless every value is finite."""
+def _parse_grid(raw: str) -> list[float]:
+    """The values of np.linspace(start, stop, count) of a start:stop:count
+    grid, to the bit, as a list formed with linspace's own float arithmetic,
+    so that no numpy loads: i*step + start with the last value set to stop,
+    or i/div*delta + start where the step rounds to 0. Refused unless every
+    value is finite."""
     try:
         start, stop, count = raw.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -53,11 +56,16 @@ def _parse_grid(raw: str):
         raise DomainError(f"grid must be start:stop:count, got {raw!r}") from None
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # inf - inf and overflow give inf or NaN
-        grid = np.linspace(start, stop, count)
-    if not np.isfinite(grid).all():
+    div, delta = count - 1, stop - start  # inf - inf and overflow give NaN or inf
+    grid = [0.0 * delta + start]  # one value: linspace's 0 * delta, -0.0 or NaN too
+    if div:
+        step = delta / div
+        if step == 0.0:  # a subnormal delta: linspace divides i by div first
+            grid = [i / div * delta + start for i in range(count)]
+        else:
+            grid = [i * step + start for i in range(count)]
+        grid[-1] = stop
+    if not all(map(math.isfinite, grid)):
         raise DomainError(f"grid values must be finite, got {raw!r}")
     return grid
 
@@ -106,7 +114,7 @@ def _write_json(path: Optional[str], data) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # the array core, and with it numpy, loads only in the commands that use it
+    # the evaluation core loads only in the commands that use it
     from .evaluate import evaluate_grid
 
     table = evaluate_grid(

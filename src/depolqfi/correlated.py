@@ -143,6 +143,9 @@ def _blocks(n: int, m: int, r, lam, out) -> tuple:
         combine(np.abs(f_dot) + tilt, np.abs(g_dot) - untilt, size, work)
         np.abs(slope, out=work)
         work *= CANCELLATION
+        # at r = 0, rate = 0 and tilt + untilt = m lam^(m-1) - lam^(m-1) m
+        # = 0: the bulk slope is exactly 0 already
+        work[r == 0.0] = math.inf
         redo = np.flatnonzero(work < size)
         eig = combine(f + lam_m * pa, g * -expm1, work, size)
         if not redo.size:
@@ -219,8 +222,10 @@ def correlated_qfi(params: ProtocolParams):
     1e-14 relative, not bitwise; an array gives the same value to the bit
     whatever its shape. A number's cost grows with its (n-m+1)(m+1)
     profiles, past a one-entry array's at n = 60, m = 30 (0.27 against
-    0.11 ms on one x86-64 core): to evaluate many points at large n, pass
-    them as one array rather than loop over numbers."""
+    0.11 ms on one x86-64 core), but an array needs numpy, whose import
+    costs as much as a few hundred such numbers: evaluate_grid loops over
+    numbers while a grid's work is at most evaluate.PLAIN_WORK, and passes
+    one array above it."""
     n, m = params.n, params.m
     if n > MAX_CLOSED_FORM_N:
         raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")

@@ -3,19 +3,31 @@ function: evaluate_grid, one protocol's QFI, per-channel QFI, gains and
 Cramer-Rao bound for lists of n and m over the outer product of an r axis
 and a lambda axis (a number is a one-value axis), as a table of columns.
 
-Nothing here imports numpy at module level. A point of any protocol is
-computed with math, so `eval` never loads numpy, as `table`, `correlations`
-and `figure cutoff` never do. The commands that load it are `sweep` and the
-figure presets, which build grids, and `verify`, through the oracle.
+Nothing here imports numpy at module level. A grid whose closed-form work
+is at most PLAIN_WORK, one point included, is computed point by point with
+math and never loads numpy, so `eval`, the figure presets and small sweeps
+do not, as `table`, `correlations` and `figure cutoff` never do. A larger
+sweep loads it to run the closed forms on arrays, and `verify` loads it
+through the oracle.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 from .errors import DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, sqsc_qfi
+
+CORRELATED = ("correlated", "corr_vs_seq")
+# The most work (see _point_work) that a grid runs in math floats; a larger
+# grid runs in numpy, whose import costs 70-80 ms. Set just below the
+# crossover measured as the wall time of fresh-process corr_vs_seq sweeps
+# on a 2-vCPU x86-64 host (numpy 2.4.6, 11 alternating runs a side): math
+# floats won 10 of 11 runs at 2.5e5 units (n = 14, m = 1..7) and 6 of 11 at
+# 2.0e5 (n = 60, m = 30), and lost 9 of 11 or more from 3.0e5 and 2.45e5.
+PLAIN_WORK = 200_000
 
 
 def cramer_rao_bound(h: float) -> float:
@@ -26,9 +38,13 @@ def cramer_rao_bound(h: float) -> float:
     return 1.0 / h if h else math.inf
 
 
-def _column(values) -> list[float]:
-    """The entries of a number or an array, in flat order."""
-    return values.ravel().tolist() if hasattr(values, "ravel") else [float(values)]
+def _axis(values) -> list[float]:
+    """An axis's values as floats, in order; a number is a one-value axis."""
+    if isinstance(values, (int, float)):
+        return [float(values)]
+    if hasattr(values, "ravel"):  # a numpy array or scalar: numpy is loaded
+        return values.ravel().astype(float).tolist()
+    return [float(x) for x in values]
 
 
 def _gains(per_channel: list, ref: list, usable: list) -> list[Optional[float]]:
@@ -48,6 +64,16 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
     return shapes.get(protocol, (n, m))
 
 
+def _point_work(protocol: str, n: int, m: int) -> int:
+    """The math-float cost of one point at a carried (n, m), in units of one
+    (u, v) profile of the correlated form: its (n-m+1)(m+1) profiles, each
+    count padded by 5 for the per-u and per-v factors, the references and
+    the checks; 28 for a point of a single-qubit protocol."""
+    if protocol in CORRELATED:
+        return (n - m + 6) * (m + 6)
+    return 28
+
+
 def evaluate_grid(
     protocol: str,
     ns: list[int],
@@ -57,28 +83,51 @@ def evaluate_grid(
     include_limit: bool = False,
 ) -> dict[str, list]:
     """Evaluate one protocol for every (n, m) of ns x ms at every point of
-    the outer product of r_axis and lam_axis, 1-D arrays or numbers
+    the outer product of r_axis and lam_axis, 1-D arrays, lists or numbers
     (one-value axes). Returns a table: its columns as lists keyed by the CSV
     column names, in output order, one entry per row. The rows are those of
     the distinct (n, m) that they carry (sqsc, independent and sequential
     map several requested pairs to one), in ascending (n, m), each sorted
     stably by (r, lambda) (-0.0 ties with 0.0). A gain is None where r = 0,
-    where lambda = 1 or where its reference QFI is 0. Numbers never load
-    numpy."""
+    where lambda = 1 or where its reference QFI is 0.
+
+    A grid whose work, its point count times the summed _point_work of the
+    carried (n, m), is at most PLAIN_WORK runs every closed form point by
+    point in math floats and loads no numpy; a larger one runs them on
+    numpy arrays. The two agree in every printed field."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
-    r, lam = r_axis, lam_axis
-    if not (isinstance(r, (int, float)) and isinstance(lam, (int, float))):
+    r_axis, lam_axis = _axis(r_axis), _axis(lam_axis)
+    # every value, in axis order, as the closed forms check their arrays:
+    # the single-qubit forms keep lambda < 1 whatever include_limit says
+    closed = include_limit and protocol in CORRELATED
+    for r in r_axis:
+        check_params(r=r)
+    for lam in lam_axis:
+        check_params(lam=lam, include_limit=closed)
+    # the points of the grid on one flat, r-major axis
+    rs = [r for r in r_axis for _ in lam_axis]
+    lams = lam_axis * len(r_axis)
+    # 0 at lambda = 1 keeps the references defined
+    lam_ref = [lam * (lam < 1.0) for lam in lams]
+    points, refs = (rs, lams), (rs, lam_ref)
+    size = len(rs)
+    if size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK:
+
+        def each(form, r, lam):  # form at every point, in math floats
+            return list(map(form, r, lam))
+
+    else:
         import numpy as np
 
-        # the points of the grid on one flat, r-major axis
-        axes = (np.asarray(x, dtype=float) for x in (r, lam))
-        r, lam = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
-    lam_ref = lam * (lam < 1.0)  # 0 at lambda = 1 keeps the references defined
-    rs, lams = _column(r), _column(lam)
-    usable = [x > 0.0 and y < 1.0 for x, y in zip(rs, lams)]
-    size = len(rs)
+        r_array = np.array(rs)
+        points, refs = (r_array, np.array(lams)), (r_array, np.array(lam_ref))
+
+        def each(form, r, lam):  # form at every point at once, in numpy
+            return form(r, lam).tolist()
+
+    usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
     table: dict[str, list] = {}
     for n, m in shapes:
@@ -86,19 +135,21 @@ def evaluate_grid(
             # sqsc is the independent protocol on one qubit. Its per-channel
             # QFI is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move
             # the last printed digit.
-            per_channel = _column(sqsc_qfi(r, lam))
+            per_channel = each(sqsc_qfi, *points)
             value = [m * h for h in per_channel]
         else:
             if protocol == "sequential":
-                value = _column(sequential_qfi(m, r, lam))
+                value = each(partial(sequential_qfi, m), *points)
             else:  # correlated / corr_vs_seq
                 from .correlated import correlated_qfi
 
-                params = ProtocolParams(n, m, r, lam, include_limit)
-                value = _column(correlated_qfi(params))
+                def correlated(r, lam):
+                    return correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
+
+                value = each(correlated, *points)
             per_channel = [h / m for h in value]
-        sqsc_ref = _column(sqsc_qfi(r, lam_ref))
-        seq_ref = [h / m for h in _column(sequential_qfi(m, r, lam_ref))]
+        sqsc_ref = each(sqsc_qfi, *refs)
+        seq_ref = [h / m for h in each(partial(sequential_qfi, m), *refs)]
         part = {
             "protocol": [protocol] * size,
             "n": [n] * size,

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depolqfi import correlated
-from depolqfi.cli import PROTOCOLS, main
+from depolqfi import correlated, evaluate
+from depolqfi.cli import PROTOCOLS, _parse_grid, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
 from depolqfi.evaluate import evaluate_grid
@@ -177,9 +177,9 @@ class TestSweep:
             assert written(table).splitlines()[1:] == [line for _, line in unsorted]
 
     def test_closed_form_runs_on_flat_chunks(self, monkeypatch):
-        # the correlated form gets the grid's points on one flat, r-major
-        # axis, cut into chunks of at most CHUNK_ELEMENTS (point, profile)
-        # entries: each call 1-D r and lambda of one length
+        # a grid above PLAIN_WORK: the correlated form gets its points on
+        # one flat, r-major axis, cut into chunks of at most CHUNK_ELEMENTS
+        # (point, profile) entries: each call 1-D r and lambda of one length
         seen = []
         blocks = correlated._blocks
 
@@ -188,7 +188,9 @@ class TestSweep:
             return blocks(n, m, r, lam, out)
 
         monkeypatch.setattr(correlated, "_blocks", spy_blocks)
-        r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, 120)
+        work = 5 * sum(evaluate._point_work("correlated", 12, m) for m in (3, 6))
+        count = evaluate.PLAIN_WORK // work + 1
+        r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, count)
         evaluate_grid("correlated", [12], [3, 6], r_grid, lam_grid)
         for n, m in [(12, 3), (12, 6)]:
             calls = [call[1:] for call in seen if call[0] == (n, m)]
@@ -256,6 +258,103 @@ class TestSweep:
         with pytest.raises(DomainError) as raised:
             evaluate_grid(*args, include_limit=include_limit)
         assert str(raised.value) == message
+
+
+class TestTwoSides:
+    """evaluate_grid runs a grid of at most PLAIN_WORK in math floats and a
+    larger one on numpy arrays; forced onto either side, it writes the same
+    bytes and reports the same first fault."""
+
+    @staticmethod
+    def sides(monkeypatch, *args, **kwargs):
+        """evaluate_grid(*args, **kwargs) on numpy arrays, then in math
+        floats: each side's CSV and JSON text or DomainError message, and
+        the types of the r that sqsc_qfi took there."""
+        kinds = []
+
+        def spy(r, lam):
+            kinds[-1].add(type(r))
+            return sqsc_qfi(r, lam)
+
+        monkeypatch.setattr(evaluate, "sqsc_qfi", spy)
+        outputs = []
+        for limit in (0, 10**18):
+            monkeypatch.setattr(evaluate, "PLAIN_WORK", limit)
+            kinds.append(set())
+            try:
+                table = evaluate_grid(*args, **kwargs)
+            except DomainError as exc:
+                outputs.append(str(exc))
+            else:
+                outputs.append((written(table), written(table, "json")))
+        return outputs, kinds
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_same_bytes(self, protocol, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        limit = protocol in ("correlated", "corr_vs_seq")  # lambda = 1 as a limit
+        r = np.concatenate([[0.0, -0.0, 1.0], rng.uniform(0.0, 1.0, 3)])
+        lam = np.concatenate([[0.0, -0.0], rng.uniform(0.0, 1.0, 3), [1.0] * limit])
+        for r_axis, lam_axis in [
+            (r, lam),
+            (list(r), list(lam)),  # the command line's axes
+            (np.append(r, r[::-1]), lam[::-1]),  # repeated and descending
+            (float(r[4]), lam),  # a number beside an axis
+            (r, float(lam[3])),
+        ]:
+            outputs, kinds = self.sides(
+                monkeypatch, protocol, [3, 5], [1, 2, 3], r_axis, lam_axis, limit
+            )
+            assert outputs[0] == outputs[1]
+            assert kinds == [{np.ndarray}, {float}]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_same_first_fault(self, protocol, monkeypatch):
+        limit = protocol in ("correlated", "corr_vs_seq")
+        for r_axis, lam_axis, include_limit, message in [
+            # the first bad r in axis order, before any bad lambda
+            ([0.5, 1.5, -0.5], [-0.1], False, "r must lie in [0, 1], got 1.5"),
+            ([0.5, math.nan], [0.3], False, "r must lie in [0, 1], got nan"),
+            ([0.5, 0.2], [0.3, 1.0, -0.1], False, "lambda must lie in [0, 1), got 1.0"),
+            # include_limit closes lambda's range for the correlated forms only
+            ([0.5], [0.3, 1.0, 1.5], True,
+             "lambda must lie in [0, 1], got 1.5" if limit
+             else "lambda must lie in [0, 1), got 1.0"),
+        ]:
+            outputs, _ = self.sides(
+                monkeypatch, protocol, [3], [2], r_axis, np.array(lam_axis), include_limit
+            )
+            assert outputs == [message] * 2
+
+
+class TestParseGrid:
+    @pytest.mark.parametrize("raw", [
+        # one value: linspace's 0 * delta + start, whose sign can differ
+        # from start's
+        "0.5:7:1", "-0:3:1", "-0:-2:1", "0:-0:1",
+        # start = stop, and signed zeros at either end
+        "0.3:0.3:4", "-0:-0:3", "0:-0:3", "-0:0:3", "-0:1:21", "1:-0:4",
+        "0.9:0.1:5",  # descending
+        # steps that round to 0, where linspace divides by the count first
+        "0:5e-324:3", "5e-324:-0:4", "0:1e-320:7",
+        # large magnitudes
+        "-1e300:1e300:9", "1e308:1.7e308:11", "-1.7e308:-1e308:6",
+        "0:1:101", "0:0.99:100", "0.05:0.95:19",
+    ])
+    def test_equals_linspace_to_the_bit(self, raw):
+        start, stop, count = raw.split(":")
+        grid = _parse_grid(raw)
+        assert type(grid) is list and {type(x) for x in grid} == {float}
+        expected = np.linspace(float(start), float(stop), int(count))
+        assert np.array(grid).tobytes() == expected.tobytes()  # -0.0 too
+
+    @pytest.mark.parametrize("raw", ["0:inf:3", "-1e308:1e308:3", "-inf:0:1", "nan:0:2"])
+    def test_non_finite_exits_2(self, raw, capsys):
+        assert main(["sweep", "--protocol", "sqsc", f"--r-grid={raw}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid values must be finite, got {raw!r}\n"
 
 
 # one command of each kind that writes to stdout
@@ -646,16 +745,19 @@ class TestStartupImports:
 
     def test_only_array_commands_load_numpy(self):
         # whether numpy and depolqfi.oracle are loaded after the import and
-        # after each command in turn; every eval, the correlated ones too,
-        # computes its one point with math. A sweep comes last and must
-        # load numpy, so this cannot pass vacuously, but not the dense
-        # oracle, which only verify uses
+        # after each command in turn; every eval, a figure preset and a small
+        # sweep compute their points with math. A sweep whose work is above
+        # PLAIN_WORK comes last and must load numpy, so this cannot pass
+        # vacuously, but not the dense oracle, which only verify uses
         script = (
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, json, math, sys\n"
             "import depolqfi.cli\n"
+            "from depolqfi.evaluate import PLAIN_WORK, _point_work\n"
             "def loaded():\n"
             "    return [m in sys.modules for m in ('numpy', 'depolqfi.oracle')]\n"
             "point = ['--n', '4', '--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
+            "# count x count points at (60, 30) hold more work than PLAIN_WORK\n"
+            "count = math.isqrt(PLAIN_WORK // _point_work('correlated', 60, 30)) + 1\n"
             "steps = [loaded()]\n"
             "for argv in (\n"
             "    ['table', 'spectator'], ['table', 'all-qubits'], ['figure', 'cutoff'],\n"
@@ -664,15 +766,18 @@ class TestStartupImports:
             "      for p in ('sqsc', 'independent', 'sequential', 'correlated',\n"
             "                'corr_vs_seq')\n"
             "      for f in ([], ['--format', 'json'])),\n"
+            "    ['figure', 'corr-vs-seq-n4'],\n"
             "    ['sweep', '--protocol', 'correlated', '--n', '4', '--m', '3',\n"
             "     '--r-grid', '0:1:3', '--lambda-grid', '0:0.8:2'],\n"
+            "    ['sweep', '--protocol', 'correlated', '--n', '60', '--m', '30',\n"
+            "     '--r-grid', f'0:1:{count}', '--lambda-grid', f'0:0.9:{count}'],\n"
             "):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert depolqfi.cli.main(argv) == 0\n"
             "    steps.append(loaded())\n"
             "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [[False, False]] * 15 + [[True, False]]
+        assert self._run(script) == [[False, False]] * 17 + [[True, False]]
 
     def test_only_json_output_loads_json(self):
         # whether json is loaded after the import and after each command in

@@ -454,6 +454,26 @@ class TestCorrelatedQfi:
                 assert np.all(values[np.broadcast_to(r, values.shape) == 0.0] == 0.0)
         assert correlated_qfi(params(8, 7, np.array([0.0, 0.5]), 0.3875))[1] > 0.0
 
+    def test_r_zero_runs_no_slope_re_form(self, monkeypatch):
+        # at r = 0 the bulk slope is exactly 0, so _blocks re-forms no entry;
+        # at m = n >= 2, lambda = 0 its terms cancel and it still does
+        batches = []
+
+        def spy(indices, shape):
+            batches.append(indices.size)
+            return unravel_index(indices, shape)
+
+        unravel_index = np.unravel_index
+        monkeypatch.setattr(np, "unravel_index", spy)
+        lam = np.linspace(0.0, 0.99, 100)
+        for n, m in [(4, 2), (8, 8), (60, 30)]:
+            r = np.zeros(lam.size)
+            assert np.all(correlated_qfi(params(n, m, r, lam)) == 0.0)
+            assert np.all(correlated_qfi(params(n, m, -r, lam)) == 0.0)
+        assert batches == []
+        correlated_qfi(params(8, 8, np.array([0.5]), np.array([0.0])))
+        assert batches
+
     def test_all_qubits_hit_at_lambda_zero_gives_zero(self):
         # m = n >= 2 at lambda = 0: every one-qubit marginal of the prepared
         # state is I/2, so d rho / d lambda = 0 whatever r is

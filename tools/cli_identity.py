@@ -144,6 +144,19 @@ CASES: list[list[str]] = [
         "corr-gain-n4-multi", "corr-vs-seq-n4", "cutoff",
     )),
     ["figure", "corr-gain-n4-multi", "-o", OUT],
+    ["figure", "corr-vs-seq-n4", "-o", OUT],
+    # each side of evaluate.PLAIN_WORK = 2e5 work units: at n = 14 and
+    # m = 1..7 a point holds 1092, so 183 points run in math floats and 186
+    # on numpy arrays; at (60, 30) a point holds 1296, and 153 points run in
+    # math floats
+    *(
+        ["sweep", "--protocol", "corr_vs_seq", "--n", "14", "--m", "1,2,3,4,5,6,7",
+         "--r-grid", "0:1:3", "--lambda-grid", f"0:0.99:{count}", "-o", OUT]
+        for count in ("61", "62")
+    ),
+    ["sweep", "--protocol", "correlated", "--n", "60", "--m", "30",
+     "--r-grid", "0.1:0.9:9", "--lambda-grid", "0.1:0.9:17", "--format", "json",
+     "-o", OUT],
     ["figure", "cutoff", "-o", OUT],
     ["table", "spectator"],
     ["table", "I"],
