@@ -144,7 +144,6 @@ CASES: list[list[str]] = [
         "corr-gain-n4-multi", "corr-vs-seq-n4", "cutoff",
     )),
     ["figure", "corr-gain-n4-multi", "-o", OUT],
-    ["figure", "corr-vs-seq-n4", "-o", OUT],
     # each side of evaluate.PLAIN_WORK = 2e5 work units: at n = 14 and
     # m = 1..7 a point holds 1092, so 183 points run in math floats and 186
     # on numpy arrays; at (60, 30) a point holds 1296, and 153 points run in
