@@ -67,7 +67,9 @@ def _point_qfi(n: int, m: int, r: float, lam: float) -> float:
         return math.log(x) if x > 0.0 else -1e3
 
     l_b, l_a = log_ratio(b, small), log_ratio(a, big)
-    rows = []  # per v: X_v, Y_v, their slopes, the slopes' sizes, exact_slope's parts
+    # per v: X_v, Y_v, their slopes, the slopes' sizes, exact_slope's parts, C(m, v);
+    # at r = 0 the sizes are 0, as the bulk slope is exactly 0 (see _blocks)
+    rows, live = [], r != 0.0
     for v in range(m + 1):
         k, f, g = 2 * v - m, big**v * small ** (m - v), small**v * big ** (m - v)
         pa, pb = a**v * b ** (m - v), b**v * a ** (m - v)
@@ -76,8 +78,9 @@ def _point_qfi(n: int, m: int, r: float, lam: float) -> float:
         g_dot = g * (rate * (-k - m * lam_r)) * shrink
         tilt = m * lam_m1 * pa
         untilt = -lam_m1 * pb * (m + lam_r * (v / small - (m - v) / big))
-        rows.append((f + lam_m * pa, g * shrink, f_dot + tilt, g_dot + untilt,
-                     abs(f_dot) + tilt, abs(g_dot) - untilt, (k, f, g, pa, pb)))
+        sizes = (abs(f_dot) + tilt) * live, (abs(g_dot) - untilt) * live
+        rows.append((f + lam_m * pa, g * shrink, f_dot + tilt, g_dot + untilt, *sizes,
+                     (k, f, g, pa, pb), math.comb(m, v)))
     log_r = math.log1p(2.0 * r / b) if b else math.inf
     log_k = math.log1p(2.0 * lam_r / small)
 
@@ -93,11 +96,10 @@ def _point_qfi(n: int, m: int, r: float, lam: float) -> float:
         return d + m * lam_m1 * c
 
     def terms():  # one at a time, so that no list over the profiles is held
-        weights = [math.comb(m, v) for v in range(m + 1)]
         for u in range(n - m + 1):
             plus, minus = a**u * b ** (n - m - u), b**u * a ** (n - m - u)
             j, weight = 2 * u + m - n, math.comb(n - m, u)
-            for (x, y, x_dot, y_dot, x_size, y_size, parts), w in zip(rows, weights):
+            for x, y, x_dot, y_dot, x_size, y_size, parts, w in rows:
                 eig, slope = plus * x + minus * y, plus * x_dot + minus * y_dot
                 if CANCELLATION * abs(slope) < plus * x_size + minus * y_size:
                     slope = exact_slope(plus, minus, j, *parts)

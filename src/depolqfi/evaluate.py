@@ -2,20 +2,22 @@
 function: evaluate_grid, one protocol's QFI, per-channel QFI, gains and
 Cramer-Rao bound for lists of n and m over the outer product of an r axis
 and a lambda axis (a number is a one-value axis), as a table of columns.
+The gains' references, sqsc_qfi once per grid and sequential_qfi once per
+carried m, are also the single-qubit rows.
 
-Nothing here imports numpy at module level. A grid whose closed-form work
-is at most PLAIN_WORK, one point included, is computed point by point with
-math and never loads numpy, so `eval`, the figure presets and small sweeps
-do not, as `table`, `correlations` and `figure cutoff` never do. A larger
+Nothing here imports numpy at module level. A grid whose closed-form work,
+its point count times the summed _point_work of its carried (n, m), is at
+most PLAIN_WORK, one point included, is computed point by point with math
+and never loads numpy, so `eval`, the figure presets and small sweeps do
+not, as `table`, `correlations` and `figure cutoff` never do. A larger
 sweep loads it to run the closed forms on arrays, and `verify` loads it
-through the oracle.
+through the oracle. The two sides agree in every printed field.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional
 
 from .errors import DomainError
 from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, sqsc_qfi
@@ -47,7 +49,7 @@ def _axis(values) -> list[float]:
     return [float(x) for x in values]
 
 
-def _gains(per_channel: list, ref: list, usable: list) -> list[Optional[float]]:
+def _gains(per_channel: list, ref: list, usable: list) -> list[float | None]:
     """per_channel / ref where usable and ref != 0, None elsewhere."""
     return [
         h / h_ref if ok and h_ref != 0.0 else None
@@ -67,8 +69,9 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 def _point_work(protocol: str, n: int, m: int) -> int:
     """The math-float cost of one point at a carried (n, m), in units of one
     (u, v) profile of the correlated form: its (n-m+1)(m+1) profiles, each
-    count padded by 5 for the per-u and per-v factors, the references and
-    the checks; 28 for a point of a single-qubit protocol."""
+    count padded by 5 for the per-u and per-v factors, the checks and at
+    most one sqsc_qfi and one sequential_qfi reference; 28 for a point of a
+    single-qubit protocol, whose rows are those references."""
     if protocol in CORRELATED:
         return (n - m + 6) * (m + 6)
     return 28
@@ -89,12 +92,7 @@ def evaluate_grid(
     the distinct (n, m) that they carry (sqsc, independent and sequential
     map several requested pairs to one), in ascending (n, m), each sorted
     stably by (r, lambda) (-0.0 ties with 0.0). A gain is None where r = 0,
-    where lambda = 1 or where its reference QFI is 0.
-
-    A grid whose work, its point count times the summed _point_work of the
-    carried (n, m), is at most PLAIN_WORK runs every closed form point by
-    point in math floats and loads no numpy; a larger one runs them on
-    numpy arrays. The two agree in every printed field."""
+    where lambda = 1 or where its reference QFI is 0."""
     if protocol not in PROTOCOLS:
         raise DomainError(f"unknown protocol {protocol!r}")
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
@@ -109,47 +107,46 @@ def evaluate_grid(
     # the points of the grid on one flat, r-major axis
     rs = [r for r in r_axis for _ in lam_axis]
     lams = lam_axis * len(r_axis)
-    # 0 at lambda = 1 keeps the references defined
+    # 0 at lambda = 1 keeps the references defined; below 1 it is lambda to the bit
     lam_ref = [lam * (lam < 1.0) for lam in lams]
-    points, refs = (rs, lams), (rs, lam_ref)
-    size = len(rs)
+    size, lam_at = len(rs), lams
     if size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK:
 
-        def each(form, r, lam):  # form at every point, in math floats
-            return list(map(form, r, lam))
+        def each(form, lam):  # form at every point, in math floats
+            return list(map(form, rs, lam))
 
     else:
         import numpy as np
 
-        r_array = np.array(rs)
-        points, refs = (r_array, np.array(lams)), (r_array, np.array(lam_ref))
+        r_array, lam_at, lam_ref = np.array(rs), np.array(lams), np.array(lam_ref)
 
-        def each(form, r, lam):  # form at every point at once, in numpy
-            return form(r, lam).tolist()
+        def each(form, lam):  # form at every point at once, in numpy
+            return form(r_array, lam).tolist()
 
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
+    sqsc_ref, last_n = each(sqsc_qfi, lam_ref), {m: n for n, m in shapes}
+    seq_refs = {m: each(partial(sequential_qfi, m), lam_ref) for m in last_n}
     table: dict[str, list] = {}
     for n, m in shapes:
+        seq_ref = seq_refs.pop(m) if n == last_n[m] else seq_refs[m]
         if protocol in ("sqsc", "independent"):
             # sqsc is the independent protocol on one qubit. Its per-channel
             # QFI is sqsc_qfi itself: the round trip m * sqsc_qfi / m can move
             # the last printed digit.
-            per_channel = each(sqsc_qfi, *points)
+            per_channel = sqsc_ref
             value = [m * h for h in per_channel]
-        else:
-            if protocol == "sequential":
-                value = each(partial(sequential_qfi, m), *points)
-            else:  # correlated / corr_vs_seq
-                from .correlated import correlated_qfi
+        elif protocol == "sequential":
+            value, per_channel = seq_ref, [h / m for h in seq_ref]
+        else:  # correlated / corr_vs_seq
+            from .correlated import correlated_qfi
 
-                def correlated(r, lam):
-                    return correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
+            def correlated(r, lam):
+                return correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
 
-                value = each(correlated, *points)
+            value = each(correlated, lam_at)
             per_channel = [h / m for h in value]
-        sqsc_ref = each(sqsc_qfi, *refs)
-        seq_ref = [h / m for h in each(partial(sequential_qfi, m), *refs)]
+        seq_ref = [h / m for h in seq_ref]  # per channel
         part = {
             "protocol": [protocol] * size,
             "n": [n] * size,

@@ -309,6 +309,34 @@ class TestTwoSides:
             assert outputs[0] == outputs[1]
             assert kinds == [{np.ndarray}, {float}]
 
+    @pytest.mark.parametrize("ns, ms", [([3, 5], [1, 2, 3]), ([10, 12], [3, 5])])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_one_reference_pass_per_grid(self, protocol, ns, ms, monkeypatch):
+        # sqsc_qfi once per grid and sequential_qfi once per carried m, also
+        # where two n share an m: a pass is one call per point in math
+        # floats and one call on numpy arrays
+        calls = []
+
+        def sqsc_spy(r, lam):
+            calls.append("sqsc")
+            return sqsc_qfi(r, lam)
+
+        def sequential_spy(m, r, lam):
+            calls.append(m)
+            return sequential_qfi(m, r, lam)
+
+        monkeypatch.setattr(evaluate, "sqsc_qfi", sqsc_spy)
+        monkeypatch.setattr(evaluate, "sequential_qfi", sequential_spy)
+        limit = protocol in ("correlated", "corr_vs_seq")  # lambda = 1 as a limit
+        r, lam = [0.0, 0.5, 1.0], [0.0, 0.5, 1.0 if limit else 0.9]
+        carried = [1] if protocol == "sqsc" else ms
+        for work, per_pass in ((0, 1), (10**18, len(r) * len(lam))):
+            monkeypatch.setattr(evaluate, "PLAIN_WORK", work)
+            calls.clear()
+            evaluate_grid(protocol, ns, ms, r, lam, limit)
+            passes = {key: calls.count(key) for key in calls}
+            assert passes == dict.fromkeys(["sqsc", *carried], per_pass)
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_same_first_fault(self, protocol, monkeypatch):
         limit = protocol in ("correlated", "corr_vs_seq")

@@ -474,6 +474,28 @@ class TestCorrelatedQfi:
         correlated_qfi(params(8, 8, np.array([0.5]), np.array([0.0])))
         assert batches
 
+    def test_r_zero_forms_no_second_slope_in_a_number(self, monkeypatch):
+        # the number path follows _blocks' rule: its per-v rows call expm1
+        # m + 1 times, each slope formed again 2 more, and at r = 0 none is
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return expm1(x)
+
+        expm1 = math.expm1
+        monkeypatch.setattr(math, "expm1", spy)
+        for n, m in [(4, 2), (14, 7), (60, 30)]:
+            for r in (0.0, -0.0):
+                for lam in (0.0, 0.5, 1.0 - 2.0**-52):
+                    calls.clear()
+                    assert correlated_qfi(params(n, m, r, lam)) == 0.0
+                    assert len(calls) == m + 1, (n, m, r, lam)
+        # m = n >= 2 at lambda = 0 cancels the slope's terms: it is formed again
+        calls.clear()
+        correlated_qfi(params(8, 8, 0.5, 0.0))
+        assert len(calls) > 8 + 1
+
     def test_all_qubits_hit_at_lambda_zero_gives_zero(self):
         # m = n >= 2 at lambda = 0: every one-qubit marginal of the prepared
         # state is I/2, so d rho / d lambda = 0 whatever r is
@@ -966,6 +988,23 @@ class TestEdgeAccuracy:
             params(n, m, np.array([[1.0], [0.5]]), np.array([1.0, 0.3]), include_limit=True)
         )
         assert grid[0, 0] == math.inf and np.all(np.isfinite(grid.flat[1:]))
+
+    def test_inf_only_at_the_pure_noiseless_limit(self):
+        # signed zeros, subnormals and both ends of r and lambda, at every
+        # (n, m) with n <= 12: finite except at r = lambda = 1, on both paths
+        edges = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.5, 1 - 1e-9, 1 - 2.0**-52, 1.0]
+        r, lam = np.array(edges)[:, np.newaxis], np.array(edges)
+        pure = (r == 1.0) & (lam == 1.0)
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                numbers = np.array([
+                    [correlated_qfi(params(n, m, a, b, include_limit=True)) for b in edges]
+                    for a in edges
+                ])
+                grid = correlated_qfi(params(n, m, r, lam, include_limit=True))
+                for values in (numbers, grid):
+                    assert np.all(values[pure] == math.inf), (n, m)
+                    assert np.all(np.isfinite(values[~pure])), (n, m)
 
 
 class TestGains:

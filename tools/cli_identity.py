@@ -157,6 +157,18 @@ CASES: list[list[str]] = [
      "--r-grid", "0.1:0.9:9", "--lambda-grid", "0.1:0.9:17", "--format", "json",
      "-o", OUT],
     ["figure", "cutoff", "-o", OUT],
+    # the references, once per grid and per carried m: single-qubit rows on
+    # numpy arrays, two n sharing each m, and r = 0 rows on either side
+    ["sweep", "--protocol", "sequential", "--m", "1,3,5", "--r-grid", "0:1:90",
+     "--lambda-grid", "0:0.99:90", "-o", OUT],
+    ["sweep", "--protocol", "independent", "--m", "1,2,3", "--r-grid", "0:1:90",
+     "--lambda-grid", "0:0.99:90", "--format", "json", "-o", OUT],
+    ["sweep", "--protocol", "corr_vs_seq", "--n", "10,12", "--m", "3,5",
+     "--r-grid", "0:1:5", "--lambda-grid", "0:1:5", "--include-limit", "-o", OUT],
+    ["sweep", "--protocol", "correlated", "--n", "60", "--m", "1,30,60",
+     "--r-grid", "0:1:21", "--lambda-grid", "0:0.99:20", "-o", OUT],
+    ["sweep", "--protocol", "correlated", "--n", "14", "--m", "7",
+     "--r-grid", "0:1:5", "--lambda-grid", "0:0.95:20"],
     ["table", "spectator"],
     ["table", "I"],
     ["table", "all-qubits", "-o", OUT],
