@@ -21,11 +21,10 @@ c = P_+ - P_- each their larger term times -expm1(-|s|), s the log ratio of
 their terms. The mirror (u, v) -> (n-m-u, m-v), the profile of N-x, sends
 p_+ to p_-: the QFI is 2^-(n+1) sum_(u,v) C(n-m, u) C(m, v) pdot_+^2 / p_+.
 
-correlated_qfi takes one of two paths by the type of r and lambda. Plain
-numbers (int, float, np.float64) run these forms one profile at a time in
-math floats and never load numpy; arrays run them in numpy, in chunks of
-points. The two round apart in the last bits, as libm and numpy's vector
-log, expm1 and pow do, and agree to about 1e-14 relative.
+Two kernels run these forms: grid_qfi one profile at a time in math floats,
+on the r and lambda axes of a grid, with no numpy; _blocks in numpy, on
+chunks of points. They round apart in the last bits, as libm and numpy's
+vector log, expm1 and pow do, and agree to about 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -50,63 +49,67 @@ def _powers(k: int, hi, lo) -> tuple:
     return first, first[..., ::-1]
 
 
-def _point_qfi(n: int, m: int, r: float, lam: float) -> float:
-    """correlated_qfi at one point, in math floats: _blocks' forms, one
-    (u, v) profile at a time, with the terms summed by fsum."""
-    if r == 1.0 and lam == 1.0:
-        return math.inf  # B = 0: a pure state, whose rank any noise raises
-    a, b, lam_r = 1.0 + r, 1.0 - r, lam * r
+def check_cap(n: int) -> None:  # DomainError if n is above the cap
+    if n > MAX_CLOSED_FORM_N:
+        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
+
+
+def grid_qfi(n: int, m: int, r_axis: list, lam_axis: list) -> list[float]:
+    """correlated_qfi of a checked (n, m) at the points of the outer product
+    of the float lists r_axis and lam_axis, r-major, in math floats. Factors
+    of r only are formed once per r; an r = 0 row (-0.0 too) is 0: I/2^n."""
+    values = []
+    for r in r_axis:
+        if r == 0.0:
+            values += [0.0] * len(lam_axis)
+            continue
+        a, b = 1.0 + r, 1.0 - r
+        # alpha_u, alpha'_u, j, C(n-m, u) per u; a^v b^(m-v), b^v a^(m-v), C(m, v) per v
+        us = [(a**u * b ** (n - m - u), b**u * a ** (n - m - u), 2 * u + m - n,
+               math.comb(n - m, u)) for u in range(n - m + 1)]
+        vs = [(a**v * b ** (m - v), b**v * a ** (m - v), math.comb(m, v))
+              for v in range(m + 1)]
+        log_r = math.log1p(2.0 * r / b) if b else math.inf  # ln(a/b)
+        # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
+        values += [math.inf if r == lam == 1.0 else 0.5 ** (n + 1)
+                   * math.fsum(_terms(m, r, lam, us, vs, log_r)) for lam in lam_axis]
+    return values
+
+
+def _terms(m: int, r: float, lam: float, us: list, vs: list, log_r: float):
+    """The weighted QFI terms of one point, one (u, v) profile at a time."""
+    b, lam_r = 1.0 - r, lam * r
     big, small = 1.0 + lam_r, b + (1.0 - lam) * r  # A and B
     rate, lam_m, lam_m1 = r / (big * small), lam**m, lam ** (m - 1)
-
-    def log_ratio(weight, image):  # as in _blocks; math.log(0) raises, so test for 0
-        gap = (1.0 - lam) / image
-        if gap < 0.5:
-            return math.log1p(-gap)
-        x = lam * weight / image
-        return math.log(x) if x > 0.0 else -1e3
-
-    l_b, l_a = log_ratio(b, small), log_ratio(a, big)
-    # per v: X_v, Y_v, their slopes, the slopes' sizes, exact_slope's parts, C(m, v);
-    # at r = 0 the sizes are 0, as the bulk slope is exactly 0 (see _blocks)
-    rows, live = [], r != 0.0
-    for v in range(m + 1):
+    logs = []  # ln(lambda b/B) and ln(lambda a/A) as in _blocks; math.log(0) raises
+    for weight, image in ((b, small), (1.0 + r, big)):
+        gap, x = (1.0 - lam) / image, lam * weight / image
+        logs.append(math.log1p(-gap) if gap < 0.5 else math.log(x) if x > 0.0 else -1e3)
+    l_b, l_a = logs
+    log_k = math.log1p(2.0 * lam_r / small)
+    for v, (pa, pb, w) in enumerate(vs):
+        # X_v, Y_v, their slopes and the slopes' sizes
         k, f, g = 2 * v - m, big**v * small ** (m - v), small**v * big ** (m - v)
-        pa, pb = a**v * b ** (m - v), b**v * a ** (m - v)
         shrink = -math.expm1(v * l_b + (m - v) * l_a)
         f_dot = f * (rate * (k - m * lam_r))
         g_dot = g * (rate * (-k - m * lam_r)) * shrink
         tilt = m * lam_m1 * pa
         untilt = -lam_m1 * pb * (m + lam_r * (v / small - (m - v) / big))
-        sizes = (abs(f_dot) + tilt) * live, (abs(g_dot) - untilt) * live
-        rows.append((f + lam_m * pa, g * shrink, f_dot + tilt, g_dot + untilt, *sizes,
-                     (k, f, g, pa, pb), math.comb(m, v)))
-    log_r = math.log1p(2.0 * r / b) if b else math.inf
-    log_k = math.log1p(2.0 * lam_r / small)
-
-    def exact_slope(plus, minus, j, k, f, g, pa, pb):
-        # as in _blocks: each pair's difference from the log ratio of its
-        # terms, where 0 times ln(a/b) = inf (r = 1) is 0
-        s, s_c = (j and j * log_r) + k * log_k, (j + k) and (j + k) * log_r
-        delta, c = (
-            math.copysign(max(x, y) * -math.expm1(-abs(t)), t)
-            for t, x, y in ((s, plus * f, minus * g), (s_c, plus * pa, minus * pb))
-        )
-        d = rate * (k * delta - m * lam * r * (plus * f + minus * g))
-        return d + m * lam_m1 * c
-
-    def terms():  # one at a time, so that no list over the profiles is held
-        for u in range(n - m + 1):
-            plus, minus = a**u * b ** (n - m - u), b**u * a ** (n - m - u)
-            j, weight = 2 * u + m - n, math.comb(n - m, u)
-            for x, y, x_dot, y_dot, x_size, y_size, parts, w in rows:
-                eig, slope = plus * x + minus * y, plus * x_dot + minus * y_dot
-                if CANCELLATION * abs(slope) < plus * x_size + minus * y_size:
-                    slope = exact_slope(plus, minus, j, *parts)
-                h = slope * slope / eig if eig else block_qfi(eig, slope)
-                yield h * (weight * w)
-
-    return 0.5 ** (n + 1) * math.fsum(terms())
+        x, y, x_dot, y_dot = f + lam_m * pa, g * shrink, f_dot + tilt, g_dot + untilt
+        x_size, y_size = abs(f_dot) + tilt, abs(g_dot) - untilt
+        for plus, minus, j, weight in us:
+            eig, slope = plus * x + minus * y, plus * x_dot + minus * y_dot
+            if CANCELLATION * abs(slope) < plus * x_size + minus * y_size:
+                # as in _blocks: each pair's difference from the log ratio of
+                # its terms, where 0 times ln(a/b) = inf (r = 1) is 0
+                s, s_c = (j and j * log_r) + k * log_k, (j + k) and (j + k) * log_r
+                pairs = (s, plus * f, minus * g), (s_c, plus * pa, minus * pb)
+                delta, c = (math.copysign(max(hi, lo) * -math.expm1(-abs(t)), t)
+                            for t, hi, lo in pairs)
+                slope = rate * (k * delta - m * lam * r * (plus * f + minus * g))
+                slope += m * lam_m1 * c
+            h = slope * slope / eig if eig else block_qfi(eig, slope)
+            yield h * (weight * w)
 
 
 def _blocks(n: int, m: int, r, lam, out) -> tuple:
@@ -219,20 +222,14 @@ def correlated_qfi(params: ProtocolParams):
     lambda. It is exactly 0 wherever r = 0, and at m = n >= 2 where
     lambda = 0; inf at r = lambda = 1.
 
-    Plain numbers (int, float, np.float64) are computed with math and never
-    load numpy; arrays, 0-d ones too, with numpy. The two agree to about
-    1e-14 relative, not bitwise; an array gives the same value to the bit
-    whatever its shape. A number's cost grows with its (n-m+1)(m+1)
-    profiles, past a one-entry array's at n = 60, m = 30 (0.27 against
-    0.11 ms on one x86-64 core), but an array needs numpy, whose import
-    costs as much as a few hundred such numbers: evaluate_grid loops over
-    numbers while a grid's work is at most evaluate.PLAIN_WORK, and passes
-    one array above it."""
+    Plain numbers (int, float, np.float64) are grid_qfi's 1x1 grid, with no
+    numpy; arrays, 0-d ones too, run in numpy, and give the same value to
+    the bit whatever their shape. The two agree to about 1e-14 relative,
+    not bitwise."""
     n, m = params.n, params.m
-    if n > MAX_CLOSED_FORM_N:
-        raise DomainError(f"n = {n} exceeds closed-form cap {MAX_CLOSED_FORM_N}")
+    check_cap(n)
     if isinstance(params.r, (int, float)) and isinstance(params.lam, (int, float)):
-        return _point_qfi(n, m, float(params.r), float(params.lam))
+        return grid_qfi(n, m, [float(params.r)], [float(params.lam)])[0]
     import numpy as np
 
     # every shape runs the same 1-D computation, so gets the same value to

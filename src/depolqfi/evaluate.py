@@ -7,11 +7,11 @@ carried m, are also the single-qubit rows.
 
 Nothing here imports numpy at module level. A grid whose closed-form work,
 its point count times the summed _point_work of its carried (n, m), is at
-most PLAIN_WORK, one point included, is computed point by point with math
-and never loads numpy, so `eval`, the figure presets and small sweeps do
-not, as `table`, `correlations` and `figure cutoff` never do. A larger
-sweep loads it to run the closed forms on arrays, and `verify` loads it
-through the oracle. The two sides agree in every printed field.
+most PLAIN_WORK, one point included, runs in math floats (a correlated one
+through correlated.grid_qfi on its axes) and never loads numpy, so `eval`,
+the figure presets and small sweeps do not. A larger sweep loads it to run
+the closed forms on arrays, and `verify` loads it through the oracle. The
+two sides agree in every printed field.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, 
 
 CORRELATED = ("correlated", "corr_vs_seq")
 # The most work (see _point_work) that a grid runs in math floats; a larger
-# grid runs in numpy, whose import costs 70-80 ms. Set just below the
-# crossover measured as the wall time of fresh-process corr_vs_seq sweeps
-# on a 2-vCPU x86-64 host (numpy 2.4.6, 11 alternating runs a side): math
-# floats won 10 of 11 runs at 2.5e5 units (n = 14, m = 1..7) and 6 of 11 at
-# 2.0e5 (n = 60, m = 30), and lost 9 of 11 or more from 3.0e5 and 2.45e5.
+# grid runs in numpy, whose import costs 70-80 ms. In fresh-process wall time
+# of corr_vs_seq sweeps (2-vCPU x86-64, numpy 2.4.6, 11 alternating runs a
+# side), math floats won 11 of 11 runs at 2.0e5 units (n = 14, m = 1..7 and
+# n = 60, m = 30), 8 of 11 at 4.0e5 (n = 14) and 1 of 11 at 2.9e5 (60, 30).
 PLAIN_WORK = 200_000
 
 
@@ -68,13 +67,13 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 
 def _point_work(protocol: str, n: int, m: int) -> int:
     """The math-float cost of one point at a carried (n, m), in units of one
-    (u, v) profile of the correlated form: its (n-m+1)(m+1) profiles, each
-    count padded by 5 for the per-u and per-v factors, the checks and at
-    most one sqsc_qfi and one sequential_qfi reference; 28 for a point of a
-    single-qubit protocol, whose rows are those references."""
+    (u, v) profile of the correlated form, fitted to evaluate_grid's time in
+    process (0.30 us a unit on a 2-vCPU x86-64 host): its (n-m+1)(m+1)
+    profiles, 3 per v and 20 for its references and row; 13 for a point of
+    a single-qubit protocol, whose rows are the references."""
     if protocol in CORRELATED:
-        return (n - m + 6) * (m + 6)
-    return 28
+        return (n - m + 4) * (m + 1) + 20
+    return 13
 
 
 def evaluate_grid(
@@ -104,24 +103,35 @@ def evaluate_grid(
         check_params(r=r)
     for lam in lam_axis:
         check_params(lam=lam, include_limit=closed)
+    if protocol in CORRELATED:
+        from . import correlated
     # the points of the grid on one flat, r-major axis
     rs = [r for r in r_axis for _ in lam_axis]
     lams = lam_axis * len(r_axis)
     # 0 at lambda = 1 keeps the references defined; below 1 it is lambda to the bit
     lam_ref = [lam * (lam < 1.0) for lam in lams]
-    size, lam_at = len(rs), lams
+    size = len(rs)
     if size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK:
 
         def each(form, lam):  # form at every point, in math floats
             return list(map(form, rs, lam))
 
+        def correlated_values(n, m):  # checks, then the math kernel on the axes
+            ProtocolParams(n, m, 0.0, 0.0)  # m <= n, which ProtocolParams states
+            correlated.check_cap(n)
+            return correlated.grid_qfi(n, m, r_axis, lam_axis)
+
     else:
         import numpy as np
 
-        r_array, lam_at, lam_ref = np.array(rs), np.array(lams), np.array(lam_ref)
+        r_array, lam_array, lam_ref = np.array(rs), np.array(lams), np.array(lam_ref)
 
         def each(form, lam):  # form at every point at once, in numpy
             return form(r_array, lam).tolist()
+
+        def correlated_values(n, m):  # checked by one array ProtocolParams
+            params = ProtocolParams(n, m, r_array, lam_array, include_limit)
+            return correlated.correlated_qfi(params).tolist()
 
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
@@ -136,15 +146,8 @@ def evaluate_grid(
             # the last printed digit.
             per_channel = sqsc_ref
             value = [m * h for h in per_channel]
-        elif protocol == "sequential":
-            value, per_channel = seq_ref, [h / m for h in seq_ref]
-        else:  # correlated / corr_vs_seq
-            from .correlated import correlated_qfi
-
-            def correlated(r, lam):
-                return correlated_qfi(ProtocolParams(n, m, r, lam, include_limit))
-
-            value = each(correlated, lam_at)
+        else:  # correlated / corr_vs_seq, once per (n, m), or sequential
+            value = seq_ref if protocol == "sequential" else correlated_values(n, m)
             per_channel = [h / m for h in value]
         seq_ref = [h / m for h in seq_ref]  # per channel
         part = {

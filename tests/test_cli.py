@@ -253,11 +253,44 @@ class TestSweep:
         (("correlated", [2], [3], 1.5, 0.5), False, "r must lie in [0, 1], got 1.5"),
         # the protocol name before everything
         (("nope", [0], [1], 0.5, 0.5), False, "unknown protocol 'nope'"),
+        # then m <= n and the closed form's cap, in ascending carried (n, m):
+        # m > n on a later shape, m > n before the cap on one shape, and the
+        # cap after a valid shape
+        (("correlated", [2, 3], [1, 3], 0.5, 0.5), False,
+         "correlated protocol requires m <= n, got m=3, n=2"),
+        (("corr_vs_seq", [61], [62], 0.5, 0.5), False,
+         "correlated protocol requires m <= n, got m=62, n=61"),
+        (("correlated", [10, 61], [1], 0.5, 0.5), False,
+         "n = 61 exceeds closed-form cap 60"),
     ])
     def test_first_fault_is_reported(self, args, include_limit, message):
         with pytest.raises(DomainError) as raised:
             evaluate_grid(*args, include_limit=include_limit)
         assert str(raised.value) == message
+
+
+    @pytest.mark.parametrize("work", [0, 10**18])  # numpy arrays, math floats
+    def test_checks_once_per_carried_shape(self, work, monkeypatch):
+        # a correlated grid is checked once per carried (n, m), whatever its
+        # size: one ProtocolParams each, and no correlated_qfi call per point
+        calls = []
+
+        def spy(name, form):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return form(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(evaluate, "PLAIN_WORK", work)
+        monkeypatch.setattr(evaluate, "ProtocolParams", spy("params", ProtocolParams))
+        monkeypatch.setattr(correlated, "correlated_qfi", spy("qfi", correlated_qfi))
+        counts = []
+        for size in (2, 20):
+            calls.clear()
+            r, lam = np.linspace(0.0, 1.0, size), np.linspace(0.0, 0.95, size)
+            evaluate_grid("corr_vs_seq", [12], [3, 6], r, lam)
+            counts.append({key: calls.count(key) for key in calls})
+        assert counts == [{"params": 2} if work else {"params": 2, "qfi": 2}] * 2
 
 
 class TestTwoSides:

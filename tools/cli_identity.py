@@ -93,7 +93,7 @@ CASES: list[list[str]] = [
     ["sweep", "--protocol", "correlated", "--n", "40", "--m", "20",
      "--r-grid", "0:1:3", "--lambda-grid", "0:0.99:300"],
     ["sweep", "--protocol", "correlated", "--n", "30", "--m", "10,15",
-     "--r-grid", "0.9:0.1:5", "--lambda-grid", "0:0.99:50"],
+     "--r-grid", "0.9:0.1:5", "--lambda-grid", "0:0.99:100"],
     # m = n >= 2 at lambda = 0: every qubit's marginal is I/2, so H is exactly 0
     ["eval", "--protocol", "correlated", "--n", "8", "--m", "8", "--r", "0.1",
      "--lambda", "0"],
@@ -145,13 +145,13 @@ CASES: list[list[str]] = [
     )),
     ["figure", "corr-gain-n4-multi", "-o", OUT],
     # each side of evaluate.PLAIN_WORK = 2e5 work units: at n = 14 and
-    # m = 1..7 a point holds 1092, so 183 points run in math floats and 186
-    # on numpy arrays; at (60, 30) a point holds 1296, and 153 points run in
+    # m = 1..7 a point holds 602, so 330 points run in math floats and 333
+    # on numpy arrays; at (60, 30) a point holds 1074, and 153 points run in
     # math floats
     *(
         ["sweep", "--protocol", "corr_vs_seq", "--n", "14", "--m", "1,2,3,4,5,6,7",
          "--r-grid", "0:1:3", "--lambda-grid", f"0:0.99:{count}", "-o", OUT]
-        for count in ("61", "62")
+        for count in ("110", "111")
     ),
     ["sweep", "--protocol", "correlated", "--n", "60", "--m", "30",
      "--r-grid", "0.1:0.9:9", "--lambda-grid", "0.1:0.9:17", "--format", "json",
@@ -217,6 +217,18 @@ CASES: list[list[str]] = [
     ["sweep", "--protocol", "correlated", "--n", "35", "--m", "23",
      "--r-grid", "0.5753340342325569:0.5753340342325569:1",
      "--lambda-grid", "0.4758537503353373:0.4758537503353373:1", "--format", "json"],
+    # the math kernel on a grid's axes: several shapes, r = 0 rows, and the
+    # r = -0.0 and r = 1 rows at lambda = 1
+    ["sweep", "--protocol", "correlated", "--n", "3,5", "--m", "2,4",
+     "--r-grid", "0:1:3", "--lambda-grid", "0:0.9:3"],
+    ["sweep", "--protocol", "correlated", "--n", "6", "--m", "1,3,6",
+     "--r-grid=-0:1:5", "--lambda-grid", "0:1:5", "--include-limit"],
+    # a grid's first fault, once per carried (n, m): m > n on one shape
+    # before the cap on another, and the cap after a valid shape
+    ["sweep", "--protocol", "corr_vs_seq", "--n", "61,2", "--m", "3,1"],
+    ["sweep", "--protocol", "correlated", "--n", "10,61", "--m", "1",
+     "--r-grid", "0:1:3", "--lambda-grid", "0:0.9:3"],
+    ["eval", "--protocol", "correlated", "--n", "61", "--m", "1", *_POINT],
 ]
 
 
