@@ -112,11 +112,11 @@ def _terms(m: int, r: float, lam: float, us: list, vs: list, log_r: float):
             yield h * (weight * w)
 
 
-def _blocks(n: int, m: int, r, lam, out) -> tuple:
+def _blocks(n: int, m: int, r, lam) -> tuple:
     """p_+ and its lambda-slope pdot_+ of every profile at the points of the
     1-D float arrays r and lam, of one length, indexed [point, u, v], without
-    the state's scale 2^-(n+1), in out, a stack of three float arrays of that
-    shape. p_- and its slope are these at the mirror, [:, ::-1, ::-1]."""
+    the state's scale 2^-(n+1), in two of the three arrays of that shape that
+    it allocates. p_- and its slope are these at the mirror, [:, ::-1, ::-1]."""
     import numpy as np
 
     a, b, lam_r = 1.0 + r, 1.0 - r, lam * r
@@ -124,7 +124,7 @@ def _blocks(n: int, m: int, r, lam, out) -> tuple:
     alpha, (pa, pb) = _powers(n - m, a, b), _powers(m, a, b)
     f, g = _powers(m, big, small)
     lam_m, lam_m1 = (lam[:, np.newaxis] ** e for e in (m, m - 1))
-    v, (slope, size, work) = np.arange(m + 1), out
+    v, (slope, size, work) = np.arange(m + 1), np.empty((3, r.size, n - m + 1, m + 1))
 
     def log_ratio(weight, image):
         # ln(lambda weight / image), 0 at lambda = 1; log 0 is clamped to
@@ -187,8 +187,7 @@ def final_x_entries(params: ProtocolParams) -> tuple:
 
     n, m = params.n, params.m
     r, lam = np.array([[params.r], [params.lam]], dtype=float)  # one point
-    work = np.empty((3, 1, n - m + 1, m + 1))
-    eig = 0.5 ** (n + 2) * _blocks(n, m, r, lam, work)[0][0]
+    eig = 0.5 ** (n + 2) * _blocks(n, m, r, lam)[0][0]
     mirror = eig[::-1, ::-1]  # p_-, at the profile of N-x
     # x and N-x add the same two floats, so d_x = d_(N-x) to the bit
     diag, counter = eig + mirror, eig - mirror
@@ -237,12 +236,11 @@ def correlated_qfi(params: ProtocolParams):
     r, lam = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in params[2:]))
     total = np.empty(r.shape)
     flat, chunk = total.reshape(-1), max(1, CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
-    work = np.empty((3, min(chunk, flat.size), n - m + 1, m + 1))
     weight = np.outer(*([math.comb(j, i) for i in range(j + 1)] for j in (n - m, m)))
     for start in range(0, flat.size, chunk):
         points = slice(start, start + chunk)
         r_at, lam_at = r.flat[points], lam.flat[points]
-        eig, h = _blocks(n, m, r_at, lam_at, work[:, : r_at.size])
+        eig, h = _blocks(n, m, r_at, lam_at)
         drops = np.flatnonzero(eig == 0.0)  # p_+ = 0: block_qfi gives 0 or inf
         h_drops = block_qfi(eig.flat[drops], h.flat[drops])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -253,5 +251,6 @@ def correlated_qfi(params: ProtocolParams):
         np.sum(h.reshape(r_at.size, -1), axis=-1, out=flat[points])
         # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
         flat[points][(r_at == 1.0) & (lam_at == 1.0)] = math.inf
+        del eig, h  # before the next chunk's arrays are allocated
     total *= 0.5 ** (n + 1)
     return float(total) if not total.ndim else total

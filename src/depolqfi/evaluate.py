@@ -2,8 +2,8 @@
 function: evaluate_grid, one protocol's QFI, per-channel QFI, gains and
 Cramer-Rao bound for lists of n and m over the outer product of an r axis
 and a lambda axis (a number is a one-value axis), as a table of columns.
-The gains' references, sqsc_qfi once per grid and sequential_qfi once per
-carried m, are also the single-qubit rows.
+The gains' references, sqsc_qfi once per grid (also the m = 1 sequential
+one) and sequential_qfi once per carried m > 1, are the single-qubit rows.
 
 Nothing here imports numpy at module level. A grid whose closed-form work,
 its point count times the summed _point_work of its carried (n, m), is at
@@ -136,7 +136,8 @@ def evaluate_grid(
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
     sqsc_ref, last_n = each(sqsc_qfi, lam_ref), {m: n for n, m in shapes}
-    seq_refs = {m: each(partial(sequential_qfi, m), lam_ref) for m in last_n}
+    seq_refs = {m: sqsc_ref if m == 1 else each(partial(sequential_qfi, m), lam_ref)
+                for m in last_n}
     table: dict[str, list] = {}
     for n, m in shapes:
         seq_ref = seq_refs.pop(m) if n == last_n[m] else seq_refs[m]

@@ -56,7 +56,7 @@ def scaled_blocks(p):
     r, lam = np.array([[p.r], [p.lam]], dtype=float)  # one point
     return tuple(
         0.5 ** (p.n + 1) * np.stack([a[0], a[0, ::-1, ::-1]])
-        for a in _blocks(p.n, p.m, r, lam, np.empty((3, 1, p.n - p.m + 1, p.m + 1)))
+        for a in _blocks(p.n, p.m, r, lam)
     )
 
 

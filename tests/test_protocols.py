@@ -244,12 +244,19 @@ class TestIndependent:
 
 class TestSequential:
     def test_m1_reduces_to_sqsc(self):
+        # to the bit, numbers and arrays: evaluate_grid takes the sqsc pass
+        # as the m = 1 sequential reference
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            r, lam = rng.uniform(0, 1), rng.uniform(0, 0.99)
-            assert sequential_qfi(1, r, lam) == pytest.approx(
-                sqsc_qfi(r, lam), abs=1e-12, rel=1e-12
-            )
+        edges = [0.0, -0.0, 1.0 - 2**-52, 1e-9, 5e-324]
+        r = np.concatenate([edges, [1.0], rng.uniform(0, 1, 30)])
+        lam = np.concatenate([edges, [0.5], rng.uniform(0, 0.99, 30)])
+        for x, y in zip(r.tolist(), lam.tolist()):
+            number = sequential_qfi(1, x, y)
+            assert type(number) is float
+            assert number.hex() == sqsc_qfi(x, y).hex(), (x, y)
+        for rs, lams in ((r, lam), (r[:, np.newaxis], lam)):
+            array = sequential_qfi(1, rs, lams)
+            assert array.tobytes() == sqsc_qfi(rs, lams).tobytes()
 
     def test_closed_form_value(self):
         m, r, lam = 3, 0.5, 0.8
