@@ -3,31 +3,32 @@ function: evaluate_grid, one protocol's QFI, per-channel QFI, gains and
 Cramer-Rao bound for lists of n and m over the outer product of an r axis
 and a lambda axis (a number is a one-value axis), as a table of columns.
 The gains' references, sqsc_qfi once per grid (also the m = 1 sequential
-one) and sequential_qfi once per carried m > 1, are the single-qubit rows.
+one) and sequential_qfi once per carried m > 1, each one call on the axes
+in math floats, are the single-qubit rows.
 
-Nothing here imports numpy at module level. A grid whose closed-form work,
-its point count times the summed _point_work of its carried (n, m), is at
-most PLAIN_WORK, one point included, runs in math floats (a correlated one
-through correlated.grid_qfi on its axes) and never loads numpy, so `eval`,
-the figure presets and small sweeps do not. A larger sweep loads it to run
-the closed forms on arrays, and `verify` loads it through the oracle. The
-two sides agree in every printed field.
+Nothing here imports numpy at module level, and no single-qubit grid loads
+it. A correlated grid whose closed-form work, its point count times the
+summed _point_work of its carried (n, m), is at most PLAIN_WORK, one point
+included, runs correlated.grid_qfi on its axes in math floats, so `eval`,
+the figure presets and small sweeps never load numpy. A larger correlated
+sweep loads it to run correlated_qfi on arrays, and `verify` loads it
+through the oracle. The two sides agree in every printed field.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from .errors import DomainError
-from .protocols import PROTOCOLS, ProtocolParams, check_params, sequential_qfi, sqsc_qfi
+from .protocols import PROTOCOLS, ProtocolParams, _axis, check_params
+from .protocols import sequential_qfi, sqsc_qfi
 
 CORRELATED = ("correlated", "corr_vs_seq")
-# The most work (see _point_work) that a grid runs in math floats; a larger
-# grid runs in numpy, whose import costs 70-80 ms. In fresh-process wall time
-# of corr_vs_seq sweeps (2-vCPU x86-64, numpy 2.4.6, 11 alternating runs a
-# side), math floats won 11 of 11 runs at 2.0e5 units (n = 14, m = 1..7 and
-# n = 60, m = 30), 8 of 11 at 4.0e5 (n = 14) and 1 of 11 at 2.9e5 (60, 30).
+# The most work (see _point_work) that a correlated grid runs in math floats;
+# a larger one runs in numpy, whose import costs 70-80 ms. In fresh-process
+# wall time of corr_vs_seq sweeps (2-vCPU x86-64, numpy 2.4.6, 11 alternating
+# runs a side), math floats won 11 of 11 runs at 2.0e5 units (n = 14, m = 1..7
+# and n = 60, m = 30), 8 of 11 at 4.0e5 (n = 14) and 1 of 11 at 2.9e5 (60, 30).
 PLAIN_WORK = 200_000
 
 
@@ -37,15 +38,6 @@ def cramer_rao_bound(h: float) -> float:
     if not h >= 0.0:
         raise DomainError(f"QFI must be nonnegative, got {h}")
     return 1.0 / h if h else math.inf
-
-
-def _axis(values) -> list[float]:
-    """An axis's values as floats, in order; a number is a one-value axis."""
-    if isinstance(values, (int, float)):
-        return [float(values)]
-    if hasattr(values, "ravel"):  # a numpy array or scalar: numpy is loaded
-        return values.ravel().astype(float).tolist()
-    return [float(x) for x in values]
 
 
 def _gains(per_channel: list, ref: list, usable: list) -> list[float | None]:
@@ -66,14 +58,11 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 
 
 def _point_work(protocol: str, n: int, m: int) -> int:
-    """The math-float cost of one point at a carried (n, m), in units of one
-    (u, v) profile of the correlated form, fitted to evaluate_grid's time in
-    process (0.30 us a unit on a 2-vCPU x86-64 host): its (n-m+1)(m+1)
-    profiles, 3 per v and 20 for its references and row; 13 for a point of
-    a single-qubit protocol, whose rows are the references."""
-    if protocol in CORRELATED:
-        return (n - m + 4) * (m + 1) + 20
-    return 13
+    """The math-float cost of one correlated point at a carried (n, m), in
+    units of one (u, v) profile, fitted to evaluate_grid's time in process
+    (0.30 us a unit on a 2-vCPU x86-64 host): its (n-m+1)(m+1) profiles,
+    3 per v and 20 for its references and row; none for a single-qubit one."""
+    return (n - m + 4) * (m + 1) + 20 if protocol in CORRELATED else 0
 
 
 def evaluate_grid(
@@ -108,13 +97,8 @@ def evaluate_grid(
     # the points of the grid on one flat, r-major axis
     rs = [r for r in r_axis for _ in lam_axis]
     lams = lam_axis * len(r_axis)
-    # 0 at lambda = 1 keeps the references defined; below 1 it is lambda to the bit
-    lam_ref = [lam * (lam < 1.0) for lam in lams]
     size = len(rs)
     if size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK:
-
-        def each(form, lam):  # form at every point, in math floats
-            return list(map(form, rs, lam))
 
         def correlated_values(n, m):  # checks, then the math kernel on the axes
             ProtocolParams(n, m, 0.0, 0.0)  # m <= n, which ProtocolParams states
@@ -124,19 +108,17 @@ def evaluate_grid(
     else:
         import numpy as np
 
-        r_array, lam_array, lam_ref = np.array(rs), np.array(lams), np.array(lam_ref)
-
-        def each(form, lam):  # form at every point at once, in numpy
-            return form(r_array, lam).tolist()
-
         def correlated_values(n, m):  # checked by one array ProtocolParams
-            params = ProtocolParams(n, m, r_array, lam_array, include_limit)
-            return correlated.correlated_qfi(params).tolist()
+            r_column = np.array(r_axis)[:, np.newaxis]  # R + L values to check
+            params = ProtocolParams(n, m, r_column, np.array(lam_axis), include_limit)
+            return correlated.correlated_qfi(params).ravel().tolist()
 
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable
-    sqsc_ref, last_n = each(sqsc_qfi, lam_ref), {m: n for n, m in shapes}
-    seq_refs = {m: sqsc_ref if m == 1 else each(partial(sequential_qfi, m), lam_ref)
+    # 0 at lambda = 1 keeps the references defined; below 1 it is lambda to the bit
+    lam_ref = [lam * (lam < 1.0) for lam in lam_axis]
+    sqsc_ref, last_n = sqsc_qfi(r_axis, lam_ref), {m: n for n, m in shapes}
+    seq_refs = {m: sqsc_ref if m == 1 else sequential_qfi(m, r_axis, lam_ref)
                 for m in last_n}
     table: dict[str, list] = {}
     for n, m in shapes:

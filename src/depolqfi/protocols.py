@@ -3,8 +3,9 @@
 Covers the single-qubit single-channel (SQSC) baseline and the sequential
 multi-use protocol, together with the one domain check (check_params) and the
 validated correlated-protocol point (ProtocolParams) that the other modules
-share. Nothing here imports numpy at module level: check_params and the
-closed forms compute plain numbers with math and load numpy only for arrays.
+share. Nothing here imports numpy at module level: the closed forms run in
+math floats on numbers and axes, and check_params loads numpy only for
+arrays.
 """
 
 from __future__ import annotations
@@ -73,27 +74,41 @@ class ProtocolParams(_Point):
         return super().__new__(cls, n, m, r, lam)
 
 
-def sqsc_qfi(r: float, lam: float) -> float:
-    """Baseline QFI for a single qubit and a single channel invocation;
-    r and lam may be arrays."""
+def _axis(values) -> list[float]:
+    """An axis's values as floats, in order; a number is a one-value axis."""
+    if isinstance(values, (int, float)):
+        return [float(values)]
+    if hasattr(values, "ravel"):  # a numpy array or scalar: numpy is loaded
+        return values.ravel().astype(float).tolist()
+    return [float(x) for x in values]
+
+
+def sqsc_qfi(r, lam):
+    """Baseline QFI of one qubit and one channel use: sequential_qfi at m = 1."""
     return sequential_qfi(1, r, lam)
 
 
-def sequential_qfi(m: int, r: float, lam: float) -> float:
-    """QFI of m sequential channel uses on one qubit; r and lam may be
-    arrays. The denominator 1 - lambda^(2m) r^2 is formed as
-    -expm1(2m log lambda + 2 log r), which keeps its relative accuracy as
-    r and lambda approach 1. Plain numbers are computed with math, so that
-    they never load numpy; arrays with numpy."""
-    check_params(m=m, r=r, lam=lam)
-    if isinstance(r, (int, float)) and isinstance(lam, (int, float)):
-        # math.log(0) raises where np.log gives -inf, whose -expm1 is the exact 1
-        zero = r == 0.0 or lam == 0.0  # -0.0 too
-        gap = 1.0 if zero else -math.expm1(2 * m * math.log(lam) + 2 * math.log(r))
-    else:
-        import numpy as np
+def sequential_qfi(m: int, r, lam):
+    """QFI of m sequential channel uses on one qubit, in math floats. r and
+    lam are each a number or an axis (a list, tuple or 1-D array): two
+    numbers give a float, else the r-major list over the outer product of
+    their axes. m, then every r, then every lambda is checked. The
+    denominator 1 - lambda^(2m) r^2 is -expm1(2m ln lambda + 2 ln r), which
+    keeps its relative accuracy as r and lambda approach 1; ln 0 is -inf."""
+    check_params(m=m)
+    r_axis, lam_axis = _axis(r), _axis(lam)
+    for x in r_axis:
+        check_params(r=x)
+    for y in lam_axis:
+        check_params(lam=y)
 
-        with np.errstate(divide="ignore"):
-            gap = -np.expm1(2 * m * np.log(lam) + 2 * np.log(r))
-    qfi = m * m * lam ** (2 * m - 2) * r * r / gap
-    return qfi if getattr(qfi, "ndim", 0) else float(qfi)
+    def log(x):  # math.log(0) raises; -0.0 too
+        return math.log(x) if x else -math.inf
+
+    lam_terms = [(m * m * y ** (2 * m - 2), 2 * m * log(y)) for y in lam_axis]
+    values = []
+    for x in r_axis:
+        log_r = 2 * log(x)
+        values += [c * x * x / -math.expm1(z + log_r) for c, z in lam_terms]
+    numbers = isinstance(r, (int, float)) and isinstance(lam, (int, float))
+    return values[0] if numbers else values

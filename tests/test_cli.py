@@ -302,25 +302,25 @@ class TestTwoSides:
     def sides(monkeypatch, *args, **kwargs):
         """evaluate_grid(*args, **kwargs) on numpy arrays, then in math
         floats: each side's CSV and JSON text or DomainError message, and
-        the types of the r that sqsc_qfi took there."""
-        kinds = []
+        the (r, lam) of each sqsc_qfi call there."""
+        calls = []
 
         def spy(r, lam):
-            kinds[-1].add(type(r))
+            calls[-1].append((r, lam))
             return sqsc_qfi(r, lam)
 
         monkeypatch.setattr(evaluate, "sqsc_qfi", spy)
         outputs = []
         for limit in (0, 10**18):
             monkeypatch.setattr(evaluate, "PLAIN_WORK", limit)
-            kinds.append(set())
+            calls.append([])
             try:
                 table = evaluate_grid(*args, **kwargs)
             except DomainError as exc:
                 outputs.append(str(exc))
             else:
                 outputs.append((written(table), written(table, "json")))
-        return outputs, kinds
+        return outputs, calls
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -336,19 +336,22 @@ class TestTwoSides:
             (float(r[4]), lam),  # a number beside an axis
             (r, float(lam[3])),
         ]:
-            outputs, kinds = self.sides(
+            outputs, calls = self.sides(
                 monkeypatch, protocol, [3, 5], [1, 2, 3], r_axis, lam_axis, limit
             )
             assert outputs[0] == outputs[1]
-            assert kinds == [{np.ndarray}, {float}]
+            # one sqsc pass a side, on the r axis and the reference lambda
+            # axis, whose lambda = 1 is 0
+            r_list, lam_list = (np.atleast_1d(x).tolist() for x in (r_axis, lam_axis))
+            lam_ref = [0.0 if lam == 1.0 else lam for lam in lam_list]
+            assert calls == [[(r_list, lam_ref)]] * 2
 
     @pytest.mark.parametrize("ns, ms", [([3, 5], [1, 2, 3]), ([10, 12], [3, 5])])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_one_reference_pass_per_grid(self, protocol, ns, ms, monkeypatch):
         # sqsc_qfi once per grid and sequential_qfi once per carried m > 1,
         # also where two n share an m; a carried m = 1 takes the sqsc pass.
-        # A pass is one call per point in math floats and one call on numpy
-        # arrays
+        # A pass is one call on the grid's axes, on either side of PLAIN_WORK
         calls = []
 
         def sqsc_spy(r, lam):
@@ -364,13 +367,13 @@ class TestTwoSides:
         limit = protocol in ("correlated", "corr_vs_seq")  # lambda = 1 as a limit
         r, lam = [0.0, 0.5, 1.0], [0.0, 0.5, 1.0 if limit else 0.9]
         carried = [1] if protocol == "sqsc" else ms
-        for work, per_pass in ((0, 1), (10**18, len(r) * len(lam))):
+        for work in (0, 10**18):
             monkeypatch.setattr(evaluate, "PLAIN_WORK", work)
             calls.clear()
             evaluate_grid(protocol, ns, ms, r, lam, limit)
             passes = {key: calls.count(key) for key in calls}
             expected = ["sqsc", *(m for m in carried if m > 1)]
-            assert passes == dict.fromkeys(expected, per_pass)
+            assert passes == dict.fromkeys(expected, 1)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_same_first_fault(self, protocol, monkeypatch):
@@ -808,10 +811,11 @@ class TestStartupImports:
 
     def test_only_array_commands_load_numpy(self):
         # whether numpy and depolqfi.oracle are loaded after the import and
-        # after each command in turn; every eval, a figure preset and a small
-        # sweep compute their points with math. A sweep whose work is above
-        # PLAIN_WORK comes last and must load numpy, so this cannot pass
-        # vacuously, but not the dense oracle, which only verify uses
+        # after each command in turn; every eval, a figure preset, a small
+        # sweep and a single-qubit sweep of any size compute their points
+        # with math. A correlated sweep whose work is above PLAIN_WORK comes
+        # last and must load numpy, so this cannot pass vacuously, but not
+        # the dense oracle, which only verify uses
         script = (
             "import contextlib, io, json, math, sys\n"
             "import depolqfi.cli\n"
@@ -832,6 +836,8 @@ class TestStartupImports:
             "    ['figure', 'corr-vs-seq-n4'],\n"
             "    ['sweep', '--protocol', 'correlated', '--n', '4', '--m', '3',\n"
             "     '--r-grid', '0:1:3', '--lambda-grid', '0:0.8:2'],\n"
+            "    ['sweep', '--protocol', 'sequential', '--m', '1,3,5',\n"
+            "     '--r-grid', '0:1:90', '--lambda-grid', '0:0.99:90'],\n"
             "    ['sweep', '--protocol', 'correlated', '--n', '60', '--m', '30',\n"
             "     '--r-grid', f'0:1:{count}', '--lambda-grid', f'0:0.9:{count}'],\n"
             "):\n"
@@ -840,7 +846,7 @@ class TestStartupImports:
             "    steps.append(loaded())\n"
             "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [[False, False]] * 17 + [[True, False]]
+        assert self._run(script) == [[False, False]] * 18 + [[True, False]]
 
     def test_only_json_output_loads_json(self):
         # whether json is loaded after the import and after each command in

@@ -244,7 +244,7 @@ class TestIndependent:
 
 class TestSequential:
     def test_m1_reduces_to_sqsc(self):
-        # to the bit, numbers and arrays: evaluate_grid takes the sqsc pass
+        # to the bit, numbers and axes: evaluate_grid takes the sqsc pass
         # as the m = 1 sequential reference
         rng = np.random.default_rng(4)
         edges = [0.0, -0.0, 1.0 - 2**-52, 1e-9, 5e-324]
@@ -254,9 +254,9 @@ class TestSequential:
             number = sequential_qfi(1, x, y)
             assert type(number) is float
             assert number.hex() == sqsc_qfi(x, y).hex(), (x, y)
-        for rs, lams in ((r, lam), (r[:, np.newaxis], lam)):
-            array = sequential_qfi(1, rs, lams)
-            assert array.tobytes() == sqsc_qfi(rs, lams).tobytes()
+        for rs, lams in ((r, lam), (r.tolist(), tuple(lam.tolist()))):
+            values = sequential_qfi(1, rs, lams)
+            assert [h.hex() for h in values] == [h.hex() for h in sqsc_qfi(rs, lams)]
 
     def test_closed_form_value(self):
         m, r, lam = 3, 0.5, 0.8
@@ -264,10 +264,16 @@ class TestSequential:
         assert sequential_qfi(m, r, lam) == pytest.approx(expected, rel=1e-14)
 
     def test_returns_float_or_array(self):
+        # two numbers give a float; anything else the r-major list over the
+        # outer product of the axes, where a number is a one-value axis
         assert type(sequential_qfi(3, 0.5, 0.8)) is float
-        values = sequential_qfi(3, np.array([0.5, 0.6]), np.array([[0.8], [0.2]]))
-        assert values.shape == (2, 2)
-        assert values[0, 1] == sequential_qfi(3, 0.6, 0.8)
+        r, lam = [0.5, 0.6], np.array([0.8, 0.2, 0.4])
+        values = sequential_qfi(3, r, lam)
+        assert type(values) is list and len(values) == len(r) * len(lam)
+        assert values == [sequential_qfi(3, x, y) for x in r for y in lam.tolist()]
+        assert sequential_qfi(3, 0.5, lam) == sequential_qfi(3, [0.5], lam) == values[:3]
+        assert sequential_qfi(3, r, 0.2) == sequential_qfi(3, r, (0.2,)) == values[1::3]
+        assert sqsc_qfi(0.6, [0.8]) == [sqsc_qfi(0.6, 0.8)]
 
     def test_exact_as_r_and_lambda_approach_one(self):
         # 1 - lambda^(2m) r^2 cancels there; every float is dyadic, so
@@ -289,22 +295,43 @@ class TestSequential:
         assert sequential_qfi(1, 0.7, 0.0) == pytest.approx(0.49)
 
     def test_numbers_and_arrays_agree(self):
-        # plain numbers take math and arrays numpy, whose vector log, expm1
-        # and pow can differ from libm in the last bit: so the two agree to
-        # 1e-15 relative and in every printed field, not bitwise
+        # axes and numbers both run in math floats, so they agree to the bit,
+        # and with the one-point formula -expm1(2m ln lambda + 2 ln r), whose
+        # denominator is exactly 1 where r = 0 or lambda = 0
         rng = np.random.default_rng(1501)
-        lam_edges = [0.0, -0.0, *(1.0 - 10.0 ** -np.arange(1.0, 10.0))]
-        for m in [*range(1, 13), *rng.integers(13, 61, size=8).tolist()]:
-            # each edge lambda at r = 0, r = 1 and a random r; then random points
-            r = np.repeat([0.0, 1.0, rng.uniform()], len(lam_edges))
-            r = np.concatenate([r, rng.uniform(size=200)])
-            lam = np.concatenate([np.tile(lam_edges, 3), rng.uniform(size=200)])
-            arrays = sequential_qfi(m, r, lam)
-            for x, y, expected in zip(r.tolist(), lam.tolist(), arrays.tolist()):
-                value = sequential_qfi(m, x, y)
-                assert type(value) is float
-                assert abs(value - expected) <= 1e-15 * abs(expected)
-                assert f"{value:.9e}" == f"{expected:.9e}"
+        lam_axis = [0.0, -0.0, *(1.0 - 10.0 ** -np.arange(1.0, 10.0))]
+        lam_axis += rng.uniform(size=10).tolist()
+        counts = [*range(1, 13), *rng.integers(13, 61, size=8).tolist(), 10**12, 2**53]
+        for m in counts:
+            r_axis = np.array([0.0, -0.0, 1.0, *rng.uniform(size=10)])
+            values = sequential_qfi(m, r_axis, lam_axis)
+            assert len(values) == r_axis.size * len(lam_axis)
+            points = [(x, y) for x in r_axis.tolist() for y in lam_axis]
+            for (x, y), value in zip(points, values):
+                number = sequential_qfi(m, x, y)
+                assert type(number) is float and number.hex() == value.hex(), (m, x, y)
+                gap = 1.0 if x == 0.0 or y == 0.0 else -math.expm1(
+                    2 * m * math.log(y) + 2 * math.log(x))
+                assert number.hex() == (m * m * y ** (2 * m - 2) * x * x / gap).hex()
+
+    def test_first_fault_in_an_axis(self):
+        # a bad value inside an axis raises the message that it raises as a
+        # number; m is checked first, then every r, then every lambda
+        def message(*args):
+            with pytest.raises(DomainError) as raised:
+                sequential_qfi(*args)
+            return str(raised.value)
+
+        for bad in (1.5, -0.5, -5e-324, math.nan, math.inf):
+            expected = message(2, bad, 0.5)
+            assert expected.startswith("r must lie in [0, 1], got ")
+            assert message(2, [0.3, bad, 2.0], np.array([0.5, 1.0])) == expected
+        for bad in (1.0, 1.5, -0.5, math.nan, -math.inf):
+            expected = message(2, 0.5, bad)
+            assert expected.startswith("lambda must lie in [0, 1), got ")
+            assert message(2, np.array([0.3, 1.0]), (0.2, bad, 2.0)) == expected
+        expected = "m must be an integer >= 1, got 0"
+        assert message(0, 0.5, 0.5) == message(0, [2.0], [2.0]) == expected
 
 
 class TestSequentialGain:

@@ -158,9 +158,13 @@ CASES: list[list[str]] = [
      "-o", OUT],
     ["figure", "cutoff", "-o", OUT],
     # the references, once per grid and per carried m: single-qubit rows on
-    # numpy arrays, two n sharing each m, and r = 0 rows on either side
+    # large grids, two n sharing each m, and r = 0 rows on either side
     ["sweep", "--protocol", "sequential", "--m", "1,3,5", "--r-grid", "0:1:90",
      "--lambda-grid", "0:0.99:90", "-o", OUT],
+    # a single-qubit sweep that ran on numpy arrays until the single-qubit
+    # forms took axes in math floats: -0.0 and 1 rows, lambda close to 1
+    ["sweep", "--protocol", "sequential", "--m", "1,2,7", "--r-grid=-0:1:121",
+     "--lambda-grid", "0:0.999999:121", "-o", OUT],
     ["sweep", "--protocol", "independent", "--m", "1,2,3", "--r-grid", "0:1:90",
      "--lambda-grid", "0:0.99:90", "--format", "json", "-o", OUT],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "10,12", "--m", "3,5",
