@@ -21,10 +21,12 @@ c = P_+ - P_- each their larger term times -expm1(-|s|), s the log ratio of
 their terms. The mirror (u, v) -> (n-m-u, m-v), the profile of N-x, sends
 p_+ to p_-: the QFI is 2^-(n+1) sum_(u,v) C(n-m, u) C(m, v) pdot_+^2 / p_+.
 
-Two kernels run these forms: grid_qfi one profile at a time in math floats,
-on the r and lambda axes of a grid, with no numpy; _blocks in numpy, on
-chunks of points. They round apart in the last bits, as libm and numpy's
-vector log, expm1 and pow do, and agree to about 1e-14 relative.
+Two kernels run these forms on the r and lambda axes of a grid, a checked
+(n, m) and checked values, and return its points r-major: grid_qfi one
+profile at a time in math floats, with no numpy, and array_qfi in numpy,
+through _blocks on chunks of points. They round apart in the last bits, as
+libm and numpy's vector log, expm1 and pow do, and agree to about 1e-14
+relative. correlated_qfi is grid_qfi at one point.
 """
 
 from __future__ import annotations
@@ -215,31 +217,20 @@ def block_qfi(p, p_dot):
     return float(h) if h.ndim == 0 else h
 
 
-def correlated_qfi(params: ProtocolParams):
-    """Total QFI of the correlated-state protocol (closed form): a float, or
-    an array over the broadcast shape when params carry arrays of r and
-    lambda. It is exactly 0 wherever r = 0, and at m = n >= 2 where
-    lambda = 0; inf at r = lambda = 1.
-
-    Plain numbers (int, float, np.float64) are grid_qfi's 1x1 grid, with no
-    numpy; arrays, 0-d ones too, run in numpy, and give the same value to
-    the bit whatever their shape. The two agree to about 1e-14 relative,
-    not bitwise."""
-    n, m = params.n, params.m
-    check_cap(n)
-    if isinstance(params.r, (int, float)) and isinstance(params.lam, (int, float)):
-        return grid_qfi(n, m, [float(params.r)], [float(params.lam)])[0]
+def array_qfi(n: int, m: int, r_axis, lam_axis):
+    """grid_qfi in numpy: the same r-major points of a checked (n, m), as a
+    flat float64 array. Each chunk gathers its points' r and lambda from
+    the axes, so no copy of the grid is made, and each point gets the same
+    value to the bit wherever it falls."""
     import numpy as np
 
-    # every shape runs the same 1-D computation, so gets the same value to
-    # the bit: its points on one flat, r-major axis, in chunks of points
-    r, lam = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in params[2:]))
-    total = np.empty(r.shape)
-    flat, chunk = total.reshape(-1), max(1, CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
+    r_axis, lam_axis = (np.asarray(x, dtype=float) for x in (r_axis, lam_axis))
+    total = np.empty(r_axis.size * lam_axis.size)
+    chunk = max(1, CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
     weight = np.outer(*([math.comb(j, i) for i in range(j + 1)] for j in (n - m, m)))
-    for start in range(0, flat.size, chunk):
-        points = slice(start, start + chunk)
-        r_at, lam_at = r.flat[points], lam.flat[points]
+    for start in range(0, total.size, chunk):
+        at = np.arange(start, min(start + chunk, total.size))
+        r_at, lam_at = r_axis[at // lam_axis.size], lam_axis[at % lam_axis.size]
         eig, h = _blocks(n, m, r_at, lam_at)
         drops = np.flatnonzero(eig == 0.0)  # p_+ = 0: block_qfi gives 0 or inf
         h_drops = block_qfi(eig.flat[drops], h.flat[drops])
@@ -248,9 +239,18 @@ def correlated_qfi(params: ProtocolParams):
         h.flat[drops] = h_drops
         h *= weight
         # one contiguous row per point, so each point sums the same way
-        np.sum(h.reshape(r_at.size, -1), axis=-1, out=flat[points])
+        values = total[start : start + at.size]
+        np.sum(h.reshape(at.size, -1), axis=-1, out=values)
         # r = lambda = 1 (B = 0): a pure state, whose rank any noise raises
-        flat[points][(r_at == 1.0) & (lam_at == 1.0)] = math.inf
+        values[(r_at == 1.0) & (lam_at == 1.0)] = math.inf
         del eig, h  # before the next chunk's arrays are allocated
     total *= 0.5 ** (n + 1)
-    return float(total) if not total.ndim else total
+    return total
+
+
+def correlated_qfi(params: ProtocolParams) -> float:
+    """Total QFI of the correlated-state protocol (closed form) at the point
+    of params, grid_qfi's 1x1 grid, with no numpy. It is exactly 0 wherever
+    r = 0, and at m = n >= 2 where lambda = 0; inf at r = lambda = 1."""
+    check_cap(params.n)
+    return grid_qfi(params.n, params.m, [params.r], [params.lam])[0]

@@ -11,8 +11,8 @@ it. A correlated grid whose closed-form work, its point count times the
 summed _point_work of its carried (n, m), is at most PLAIN_WORK, one point
 included, runs correlated.grid_qfi on its axes in math floats, so `eval`,
 the figure presets and small sweeps never load numpy. A larger correlated
-sweep loads it to run correlated_qfi on arrays, and `verify` loads it
-through the oracle. The two sides agree in every printed field.
+sweep loads it to run correlated.array_qfi on the same axes, and `verify`
+loads it through the oracle. The two sides agree in every printed field.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def evaluate_grid(
         raise DomainError(f"unknown protocol {protocol!r}")
     shapes = sorted({_carried_shape(protocol, n, m) for n in ns for m in ms})
     r_axis, lam_axis = _axis(r_axis), _axis(lam_axis)
-    # every value, in axis order, as the closed forms check their arrays:
-    # the single-qubit forms keep lambda < 1 whatever include_limit says
+    # every value, in axis order, once per grid: the single-qubit forms
+    # keep lambda < 1 whatever include_limit says
     closed = include_limit and protocol in CORRELATED
     for r in r_axis:
         check_params(r=r)
@@ -98,20 +98,14 @@ def evaluate_grid(
     rs = [r for r in r_axis for _ in lam_axis]
     lams = lam_axis * len(r_axis)
     size = len(rs)
-    if size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK:
+    plain = size * sum(_point_work(protocol, n, m) for n, m in shapes) <= PLAIN_WORK
 
-        def correlated_values(n, m):  # checks, then the math kernel on the axes
-            ProtocolParams(n, m, 0.0, 0.0)  # m <= n, which ProtocolParams states
-            correlated.check_cap(n)
+    def correlated_values(n, m):  # checks, then one kernel on the axes
+        ProtocolParams(n, m, 0.0, 0.0)  # m <= n, which ProtocolParams states
+        correlated.check_cap(n)
+        if plain:
             return correlated.grid_qfi(n, m, r_axis, lam_axis)
-
-    else:
-        import numpy as np
-
-        def correlated_values(n, m):  # checked by one array ProtocolParams
-            r_column = np.array(r_axis)[:, np.newaxis]  # R + L values to check
-            params = ProtocolParams(n, m, r_column, np.array(lam_axis), include_limit)
-            return correlated.correlated_qfi(params).ravel().tolist()
+        return correlated.array_qfi(n, m, r_axis, lam_axis).tolist()
 
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable

@@ -3,9 +3,8 @@
 Covers the single-qubit single-channel (SQSC) baseline and the sequential
 multi-use protocol, together with the one domain check (check_params) and the
 validated correlated-protocol point (ProtocolParams) that the other modules
-share. Nothing here imports numpy at module level: the closed forms run in
-math floats on numbers and axes, and check_params loads numpy only for
-arrays.
+share. Nothing here imports numpy: the closed forms run in math floats on
+numbers and axes, and check_params checks numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ def check_params(n=None, m=None, r=None, lam=None, include_limit: bool = False) 
     """Raise DomainError unless each argument given is in its domain: n and m
     integers in [1, MAX_COUNT], r in [0, 1] and lambda in [0, 1), or in
     [0, 1] with include_limit. Arguments left at None are not checked. r and
-    lambda may be arrays; every entry is checked, and NaN fails."""
+    lambda are numbers (np.float64 and 0-d arrays too); NaN fails."""
     for name, k in (("m", m), ("n", n)):
         if k is None:
             continue
@@ -32,22 +31,13 @@ def check_params(n=None, m=None, r=None, lam=None, include_limit: bool = False) 
             raise DomainError(f"{name} must be an integer <= 2**53, got {k}")
         if not (k >= 1 and float(k).is_integer()):
             raise DomainError(f"{name} must be an integer >= 1, got {k}")
-    for name, values, closed in (("r", r, True), ("lambda", lam, include_limit)):
-        if values is None:
+    for name, value, closed in (("r", r, True), ("lambda", lam, include_limit)):
+        if value is None:
             continue
-        if isinstance(values, (int, float)):  # np.float64 too: no numpy needed
-            value = float(values)
-            inside = 0.0 <= value <= 1.0 and (closed or value < 1.0)
-            outside = [] if inside else [value]
-        else:
-            import numpy as np  # here, so that scalar checks never load numpy
-
-            values = np.asarray(values, dtype=float)
-            inside = (values >= 0.0) & ((values <= 1.0) if closed else (values < 1.0))
-            outside = values[~inside]
-        if len(outside):
+        value = float(value)  # a list or an array of several values: TypeError
+        if not (0.0 <= value <= 1.0 and (closed or value < 1.0)):
             bound = "[0, 1]" if closed else "[0, 1)"
-            raise DomainError(f"{name} must lie in {bound}, got {outside[0]}")
+            raise DomainError(f"{name} must lie in {bound}, got {value}")
 
 
 class _Point(NamedTuple):
@@ -59,9 +49,9 @@ class _Point(NamedTuple):
 
 class ProtocolParams(_Point):
     """A validated correlated-protocol point: n qubits, m <= n channel
-    invocations, polarization r and channel parameter lambda. lam = 1 is
-    only admitted for explicit limit evaluations via include_limit=True,
-    which the constructor checks and does not store."""
+    invocations, polarization r and channel parameter lambda, stored as
+    floats. lam = 1 is only admitted for explicit limit evaluations via
+    include_limit=True, which the constructor checks and does not store."""
 
     __slots__ = ()
 
@@ -71,7 +61,7 @@ class ProtocolParams(_Point):
             raise DomainError(
                 f"correlated protocol requires m <= n, got m={m}, n={n}"
             )
-        return super().__new__(cls, n, m, r, lam)
+        return super().__new__(cls, n, m, float(r), float(lam))
 
 
 def _axis(values) -> list[float]:

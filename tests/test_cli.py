@@ -272,8 +272,9 @@ class TestSweep:
     @pytest.mark.parametrize("work", [0, 10**18])  # numpy arrays, math floats
     def test_checks_once_per_carried_shape(self, work, monkeypatch):
         # a correlated grid is checked once per carried (n, m), whatever its
-        # size: one ProtocolParams each, and no correlated_qfi call per point
-        calls = []
+        # size: one ProtocolParams of numbers each, then one kernel call on
+        # the axes, and no correlated_qfi call per point
+        calls, points = [], []
 
         def spy(name, form):
             def call(*args, **kwargs):
@@ -281,8 +282,13 @@ class TestSweep:
                 return form(*args, **kwargs)
             return call
 
+        def params(*args, **kwargs):
+            points.append(ProtocolParams(*args, **kwargs))
+            return points[-1]
+
         monkeypatch.setattr(evaluate, "PLAIN_WORK", work)
-        monkeypatch.setattr(evaluate, "ProtocolParams", spy("params", ProtocolParams))
+        monkeypatch.setattr(evaluate, "ProtocolParams", spy("params", params))
+        monkeypatch.setattr(correlated, "array_qfi", spy("array", correlated.array_qfi))
         monkeypatch.setattr(correlated, "correlated_qfi", spy("qfi", correlated_qfi))
         counts = []
         for size in (2, 20):
@@ -290,7 +296,8 @@ class TestSweep:
             r, lam = np.linspace(0.0, 1.0, size), np.linspace(0.0, 0.95, size)
             evaluate_grid("corr_vs_seq", [12], [3, 6], r, lam)
             counts.append({key: calls.count(key) for key in calls})
-        assert counts == [{"params": 2} if work else {"params": 2, "qfi": 2}] * 2
+        assert counts == [{"params": 2} if work else {"params": 2, "array": 2}] * 2
+        assert all(type(x) is float for p in points for x in (p.r, p.lam)), points
 
 
 class TestTwoSides:

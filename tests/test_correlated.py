@@ -11,8 +11,10 @@ from depolqfi.correlated import (
     MAX_CLOSED_FORM_N,
     _blocks,
     _powers,
+    array_qfi,
     block_qfi,
     correlated_qfi,
+    grid_qfi,
 )
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
@@ -25,21 +27,25 @@ def params(n, m, r, lam, **kw):
 
 
 def both_paths(n, m, r, lam, **kw):
-    """correlated_qfi at one point on its two paths: the number path (math)
-    and the array path (numpy, a one-entry array), as two floats."""
+    """The closed form at one checked point on its two kernels: correlated_qfi
+    (grid_qfi in math floats) and array_qfi on one-value numpy axes, as two
+    floats."""
     number = correlated_qfi(params(n, m, r, lam, **kw))
-    array = correlated_qfi(params(n, m, np.array([r]), np.array([lam]), **kw))
-    assert type(number) is float and array.shape == (1,)
+    array = array_qfi(n, m, np.array([r]), np.array([lam]))
+    assert type(number) is float and array.shape == (1,) and array.dtype == float
     return number, float(array[0])
 
 
-def assert_paths_agree(n, m, r, lam, **kw):
-    """The two paths agree within 1e-14 relative and in every printed
-    field; exactly where either is 0 or inf."""
-    number, array = both_paths(n, m, r, lam, **kw)
+def assert_agree(number, array, where):
+    """A math value and a numpy value agree within 1e-14 relative and in
+    every printed field; exactly where either is 0 or inf."""
     if number != array:
-        assert abs(number - array) <= 1e-14 * abs(array), (n, m, r, lam, number, array)
-        assert f"{number:.9e}" == f"{array:.9e}", (n, m, r, lam, number, array)
+        assert abs(number - array) <= 1e-14 * abs(array), (*where, number, array)
+        assert f"{number:.9e}" == f"{array:.9e}", (*where, number, array)
+
+
+def assert_paths_agree(n, m, r, lam, **kw):
+    assert_agree(*both_paths(n, m, r, lam, **kw), (n, m, r, lam))
 
 
 def zero_counts(x, n, m):
@@ -439,20 +445,18 @@ class TestCorrelatedQfi:
             assert correlated_qfi(p) == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
-        # the state is I/2^n for every lambda, whatever shape the arrays have
+        # the state is I/2^n for every lambda, on either kernel
         assert correlated_qfi(params(5, 3, 0.0, 0.7)) == 0.0
         assert correlated_qfi(params(5, 3, -0.0, 0.0)) == 0.0
-        lam = np.linspace(0.0, 0.95, 6)
         for r, lam in [
-            (np.zeros(6), lam),
-            (np.zeros((6, 1)), lam[:, np.newaxis]),
-            (np.zeros((2, 1)), lam),
-            (np.array([0.0, 0.5]), np.array([0.3875, 0.3875])),
+            (np.zeros(1), np.linspace(0.0, 0.95, 6)),
+            (np.array([0.0, -0.0]), np.linspace(0.0, 0.95, 6)),
+            (np.array([0.5, 0.0]), np.array([0.3875])),
         ]:
             for n, m in [(4, 2), (5, 3), (8, 7), (8, 8)]:
-                values = correlated_qfi(params(n, m, r, lam))
-                assert np.all(values[np.broadcast_to(r, values.shape) == 0.0] == 0.0)
-        assert correlated_qfi(params(8, 7, np.array([0.0, 0.5]), 0.3875))[1] > 0.0
+                values = array_qfi(n, m, r, lam).reshape(r.size, lam.size)
+                assert np.all(values[r == 0.0] == 0.0)
+        assert array_qfi(8, 7, np.array([0.0, 0.5]), np.array([0.3875]))[1] > 0.0
 
     def test_r_zero_runs_no_slope_re_form(self, monkeypatch):
         # at r = 0 the bulk slope is exactly 0, so _blocks re-forms no entry;
@@ -467,11 +471,10 @@ class TestCorrelatedQfi:
         monkeypatch.setattr(np, "unravel_index", spy)
         lam = np.linspace(0.0, 0.99, 100)
         for n, m in [(4, 2), (8, 8), (60, 30)]:
-            r = np.zeros(lam.size)
-            assert np.all(correlated_qfi(params(n, m, r, lam)) == 0.0)
-            assert np.all(correlated_qfi(params(n, m, -r, lam)) == 0.0)
+            for r in (0.0, -0.0):
+                assert np.all(array_qfi(n, m, np.array([r]), lam) == 0.0)
         assert batches == []
-        correlated_qfi(params(8, 8, np.array([0.5]), np.array([0.0])))
+        array_qfi(8, 8, np.array([0.5]), np.array([0.0]))
         assert batches
 
     def test_r_zero_forms_no_second_slope_in_a_number(self, monkeypatch):
@@ -503,7 +506,7 @@ class TestCorrelatedQfi:
         lam = np.array([0.0, -0.0, 0.5])
         for n in range(2, MAX_CLOSED_FORM_N + 1):
             assert [correlated_qfi(params(n, n, a, 0.0)) for a in r] == [0.0] * 9
-            grid = correlated_qfi(params(n, n, r[:, np.newaxis], lam))
+            grid = array_qfi(n, n, r, lam).reshape(r.size, lam.size)
             assert np.all(grid[:, :2] == 0.0) and np.all(grid[:, 2] > 0.0), n
         # the exact QFI is 0 there too
         for n in range(2, 13):
@@ -524,34 +527,36 @@ class TestCorrelatedQfi:
             correlated_qfi(params(3, 4, 0.5, 0.5))
 
     def test_grid_matches_scalar_calls(self):
-        r, lam = np.meshgrid(
-            np.linspace(0.05, 1.0, 5), np.linspace(0.0, 0.99, 6), indexing="ij"
-        )
+        r, lam = np.linspace(0.05, 1.0, 5), np.linspace(0.0, 0.99, 6)
         for n, m in [(1, 1), (2, 1), (5, 5), (11, 1), (14, 7), (30, 13), (60, 1),
                      (60, 30), (60, 60)]:
-            grid = correlated_qfi(params(n, m, r, lam))
-            assert grid.shape == r.shape
+            grid = array_qfi(n, m, r, lam)
+            assert grid.shape == (r.size * lam.size,) and grid.dtype == float
             assert type(correlated_qfi(params(n, m, 0.5, 0.5))) is float
-            scalar = [
-                correlated_qfi(params(n, m, a, b))
-                for a, b in zip(r.flat, lam.flat)
-            ]
-            np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-12)
+            scalar = [correlated_qfi(params(n, m, a, b)) for a in r for b in lam]
+            np.testing.assert_allclose(grid, scalar, rtol=1e-12)
 
-    def test_r_with_more_axes_than_lambda(self):
-        # a column of r against a 1-D lambda: T's leading (value, slope) axis
-        # once met r's axis, which raised for 3 values of r and gave wrong
-        # numbers for 2
-        lam = np.array([0.1, 0.4, 0.8])
-        for size in (2, 3):
-            r = np.linspace(0.2, 0.9, size)[:, np.newaxis]
-            for n, m in [(4, 2), (6, 6), (9, 1)]:
-                grid = correlated_qfi(params(n, m, r, lam))
-                rows = correlated_qfi(params(n, m, r, lam[np.newaxis]))
-                np.testing.assert_array_equal(grid, rows)
+    def test_point_bits_do_not_depend_on_the_grid(self):
+        # 2 r by 5000 lambda at (60, 30): chunks of 17 points split each
+        # lambda row. Unsorted axes with -0.0 in both; each point alone gets
+        # the bits it gets inside the grid
+        rng = np.random.default_rng(34)
+        r = np.array([0.83, -0.0])
+        lam = np.concatenate([[0.5, -0.0, 0.0, 1 - 2**-52], rng.uniform(0.0, 1.0, 4996)])
+        grid = array_qfi(60, 30, r, lam)
+        chunk = CHUNK_ELEMENTS // (31 * 31)
+        assert lam.size % chunk and grid.size == 2 * lam.size
+        # every point of the chunks that split a row, and 200 more
+        split = [i for i in range(grid.size) if i // chunk == lam.size // chunk]
+        for i in split + list(rng.integers(0, grid.size, 200)):
+            a, b = divmod(i, lam.size)
+            alone = array_qfi(60, 30, r[a : a + 1], lam[b : b + 1])
+            assert alone.tobytes() == grid[i : i + 1].tobytes(), (i, alone, grid[i])
+        # list axes give the bits of numpy axes
+        assert array_qfi(60, 30, [0.83], [0.5]).tobytes() == grid[:1].tobytes()
 
     def test_value_does_not_depend_on_array_shape(self):
-        # a 1x1 sweep and a larger grid at the same point agree to the last
+        # a 1x1 grid and a 2x3 grid at the same point agree to the last
         # bit; a correlated eval (numbers) takes math, whose expm1, log1p,
         # log and pow can differ from numpy's in the last bit, so it agrees
         # with them to 1e-14 relative and in every printed field
@@ -560,11 +565,9 @@ class TestCorrelatedQfi:
             n = int(rng.integers(1, 61))
             m = int(rng.integers(1, n + 1))
             r, lam = rng.uniform(0.01, 0.99, 2)
-            single = correlated_qfi(params(n, m, np.array([[r]]), np.array([[lam]])))
-            grid = correlated_qfi(
-                params(n, m, np.array([[r], [0.3]]), np.array([[0.2, lam, 0.7]]))
-            )
-            assert grid[0, 1] == single[0, 0], (n, m, r, lam)
+            single = array_qfi(n, m, np.array([r]), np.array([lam]))
+            grid = array_qfi(n, m, np.array([r, 0.3]), np.array([0.2, lam, 0.7]))
+            assert grid[1] == single[0], (n, m, r, lam)
             assert_paths_agree(n, m, float(r), float(lam))
         # where math raises and numpy does not: r = 1 (b = 0, log 0), lambda
         # = 0 (log 0, and 0^0 at m = 1), r = 0, and m = n
@@ -575,13 +578,37 @@ class TestCorrelatedQfi:
                            (0.5, 1.0), (1.0, 1.0)]:
                 assert_paths_agree(n, m, r, lam, include_limit=True)
 
-    def test_grid_admits_lambda_one_only_as_limit(self):
+    def test_array_kernel_agrees_with_grid_kernel(self):
+        # the same unsorted axes on both kernels, edges included: within
+        # 1e-14 relative and in every printed field, point by point. At
+        # (33, 1, 1 - 1e-9, 1) both overflow to inf (see
+        # test_lambda_one_limit_near_pure_is_finite)
+        rng = np.random.default_rng(341)
+        r = np.concatenate([rng.uniform(0.0, 1.0, 5), [-0.0, 1.0, 1e-9, 1 - 1e-9]])
+        lam = np.concatenate([rng.uniform(0.0, 1.0, 6), [0.0, 1.0, 1e-9, 1 - 2**-52]])
+        rng.shuffle(r), rng.shuffle(lam)
+        for n, m in [(1, 1), (2, 2), (7, 3), (14, 7), (33, 1), (40, 20), (60, 30),
+                     (60, 59), (60, 60)]:
+            grid = grid_qfi(n, m, r.tolist(), lam.tolist())
+            with np.errstate(over="ignore"):
+                array = array_qfi(n, m, r, lam)
+            assert type(grid) is list and len(grid) == array.size
+            points = [(n, m, a, b) for a in r for b in lam]
+            for number, value, where in zip(grid, array.tolist(), points):
+                assert_agree(number, value, where)
+
+    def test_grid_admits_lambda_one_only_as_limit(self, monkeypatch):
+        # evaluate_grid checks each value once, and on numpy arrays too
+        # lambda = 1 only as a limit
+        from depolqfi import evaluate
+
+        monkeypatch.setattr(evaluate, "PLAIN_WORK", 0)
         r, lam = np.array([0.3, 0.9]), np.array([0.5, 1.0])
         with pytest.raises(DomainError):
-            params(3, 2, r, lam)
-        grid = correlated_qfi(params(3, 2, r, lam, include_limit=True))
+            evaluate.evaluate_grid("correlated", [3], [2], r, lam)
+        grid = evaluate.evaluate_grid("correlated", [3], [2], r, lam, True)["qfi"]
         limit = correlated_qfi(params(3, 2, 0.9, 1.0, include_limit=True))
-        assert grid[1] == pytest.approx(limit, rel=1e-12)
+        assert grid[3] == pytest.approx(limit, rel=1e-12)
 
 
 def _bit_flip_sum(n, m, r, lam):
@@ -696,9 +723,8 @@ class TestMemory:
         # one unit is a float64 array over the (r, lambda) grid and the
         # (u, v) profiles; a grid of more than CHUNK_ELEMENTS such entries
         # runs in chunks of rows and peaks below this
-        r = np.linspace(0.01, 0.99, size)[:, np.newaxis]
-        lam = np.linspace(0.0, 0.95, size)[np.newaxis, :]
-        peak = traced_peak(params(n, m, r, lam))
+        r, lam = np.linspace(0.01, 0.99, size), np.linspace(0.0, 0.95, size)
+        peak = traced_peak(array_qfi, n, m, r, lam)
         assert peak <= 6 * 8 * size * size * (n - m + 1) * (m + 1)
 
     @pytest.mark.parametrize("n, m", [(60, 30), (60, 60), (20, 10)])
@@ -709,35 +735,35 @@ class TestMemory:
         rows = max(1, CHUNK_ELEMENTS // (16 * (n - m + 1) * (m + 1)))
         grids = [(2 * rows, 16), (8 * rows, 16), (2, 1000), (2, 5000)]
         peaks = [
-            traced_peak(params(n, m, np.linspace(0.01, 0.99, count)[:, np.newaxis],
-                               np.linspace(0.0, 0.95, size)))
+            traced_peak(array_qfi, n, m, np.linspace(0.01, 0.99, count),
+                        np.linspace(0.0, 0.95, size))
             for count, size in grids
         ]
         assert max(peaks[1:]) <= 1.25 * peaks[0], peaks
 
     def test_one_point_peak_is_a_few_profile_arrays(self):
-        # at one point (a one-entry array) every array is over the (u, v)
+        # at one point (one-value axes) every array is over the (u, v)
         # profiles or smaller, with no (m+1)^3 table: a few of them, besides
         # a fixed 16 kB
         for n, m in [(60, 30), (60, 60)]:
             profile_array = 8 * (n - m + 1) * (m + 1)
-            one = params(n, m, np.array([0.5]), np.array([0.5]))
-            assert traced_peak(one) <= 10 * profile_array + 2**14
+            one = np.array([0.5])
+            assert traced_peak(array_qfi, n, m, one, one) <= 10 * profile_array + 2**14
 
     def test_number_peak_is_at_most_a_float_per_profile(self):
         # the number path sums its terms as it forms them: at most one
         # Python float per (u, v) profile is alive at once
         n, m = 60, 30
-        peak = traced_peak(params(n, m, 0.5, 0.5))
+        peak = traced_peak(correlated_qfi, params(n, m, 0.5, 0.5))
         assert peak <= (n - m + 1) * (m + 1) * sys.getsizeof(0.5), peak
 
 
-def traced_peak(p):
-    """The tracemalloc peak of one correlated_qfi call, in bytes."""
-    correlated_qfi(p)  # first-call allocations out of the count
+def traced_peak(form, *args):
+    """The tracemalloc peak of one call form(*args), in bytes."""
+    form(*args)  # first-call allocations out of the count
     tracemalloc.start()
     try:
-        correlated_qfi(p)
+        form(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -754,7 +780,7 @@ MID_SIZE = [
 
 
 class TestHighPrecisionReference:
-    """Both paths of the closed form, numbers and one-entry arrays, against
+    """Both kernels of the closed form, numbers and one-value axes, against
     50-digit and exact references."""
 
     @pytest.mark.parametrize("n, m, r, lam", MID_SIZE)
@@ -940,7 +966,7 @@ NAMED_POINTS = [
 
 class TestEdgeAccuracy:
     """The closed form over the edges of its domain, n <= 60, on both paths
-    (numbers and one-entry arrays), against the exact product form."""
+    (numbers and one-value axes), against the exact product form."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_product_form_equals_bit_flip_sum(self, seed):
@@ -984,24 +1010,30 @@ class TestEdgeAccuracy:
         # jumps for any lambda < 1, in a number and in a grid alike
         assert _exact_product_qfi(n, m, 1.0, 1.0) == math.inf
         assert both_paths(n, m, 1.0, 1.0, include_limit=True) == (math.inf, math.inf)
-        grid = correlated_qfi(
-            params(n, m, np.array([[1.0], [0.5]]), np.array([1.0, 0.3]), include_limit=True)
-        )
-        assert grid[0, 0] == math.inf and np.all(np.isfinite(grid.flat[1:]))
+        grid = array_qfi(n, m, np.array([1.0, 0.5]), np.array([1.0, 0.3]))
+        assert grid[0] == math.inf and np.all(np.isfinite(grid[1:]))
+
+    @pytest.mark.xfail(strict=True, reason="the lambda = 1 limit overflows near r = 1")
+    def test_lambda_one_limit_near_pure_is_finite(self):
+        # the exact QFI is 5.4e305, but both kernels square a slope past the
+        # largest double and return inf
+        exact = float(_exact_product_qfi(33, 1, 1 - 1e-9, 1.0))
+        for value in both_paths(33, 1, 1 - 1e-9, 1.0, include_limit=True):
+            assert value == pytest.approx(exact, rel=1e-12)
 
     def test_inf_only_at_the_pure_noiseless_limit(self):
         # signed zeros, subnormals and both ends of r and lambda, at every
         # (n, m) with n <= 12: finite except at r = lambda = 1, on both paths
         edges = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 0.5, 1 - 1e-9, 1 - 2.0**-52, 1.0]
-        r, lam = np.array(edges)[:, np.newaxis], np.array(edges)
-        pure = (r == 1.0) & (lam == 1.0)
+        r = lam = np.array(edges)
+        pure = (r[:, np.newaxis] == 1.0) & (lam == 1.0)
         for n in range(1, 13):
             for m in range(1, n + 1):
                 numbers = np.array([
                     [correlated_qfi(params(n, m, a, b, include_limit=True)) for b in edges]
                     for a in edges
                 ])
-                grid = correlated_qfi(params(n, m, r, lam, include_limit=True))
+                grid = array_qfi(n, m, r, lam).reshape(r.size, lam.size)
                 for values in (numbers, grid):
                     assert np.all(values[pure] == math.inf), (n, m)
                     assert np.all(np.isfinite(values[~pure])), (n, m)

@@ -173,6 +173,10 @@ CASES: list[list[str]] = [
      "--r-grid", "0:1:21", "--lambda-grid", "0:0.99:20", "-o", OUT],
     ["sweep", "--protocol", "correlated", "--n", "14", "--m", "7",
      "--r-grid", "0:1:5", "--lambda-grid", "0:0.95:20"],
+    # above PLAIN_WORK (708 000 units): lambda = 1, the r = lambda = 1 inf
+    # rule and a -0.0 row on numpy arrays
+    ["sweep", "--protocol", "correlated", "--n", "40", "--m", "20,40",
+     "--r-grid=-0:1:5", "--lambda-grid", "0:1:200", "--include-limit", "-o", OUT],
     ["table", "spectator"],
     ["table", "I"],
     ["table", "all-qubits", "-o", OUT],
