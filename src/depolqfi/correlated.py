@@ -110,7 +110,8 @@ def _terms(m: int, r: float, lam: float, us: list, vs: list, log_r: float):
                             for t, hi, lo in pairs)
                 slope = rate * (k * delta - m * lam * r * (plus * f + minus * g))
                 slope += m * lam_m1 * c
-            h = slope * slope / eig if eig else block_qfi(eig, slope)
+            # a rank drop, p_+ = 0, adds 0 where its slope is 0, else inf
+            h = slope * slope / eig if eig else (math.inf if slope else 0.0)
             yield h * (weight * w)
 
 
@@ -200,23 +201,6 @@ def final_x_entries(params: ProtocolParams) -> tuple:
     return diag[u, v], (1 - 2 * ones[:, -1]) * counter[u, v]
 
 
-def block_qfi(p, p_dot):
-    """QFI contribution p_dot^2 / p of block eigenvalues p with lambda-slopes
-    p_dot, one per entry (a float for scalars). p = 0 contributes 0 where
-    p_dot = 0 too, +inf otherwise: a real rank drop, where the QFI is
-    discontinuous."""
-    if isinstance(p, (int, float)) and isinstance(p_dot, (int, float)):
-        if p == 0.0:
-            return 0.0 if p_dot == 0.0 else math.inf
-        return p_dot * p_dot / p
-    import numpy as np
-
-    p, p_dot = np.asarray(p, dtype=float), np.asarray(p_dot, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(p == 0.0, np.where(p_dot == 0.0, 0.0, math.inf), p_dot * p_dot / p)
-    return float(h) if h.ndim == 0 else h
-
-
 def array_qfi(n: int, m: int, r_axis, lam_axis):
     """grid_qfi in numpy: the same r-major points of a checked (n, m), as a
     flat float64 array. Each chunk gathers its points' r and lambda from
@@ -232,8 +216,10 @@ def array_qfi(n: int, m: int, r_axis, lam_axis):
         at = np.arange(start, min(start + chunk, total.size))
         r_at, lam_at = r_axis[at // lam_axis.size], lam_axis[at % lam_axis.size]
         eig, h = _blocks(n, m, r_at, lam_at)
-        drops = np.flatnonzero(eig == 0.0)  # p_+ = 0: block_qfi gives 0 or inf
-        h_drops = block_qfi(eig.flat[drops], h.flat[drops])
+        # a rank drop, p_+ = 0, adds 0 where its slope is 0, else inf: read
+        # before the slope is squared, which may underflow to 0
+        drops = np.flatnonzero(eig == 0.0)
+        h_drops = np.where(h.flat[drops] == 0.0, 0.0, math.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(np.multiply(h, h, out=h), eig, out=h)
         h.flat[drops] = h_drops

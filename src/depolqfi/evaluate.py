@@ -59,9 +59,9 @@ def _carried_shape(protocol: str, n: int, m: int) -> tuple[int, int]:
 
 def _point_work(protocol: str, n: int, m: int) -> int:
     """The math-float cost of one correlated point at a carried (n, m), in
-    units of one (u, v) profile, fitted to evaluate_grid's time in process
-    (0.30 us a unit on a 2-vCPU x86-64 host): its (n-m+1)(m+1) profiles,
-    3 per v and 20 for its references and row; none for a single-qubit one."""
+    units of one (u, v) profile, fitted in process (0.13-0.32 us a unit, 2-vCPU
+    x86-64): its (n-m+1)(m+1) profiles, 3 per v and 20 for the kernel's
+    setup of the point; none for a single-qubit one."""
     return (n - m + 4) * (m + 1) + 20 if protocol in CORRELATED else 0
 
 

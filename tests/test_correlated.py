@@ -12,7 +12,6 @@ from depolqfi.correlated import (
     _blocks,
     _powers,
     array_qfi,
-    block_qfi,
     correlated_qfi,
     grid_qfi,
 )
@@ -336,87 +335,6 @@ class TestFinalState:
                 final_state(params(n, 3, 0.5, 0.5))
 
 
-def branches(d, c, d_dot, m, lam):
-    """(p, p_dot) of a 2x2 block with diagonal d, prepared counter-diagonal c
-    and diagonal slope d_dot, stacked p_+ then p_-."""
-    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(d))
-    return d + sign * lam**m * c, d_dot + sign * m * lam ** (m - 1) * c
-
-
-class TestBlockQfi:
-    def test_static_block_contributes_zero(self):
-        assert block_qfi(0.25, 0.0) == 0.0
-        assert block_qfi(*branches(0.25, 0.0, 0.0, 1, 0.5)).sum() == 0.0
-
-    def test_n1_reduction_to_sqsc(self):
-        # single qubit: d = 1/2, c = r/2, d_dot = 0 gives the baseline QFI
-        for r in (0.2, 0.8, 1.0):
-            for lam in (0.1, 0.6, 0.9):
-                h = block_qfi(*branches(0.5, r / 2.0, 0.0, 1, lam)).sum()
-                assert h == pytest.approx(sqsc_qfi(r, lam), rel=1e-13)
-
-    def test_matches_2x2_spectral_oracle(self):
-        rng = np.random.default_rng(23)
-        eps = 1e-7
-        for _ in range(40):
-            m = int(rng.integers(1, 5))
-            lam = rng.uniform(0.1, 0.95)
-            c = rng.uniform(-0.2, 0.2)
-            d_dot = rng.uniform(-0.3, 0.3)
-            d = abs(c) + rng.uniform(0.05, 0.3)
-
-            def dense(lam_val):
-                block = np.array(
-                    [
-                        [d + d_dot * (lam_val - lam), 1j * lam_val**m * c],
-                        [-1j * lam_val**m * c, d + d_dot * (lam_val - lam)],
-                    ]
-                )
-                return block
-
-            drho = (dense(lam + eps) - dense(lam - eps)) / (2 * eps)
-            rho = dense(lam)
-            p, v = np.linalg.eigh(rho)
-            elems = np.abs(v.conj().T @ drho @ v) ** 2
-            psum = p[:, None] + p[None, :]
-            oracle = float(np.sum(2 * elems / psum))
-            h = block_qfi(*branches(d, c, d_dot, m, lam)).sum()
-            assert h == pytest.approx(oracle, rel=1e-6)
-
-    def test_arrays_match_scalar_calls(self):
-        rng = np.random.default_rng(7)
-        p = rng.uniform(0.0, 0.3, (2, 12))
-        p_dot = rng.uniform(-0.3, 0.3, (2, 12))
-        p[:, 0], p_dot[:, 0] = 0.0, 0.0  # an empty block
-        h = block_qfi(p, p_dot)
-        assert h.shape == (2, 12)
-        assert h.ravel().tolist() == [
-            block_qfi(*args) for args in zip(p.ravel(), p_dot.ravel())
-        ]
-
-    def test_homogeneous_of_degree_one(self):
-        # the block QFI scales with the state, as (p, p_dot) do
-        p, p_dot = branches(0.5, 0.3, 0.1, 2, 0.7)
-        base = block_qfi(p, p_dot)
-        for scale in (1e-20, 1e-40, 1e20):
-            scaled = block_qfi(p * scale, p_dot * scale)
-            np.testing.assert_allclose(scaled, base * scale, rtol=1e-14, atol=0.0)
-
-    def test_empty_branch_with_zero_slope_contributes_zero(self):
-        assert block_qfi(0.0, 0.0) == 0.0
-        assert block_qfi(0.0, -0.0) == 0.0
-
-    def test_vanishing_branch_with_live_derivative_is_infinite(self):
-        # p_- = 0 but pdot_- != 0, however small
-        assert math.isinf(block_qfi(0.0, 0.5))
-        assert math.isinf(block_qfi(0.0, -1e-300))
-        assert math.isinf(block_qfi(*branches(0.5, 0.5, 0.0, 1, 1.0)).sum())
-
-    def test_tiny_branch_stays_finite(self):
-        # only an exact 0 is a rank drop
-        assert block_qfi(1e-200, 1e-110) == pytest.approx(1e-20, rel=1e-14)
-
-
 class TestCorrelatedQfi:
     def test_n1_m1_is_sqsc(self):
         rng = np.random.default_rng(41)
@@ -441,7 +359,7 @@ class TestCorrelatedQfi:
             direct = 0.0
             for x in range(2 ** (n - 1)):
                 u, v = zero_counts(x, n, m)
-                direct += sum(map(block_qfi, eig[:, u, v], eig_dot[:, u, v]))
+                direct += (eig_dot[:, u, v] ** 2 / eig[:, u, v]).sum()
             assert correlated_qfi(p) == pytest.approx(direct, rel=1e-12)
 
     def test_r_zero_gives_zero(self):
@@ -1012,6 +930,17 @@ class TestEdgeAccuracy:
         assert both_paths(n, m, 1.0, 1.0, include_limit=True) == (math.inf, math.inf)
         grid = array_qfi(n, m, np.array([1.0, 0.5]), np.array([1.0, 0.3]))
         assert grid[0] == math.inf and np.all(np.isfinite(grid[1:]))
+
+    @pytest.mark.parametrize("m", [1, 11, 22])
+    def test_rank_drop_with_live_slope_is_infinite(self, m):
+        # r = 1 - 2^-52, lambda = 1: p_+ underflows to 0 in some block while
+        # its slope does not, so the rank-drop rule alone gives the value,
+        # inf, and the exact QFI is above the largest double
+        r = 1 - 2.0**-52
+        assert _exact_product_qfi(22, m, r, 1.0) > sys.float_info.max
+        eig, slope = _blocks(22, m, np.array([r]), np.array([1.0]))
+        assert np.any((eig == 0.0) & (slope != 0.0))
+        assert both_paths(22, m, r, 1.0, include_limit=True) == (math.inf, math.inf)
 
     @pytest.mark.xfail(strict=True, reason="the lambda = 1 limit overflows near r = 1")
     def test_lambda_one_limit_near_pure_is_finite(self):

@@ -136,6 +136,14 @@ CASES: list[list[str]] = [
     ),
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "1,2",
      "--r-grid", "0.5:1:2", "--lambda-grid", "0.5:1:2", "--include-limit"],
+    # r = 1 - 2^-52, lambda = 1: p_+ underflows to 0 under a live slope, and
+    # the rank-drop rule alone gives inf, in math floats and (534 800 work
+    # units, 6 of its 4 200 rows inf) on numpy arrays
+    ["eval", "--protocol", "correlated", "--n", "22", "--m", "1", "--r",
+     "0.9999999999999998", "--lambda", "1", "--include-limit"],
+    ["sweep", "--protocol", "correlated", "--n", "22", "--m", "1,11,22",
+     "--r-grid", "0.9999999999999998:1:2", "--lambda-grid", "0.99:1:700",
+     "--include-limit", "-o", OUT],
     ["sweep", "--protocol", "corr_vs_seq", "--n", "5", "--m", "1,5", *_GRID, "-o", OUT],
     ["sweep", "--protocol", "correlated", "--n", "3", "--m", "2", *_GRID,
      "--format", "json", "-o", OUT],
