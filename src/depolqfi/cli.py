@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import itertools
 import math
 import os
 import sys
@@ -170,27 +171,22 @@ def _verify_report_dict(report) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import check_capacity, verify  # no other command loads the oracle
+    from .oracle import check_capacity, verify, verify_walk  # no other command does
 
-    reports = []
     if args.grid:
         check_params(n=args.max_n)
         check_capacity(args.max_n)
-        r_values = (0.0, 0.1, 0.5, 0.9, 1.0)
-        lam_values = (0.0, 0.3, 0.7, 0.99)
-        for n in range(1, args.max_n + 1):
-            for m in range(1, n + 1):
-                for r in r_values:
-                    for lam in lam_values:
-                        reports.append(
-                            verify(ProtocolParams(n, m, r, lam), tolerance=args.tol)
-                        )
+        grid = itertools.product(
+            range(1, args.max_n + 1), (0.0, 0.1, 0.5, 0.9, 1.0), (0.0, 0.3, 0.7, 0.99)
+        )
+        reports = []
+        for n, r, lam in grid:  # one walk reports every m of its (n, r, lambda)
+            reports += verify_walk(ProtocolParams(n, 1, r, lam), args.tol)
+        reports.sort(key=lambda report: report.params[:2])  # stable: (n, m, r, lambda)
     else:
         if None in (args.n, args.m, args.r, args.lam):
             raise DomainError("verify needs --grid or all of --n --m --r --lambda")
-        reports.append(
-            verify(ProtocolParams(args.n, args.m, args.r, args.lam), tolerance=args.tol)
-        )
+        reports = [verify(ProtocolParams(args.n, args.m, args.r, args.lam), args.tol)]
     _write_json(args.output, [_verify_report_dict(r) for r in reports])
     return 0 if all(r.pass_ for r in reports) else 1
 

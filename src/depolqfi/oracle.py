@@ -5,8 +5,9 @@ per-qubit channel) and evaluates the QFI spectrally. The circuit is 2n
 sum/difference butterflies written over the product state. Each channel use
 replaces the hit qubit with I/2 times its partial trace, in place, on its
 two diagonal sub-blocks. The lambda-derivative is carried forward beside
-rho, so m channel uses cost O(m) channel applications. Used to verify every
-closed form in the package.
+rho along one walk per (n, r, lambda): n uses, on qubits 1..n in turn, with
+the QFI read after each use that is verified. Used to verify every closed
+form in the package.
 
 The channels and the eigensolve run in a fixed phase frame: S^dagger rho S
 with S = diag(1, i) on qubit n. The prepared state is exactly real there, so
@@ -23,8 +24,9 @@ form's MAX_CLOSED_FORM_N; spectral_qfi checks rho is Hermitian
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,10 +119,10 @@ def _to_frame(rho: np.ndarray) -> np.ndarray:
 
 
 def _channels(
-    rho: np.ndarray, m: int, lam: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The channel on each of qubits 1..m, applied to rho in place; returns
-    (rho_f, d rho_f / d lambda).
+    rho: np.ndarray, lam: float, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The walk: the channel on qubits 1..n in turn, applied to rho in place;
+    yields (rho, d rho / d lambda), the same two arrays, after each use.
 
     Forward-mode product rule: one use maps (rho, drho) to
     (Phi rho, Phi drho + rho - I/2 tensor Tr_qubit rho), with
@@ -131,7 +133,7 @@ def _channels(
     """
     rho = np.ascontiguousarray(rho)
     drho = np.zeros_like(rho)
-    for qubit in range(1, m + 1):
+    for qubit in range(1, n + 1):
         # (bits above, row bit, bits below, bits above, column bit, bits below)
         shape = (2 ** (n - qubit), 2, 2 ** (qubit - 1)) * 2
         r, d = rho.reshape(shape), drho.reshape(shape)
@@ -152,7 +154,8 @@ def _channels(
         mixed *= 1.0 - lam
         for block in blocks:
             block += mixed
-    return rho, drho
+        del mixed, dmixed  # no half-trace stays alive while the reader works
+        yield rho, drho
 
 
 def _is_hermitian(a: np.ndarray) -> bool:
@@ -191,12 +194,17 @@ def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(np.sum(mags[safe]))
 
 
+def _walk(params: ProtocolParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rho, d rho / d lambda) in the phase frame, float64 when exact, after
+    use params.m and after each later use of the walk of params' n, r and lam."""
+    # no name keeps the complex prepared state once it is framed
+    rho = _to_frame(apply_uprep(initial_product_state(params.n, params.r), params.n))
+    return itertools.islice(_channels(rho, params.lam, params.n), params.m - 1, None)
+
+
 def _frame_final_state(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """(rho_f, d rho_f / d lambda) in the phase frame, float64 when exact."""
-    n = params.n
-    # no name keeps the complex prepared state once it is framed
-    rho = _to_frame(apply_uprep(initial_product_state(n, params.r), n))
-    return _channels(rho, params.m, params.lam, n)
+    return next(_walk(params))
 
 
 def _state_errors(rho: np.ndarray, params: ProtocolParams) -> tuple[float, float]:
@@ -223,32 +231,40 @@ def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationRepor
     """Compare the closed-form QFI and reconstructed state against the
     brute-force pipeline: the QFI to relative tolerance, which must be finite
     and >= 0, and every state entry to STATE_TOLERANCE."""
+    return next(verify_walk(params, tolerance))
+
+
+def verify_walk(
+    params: ProtocolParams, tolerance: float = 1e-8
+) -> Iterator[VerificationReport]:
+    """verify(params._replace(m=k), tolerance) for k = params.m..n in turn,
+    from one walk: one preparation, and no eigensolve before use params.m."""
     if not 0.0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
-    rho, drho = _frame_final_state(params)
-    oracle_value = spectral_qfi(rho, drho)
-    del drho
-    closed = correlated_qfi(params)
-    max_state_err, symmetry_err = _state_errors(rho, params)
+    for m, (rho, drho) in enumerate(_walk(params), params.m):
+        params = params._replace(m=m)
+        oracle_value = spectral_qfi(rho, drho)
+        closed = correlated_qfi(params)
+        max_state_err, symmetry_err = _state_errors(rho, params)
 
-    if math.isinf(closed) and math.isinf(oracle_value):
-        abs_err = rel_err = 0.0
-    elif math.isinf(closed) or math.isinf(oracle_value):
-        abs_err = rel_err = math.inf  # inf / inf would make rel_err NaN
-    else:
-        abs_err = abs(closed - oracle_value)
-        # floor keeps the ratio meaningful when both sides vanish (r = 0)
-        rel_err = abs_err / max(abs(oracle_value), 1e-12)
-    passed = rel_err <= tolerance and max_state_err <= STATE_TOLERANCE
-    return VerificationReport(
-        params=params,
-        closed_form_qfi=closed,
-        oracle_qfi=oracle_value,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        max_state_entry_err=max_state_err,
-        symmetry_err=symmetry_err,
-        tolerance=tolerance,
-        state_tolerance=STATE_TOLERANCE,
-        pass_=passed,
-    )
+        if math.isinf(closed) and math.isinf(oracle_value):
+            abs_err = rel_err = 0.0
+        elif math.isinf(closed) or math.isinf(oracle_value):
+            abs_err = rel_err = math.inf  # inf / inf would make rel_err NaN
+        else:
+            abs_err = abs(closed - oracle_value)
+            # floor keeps the ratio meaningful when both sides vanish (r = 0)
+            rel_err = abs_err / max(abs(oracle_value), 1e-12)
+        passed = rel_err <= tolerance and max_state_err <= STATE_TOLERANCE
+        yield VerificationReport(
+            params=params,
+            closed_form_qfi=closed,
+            oracle_qfi=oracle_value,
+            abs_err=abs_err,
+            rel_err=rel_err,
+            max_state_entry_err=max_state_err,
+            symmetry_err=symmetry_err,
+            tolerance=tolerance,
+            state_tolerance=STATE_TOLERANCE,
+            pass_=passed,
+        )

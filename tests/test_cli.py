@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from depolqfi import correlated, evaluate
-from depolqfi.cli import PROTOCOLS, _parse_grid, main
+from depolqfi.cli import PROTOCOLS, _parse_grid, _verify_report_dict, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
 from depolqfi.evaluate import evaluate_grid
+from depolqfi.oracle import verify
 from depolqfi.protocols import ProtocolParams, sequential_qfi, sqsc_qfi
 from table_helpers import point, written
 
@@ -775,12 +776,28 @@ class TestMain:
     def test_verify_grid_checks_cap_before_verifying(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(
-            "depolqfi.oracle.verify", lambda *a, **kw: calls.append(a)
+            "depolqfi.oracle.initial_product_state", lambda *a, **kw: calls.append(a)
         )
         code = main(["verify", "--grid", "--max-n", "13"])
         assert code == 4
         assert calls == []
         assert capsys.readouterr().err == "error: dimension 2**13 exceeds cap 4096\n"
+
+    @pytest.mark.parametrize(
+        "max_n, exit_code, message",
+        [
+            ("0", 2, "n must be an integer >= 1, got 0"),
+            ("13", 4, "dimension 2**13 exceeds cap 4096"),
+            ("2", 2, "tolerance must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_verify_grid_first_fault(self, max_n, exit_code, message, capsys):
+        # --max-n is checked first, then the cap, then --tol
+        code = main(["verify", "--grid", "--max-n", max_n, "--tol", "nan"])
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_verify_grid_small(self, capsys):
         code = main(["verify", "--grid", "--max-n", "2"])
@@ -788,6 +805,27 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 3 * 5 * 4
         assert all(item["pass"] for item in data)
+
+    def test_verify_grid_records_equal_one_point_verify(self, capsys):
+        # one walk per (n, r, lambda) reports what verify reports at each
+        # (n, m, r, lambda), to the bit, in (n, m, r, lambda) order
+        def bits(value):
+            if isinstance(value, dict):
+                return {key: bits(item) for key, item in value.items()}
+            return value.hex() if isinstance(value, float) else value
+
+        assert main(["verify", "--grid", "--max-n", "5"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = [
+            _verify_report_dict(verify(ProtocolParams(n, m, r, lam)))
+            for n in range(1, 6)
+            for m in range(1, n + 1)
+            for r in (0.0, 0.1, 0.5, 0.9, 1.0)
+            for lam in (0.0, 0.3, 0.7, 0.99)
+        ]
+        assert len(got) == len(want) == 15 * 20
+        for record, expected in zip(got, want):
+            assert bits(record) == bits(expected)
 
 
 class TestStartupImports:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from depolqfi.oracle import (
     initial_product_state,
     spectral_qfi,
     verify,
+    verify_walk,
 )
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
 from paper_formulas import (
@@ -37,6 +39,11 @@ from paper_formulas import (
 
 def params(n, m, r, lam, **kw):
     return ProtocolParams(n=n, m=m, r=r, lam=lam, **kw)
+
+
+def walk_state(rho, m, lam, n):
+    """The walk's m-th yield: (rho, drho) after the channel on qubits 1..m."""
+    return next(itertools.islice(_channels(rho, lam, n), m - 1, None))
 
 
 class TestInitialState:
@@ -239,7 +246,7 @@ class TestDerivative:
     def test_single_use_bloch_form(self):
         # d/dlam [(I + lam r sigma_y)/2] = r sigma_y / 2
         rho = (I2 + 0.8 * SIGMA_Y) / 2
-        _, d = _channels(rho, 1, 0.37, 1)
+        _, d = walk_state(rho, 1, 0.37, 1)
         np.testing.assert_allclose(d, 0.8 * SIGMA_Y / 2, atol=1e-14)
 
     def test_traceless(self):
@@ -292,9 +299,8 @@ class TestInPlaceKernels:
         a = rng.standard_normal((8, 8)).astype(dtype)
         if dtype is np.complex128:
             a += 1j * rng.standard_normal((8, 8))
-        for m in (1, 2, 3):
-            rho = a.copy()
-            got = _channels(rho, m, lam, 3)
+        rho = a.copy()
+        for m, got in enumerate(_channels(rho, lam, 3), 1):
             assert got[0] is rho
             for want, have in zip(reference_channels(a, m, lam, 3), got):
                 assert have.dtype == dtype
@@ -442,15 +448,20 @@ class TestVerify:
                         assert report.max_state_entry_err == dense, p
                         assert report.symmetry_err == symmetry, p
 
-    @pytest.mark.parametrize("n, m", [(6, 3), (8, 4)])
+    @pytest.mark.parametrize("n, m", [(6, 3), (8, 4), (8, "walk")])
     def test_peak_memory(self, n, m):
         # tracemalloc sees numpy's arrays, not the eigensolver's workspace;
-        # one unit is a float64 2^n x 2^n matrix
-        p = params(n, m, 0.35, 0.65)
-        verify(p)  # first-call allocations out of the count
+        # one unit is a float64 2^n x 2^n matrix. "walk" reads all n uses of
+        # one walk, each into a report, as `verify --grid` does.
+        def run():
+            if m == "walk":
+                return list(verify_walk(params(n, 1, 0.35, 0.65)))
+            return verify(params(n, m, 0.35, 0.65))
+
+        run()  # first-call allocations out of the count
         tracemalloc.start()
         try:
-            verify(p)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,7 +540,7 @@ class TestPhaseFrame:
     )
     def test_matches_direct_complex_pipeline(self, n, m, r, lam):
         rho_i = apply_uprep(initial_product_state(n, r), n)
-        direct = _channels(rho_i, m, lam, n)
+        direct = walk_state(rho_i, m, lam, n)
         framed = oracle_final_state(params(n, m, r, lam))
         for want, got in zip(direct, framed):
             assert got.dtype == np.complex128

@@ -194,6 +194,8 @@ CASES: list[list[str]] = [
     ["verify", "--grid", "--max-n", "3", "-o", OUT],
     # the 720-point grid up to n = 8
     ["verify", "--grid", "--max-n", "8", "-o", OUT],
+    # a grid where some points fail (exit 1): every report is still written
+    ["verify", "--grid", "--max-n", "4", "--tol", "0", "-o", OUT],
     # one side of the comparison infinite
     ["verify", "--n", "6", "--m", "5", "--r", "0.9999999", "--lambda", "0.9999999"],
     # the benchmark's size, and a point the oracle cannot resolve (exit 1)
@@ -222,6 +224,9 @@ CASES: list[list[str]] = [
     # the dense cap, n <= 12
     ["verify", "--n", "13", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
     ["verify", "--grid", "--max-n", "13"],
+    # the grid's first fault: --max-n, then the cap, then --tol
+    ["verify", "--grid", "--max-n", "2", "--tol", "nan"],
+    ["verify", "--grid", "--max-n", "13", "--tol", "nan"],
     # argparse's own exits: help, and a usage error (--r is missing)
     ["--help"],
     ["eval", "--protocol", "sqsc", "--lambda", "0.5"],
