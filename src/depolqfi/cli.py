@@ -173,20 +173,26 @@ def _verify_report_dict(report) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import check_capacity, verify, verify_walk  # no other command does
 
+    point = (args.n, args.m, args.r, args.lam)
     if args.grid:
-        check_params(n=args.max_n)
-        check_capacity(args.max_n)
+        if point != (None,) * 4:
+            raise DomainError("verify --grid takes none of --n --m --r --lambda")
+        max_n = 6 if args.max_n is None else args.max_n
+        check_params(n=max_n)
+        check_capacity(max_n)
         grid = itertools.product(
-            range(1, args.max_n + 1), (0.0, 0.1, 0.5, 0.9, 1.0), (0.0, 0.3, 0.7, 0.99)
+            range(1, max_n + 1), (0.0, 0.1, 0.5, 0.9, 1.0), (0.0, 0.3, 0.7, 0.99)
         )
         reports = []
         for n, r, lam in grid:  # one walk reports every m of its (n, r, lambda)
             reports += verify_walk(ProtocolParams(n, 1, r, lam), args.tol)
         reports.sort(key=lambda report: report.params[:2])  # stable: (n, m, r, lambda)
     else:
-        if None in (args.n, args.m, args.r, args.lam):
+        if args.max_n is not None:
+            raise DomainError("verify takes --max-n only with --grid")
+        if None in point:
             raise DomainError("verify needs --grid or all of --n --m --r --lambda")
-        reports = [verify(ProtocolParams(args.n, args.m, args.r, args.lam), args.tol)]
+        reports = [verify(ProtocolParams(*point), args.tol)]
     _write_json(args.output, [_verify_report_dict(r) for r in reports])
     return 0 if all(r.pass_ for r in reports) else 1
 
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="closed form vs brute-force oracle")
     p_verify.add_argument("--grid", action="store_true")
-    p_verify.add_argument("--max-n", type=int, default=6)
+    p_verify.add_argument("--max-n", type=int, help="with --grid (default 6)")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--m", type=int)

@@ -15,8 +15,11 @@ they run in float64; if it ever is not, they run in complex128 on the same
 frame state. The frame is a lambda-independent unitary that commutes with
 every depolarizing use, so it leaves the QFI unchanged.
 
-Every stage works in place where it can: the arrays of a verify peak at
-about five float64 2^n x 2^n matrices, besides the eigensolver's workspace.
+Every stage works in place where it can, and after the eigensolve the QFI
+and the state check read one block of 2^n / 8 rows at a time: the arrays of
+a verify peak below 4.8 float64 2^n x 2^n matrices for n >= 8 (rho,
+drho, the eigenvectors, the kept QFI terms and one block's scratch),
+besides the eigensolver's workspace, which sets the process's peak.
 The oracle allows n <= MAX_DENSE_N qubits, the counterpart of the closed
 form's MAX_CLOSED_FORM_N; spectral_qfi checks rho is Hermitian
 (HERMITIAN_TOL) first.
@@ -164,34 +167,53 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(a)))
 
 
+def _row_blocks(dim: int) -> Iterator[slice]:
+    """The rows of a dim x dim matrix, dim / 8 at a time and at least two:
+    numpy multiplies one row by BLAS gemv, whose sums can round apart from
+    the gemm of the whole matrix."""
+    step = max(dim // 8, 2)
+    return (slice(start, start + step) for start in range(0, dim, step))
+
+
 def spectral_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the eigenbasis matrix-element form
-    H = sum_{j,k} 2 |<phi_j| drho |phi_k>|^2 / (p_j + p_k)."""
+    H = sum_{j,k} 2 |<phi_j| drho |phi_k>|^2 / (p_j + p_k).
+
+    After the eigensolve it works one block of rows j at a time, and its
+    only full-size arrays are the eigenvectors and one vector of the kept
+    terms. The terms go into it in row-major order and are summed once, so
+    the sum has the bits of one sum over the whole matrix of terms."""
     if rho.shape != drho.shape:
         raise DomainError(f"shape mismatch: {rho.shape} vs {drho.shape}")
     if not _is_hermitian(rho):
         raise DomainError(f"rho is not Hermitian to {HERMITIAN_TOL:g} of its scale")
     p, v = np.linalg.eigh(rho)
-    # a real v is its own conjugate: no copy of it
-    elems = (v.conj().T if np.iscomplexobj(v) else v.T) @ drho @ v
-    del v
-    mags = np.abs(elems, out=None if np.iscomplexobj(elems) else elems)
-    del elems
-    psum = np.add.outer(p, p)
     # eigh resolves eigenvalues only to about len(p) * eps * p_max; pairs
     # summing below that are zero. Both thresholds are relative, so the QFI
     # scales with (rho, drho).
-    small = psum < len(p) * np.finfo(float).eps * p[-1]
-    live = mags > QFI_ELEM_EPS * mags.max()
-    live &= small
-    if live.any():
+    floor = len(p) * np.finfo(float).eps * p[-1]
+    terms = np.empty(v.size)
+    kept = 0
+    mag_max = small_max = 0.0  # over all pairs, and over the pairs below floor
+    for rows in _row_blocks(len(p)):
+        # a real v is its own conjugate: no copy of it
+        elems = (v[:, rows].conj().T if np.iscomplexobj(v) else v.T[rows]) @ drho @ v
+        mags = np.abs(elems, out=None if np.iscomplexobj(elems) else elems)
+        del elems
+        psum = np.add.outer(p[rows], p)
+        small = psum < floor
+        mag_max = np.maximum(mag_max, mags.max())  # keeps a NaN, as one max would
+        small_max = max(small_max, mags.max(where=small, initial=0.0))
+        safe = np.logical_not(small, out=small)
+        mags *= mags
+        mags *= 2.0
+        np.divide(mags, psum, out=mags, where=safe)
+        block = mags[safe]
+        terms[kept : kept + block.size] = block
+        kept += block.size
+    if small_max > QFI_ELEM_EPS * mag_max:
         return math.inf
-    safe = np.logical_not(small, out=small)
-    mags *= mags
-    mags *= 2.0
-    np.divide(mags, psum, out=mags, where=safe)
-    del psum
-    return float(np.sum(mags[safe]))
+    return float(np.sum(terms[:kept]))
 
 
 def _walk(params: ProtocolParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -218,13 +240,14 @@ def _state_errors(rho: np.ndarray, params: ProtocolParams) -> tuple[float, float
     diag, counter = final_x_entries(params)
     x = np.arange(len(rho))
     on_diag, anti = rho[x, x], rho[x, x[::-1]]
-    off = np.abs(rho)
-    off[x, x] = off[x, x[::-1]] = 0.0
-    max_err = np.max([
-        np.max(np.abs(on_diag - diag)), np.max(np.abs(anti + counter)), np.max(off)
-    ])
+    maxima = [np.max(np.abs(on_diag - diag)), np.max(np.abs(anti + counter))]
+    for rows in _row_blocks(len(rho)):
+        off = np.abs(rho[rows])
+        at = np.arange(len(off))
+        off[at, x[rows]] = off[at, x[::-1][rows]] = 0.0
+        maxima.append(np.max(off))
     d = on_diag.real
-    return float(max_err), float(np.max(np.abs(d - d[::-1])))
+    return float(np.max(maxima)), float(np.max(np.abs(d - d[::-1])))
 
 
 def verify(params: ProtocolParams, tolerance: float = 1e-8) -> VerificationReport:

@@ -744,6 +744,38 @@ class TestMain:
         assert "error:" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # refused before the grid's own checks, and before the point's
+            (["--grid", "--max-n", "1", "--n", "5", "--m", "9", "--r", "2"],
+             "verify --grid takes none of --n --m --r --lambda"),
+            (["--grid", "--lambda", "0.5"],
+             "verify --grid takes none of --n --m --r --lambda"),
+            (["--grid", "--max-n", "13", "--n", "2", "--tol", "nan"],
+             "verify --grid takes none of --n --m --r --lambda"),
+            (["--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5", "--max-n", "0"],
+             "verify takes --max-n only with --grid"),
+            (["--n", "2", "--m", "3", "--r", "2", "--max-n", "6", "--tol", "nan"],
+             "verify takes --max-n only with --grid"),
+        ],
+    )
+    def test_verify_mixed_modes_exit_2(self, argv, message, capsys):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_verify_grid_max_n_defaults_to_6(self, monkeypatch, capsys):
+        walks = []
+        monkeypatch.setattr(
+            "depolqfi.oracle.verify_walk", lambda params, tol: walks.append(params) or []
+        )
+        assert main(["verify", "--grid"]) == 0
+        assert max(params.n for params in walks) == 6
+        assert capsys.readouterr().out == "[]\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # past the float range: float(k) itself overflows

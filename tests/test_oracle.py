@@ -310,7 +310,13 @@ class TestInPlaceKernels:
         # real and complex, finite and inf: the same entries summed in the
         # same order
         rng = np.random.default_rng(67)
-        points = ((4, 3, 0.6, 0.5), (4, 4, 1.0, 0.99), (3, 1, 0.0, 0.3), (2, 1, 1.0, 1.0))
+        # n = 8 takes 8 blocks of 32 rows. At (8, 2, 1, 0.7) the dropped
+        # pairs move the kept terms off the block edges, so block sums
+        # summed again would round apart from the one sum.
+        points = (
+            (4, 3, 0.6, 0.5), (4, 4, 1.0, 0.99), (3, 1, 0.0, 0.3), (2, 1, 1.0, 1.0),
+            (8, 4, 0.35, 0.65), (8, 2, 1.0, 0.7),
+        )
         for point in points:
             rho, drho = _frame_final_state(params(*point, include_limit=True))
             a = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
@@ -434,19 +440,50 @@ class TestVerify:
 
     def test_x_entry_check_equals_dense_difference(self):
         # off the X pattern |0 - z| = |z|, and the frame's phases are exact,
-        # so the X-entry check gives the dense maximum to the bit
-        for n in range(1, 7):
-            for m in range(1, n + 1):
-                for r in GRID_R:
-                    for lam in GRID_LAM:
-                        p = params(n, m, r, lam)
-                        report = verify(p)
-                        rho_f, _ = oracle_final_state(p)
-                        dense = np.max(np.abs(final_state(p) - rho_f))
-                        diag = np.real(np.diag(rho_f))
-                        symmetry = np.max(np.abs(diag - diag[::-1]))
-                        assert report.max_state_entry_err == dense, p
-                        assert report.symmetry_err == symmetry, p
+        # so the X-entry check gives the dense maximum to the bit; at n = 8
+        # it reads rho in 8 blocks of 32 rows
+        points = [
+            (n, m, r, lam)
+            for n in range(1, 7)
+            for m in range(1, n + 1)
+            for r in GRID_R
+            for lam in GRID_LAM
+        ]
+        points += itertools.product([8], range(1, 9), (0.0, 0.5, 1.0), (0.0, 0.7))
+        for point in points:
+            p = params(*point)
+            report = verify(p)
+            rho_f, _ = oracle_final_state(p)
+            dense = np.max(np.abs(final_state(p) - rho_f))
+            diag = np.real(np.diag(rho_f))
+            symmetry = np.max(np.abs(diag - diag[::-1]))
+            assert report.max_state_entry_err == dense, p
+            assert report.symmetry_err == symmetry, p
+
+    def test_state_check_reads_every_row(self):
+        # one off-X entry of 1 in any row, at the block edges too, is the
+        # error; the flip symmetry of a real state would hide a skipped row
+        p = params(8, 4, 0.35, 0.65)
+        rho, _ = _frame_final_state(p)
+        for row in (0, 31, 32, 127, 128, 224, 255):
+            spiked = rho.copy()
+            spiked[row, (row + 2) % 256] = 1.0
+            assert oracle._state_errors(spiked, p)[0] == 1.0, row
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_state_check_adds_no_full_size_array(self, n):
+        # besides rho, one unit being a float64 2^n x 2^n matrix: the check
+        # takes |rho| one block of rows at a time
+        p = params(n, n // 2, 0.35, 0.65)
+        rho, _ = _frame_final_state(p)
+        oracle._state_errors(rho, p)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            oracle._state_errors(rho, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * 4**n
 
     @pytest.mark.parametrize("n, m", [(6, 3), (8, 4), (8, "walk")])
     def test_peak_memory(self, n, m):

@@ -227,6 +227,9 @@ CASES: list[list[str]] = [
     # the grid's first fault: --max-n, then the cap, then --tol
     ["verify", "--grid", "--max-n", "2", "--tol", "nan"],
     ["verify", "--grid", "--max-n", "13", "--tol", "nan"],
+    # one-point options with --grid, and --max-n without it
+    ["verify", "--grid", "--max-n", "1", "--n", "5", "--m", "9", "--r", "2"],
+    ["verify", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5", "--max-n", "0"],
     # argparse's own exits: help, and a usage error (--r is missing)
     ["--help"],
     ["eval", "--protocol", "sqsc", "--lambda", "0.5"],
