@@ -11,7 +11,7 @@ it. A correlated grid whose closed-form work, its point count times the
 summed _point_work of its carried (n, m), is at most PLAIN_WORK, one point
 included, runs correlated.grid_qfi on its axes in math floats, so `eval`,
 the figure presets and small sweeps never load numpy. A larger correlated
-sweep loads it to run correlated.array_qfi on the same axes, and `verify`
+sweep loads it to run arrays.array_qfi on the same axes, and `verify`
 loads it through the oracle. The two sides agree in every printed field.
 """
 
@@ -105,7 +105,8 @@ def evaluate_grid(
         correlated.check_cap(n)
         if plain:
             return correlated.grid_qfi(n, m, r_axis, lam_axis)
-        return correlated.array_qfi(n, m, r_axis, lam_axis).tolist()
+        from .arrays import array_qfi  # numpy, after the checks
+        return array_qfi(n, m, r_axis, lam_axis).tolist()
 
     usable = [r > 0.0 and lam < 1.0 for r, lam in zip(rs, lams)]
     order = sorted(range(size), key=lambda i: (rs[i], lams[i]))  # stable

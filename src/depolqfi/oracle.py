@@ -23,6 +23,11 @@ besides the eigensolver's workspace, which sets the process's peak.
 The oracle allows n <= MAX_DENSE_N qubits, the counterpart of the closed
 form's MAX_CLOSED_FORM_N; spectral_qfi checks rho is Hermitian
 (HERMITIAN_TOL) first.
+
+The closed-form modules are imported before numpy: where no bytecode is
+cached, they then compile before numpy loads, in memory that numpy's
+objects reuse. Compiled after numpy, they leave about 0.9 MB of allocator
+arenas pinned under the eigensolve's peak RSS.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ import itertools
 import math
 from typing import Iterator, NamedTuple
 
+# before numpy, so that they compile before it loads (see the docstring)
+from .correlated import correlated_qfi
+from .arrays import final_x_entries
+
 import numpy as np
 
-from .correlated import correlated_qfi, final_x_entries
 from .errors import CapacityError, DomainError
 from .protocols import ProtocolParams, check_params
 

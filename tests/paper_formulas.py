@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from depolqfi.correlated import final_x_entries
+from depolqfi.arrays import final_x_entries
 from depolqfi.errors import DomainError
 from depolqfi.oracle import (
     _FRAME_PHASES,

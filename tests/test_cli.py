@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depolqfi import correlated, evaluate
+from depolqfi import arrays, correlated, evaluate
 from depolqfi.cli import PROTOCOLS, _parse_grid, _verify_report_dict, main
 from depolqfi.correlated import correlated_qfi
 from depolqfi.errors import DomainError
@@ -182,20 +182,20 @@ class TestSweep:
         # one flat, r-major axis, cut into chunks of at most CHUNK_ELEMENTS
         # (point, profile) entries: each call 1-D r and lambda of one length
         seen = []
-        blocks = correlated._blocks
+        blocks = arrays._blocks
 
         def spy_blocks(n, m, r, lam):
             seen.append(((n, m), np.ndim(r), np.ndim(lam), r.copy(), lam.copy()))
             return blocks(n, m, r, lam)
 
-        monkeypatch.setattr(correlated, "_blocks", spy_blocks)
+        monkeypatch.setattr(arrays, "_blocks", spy_blocks)
         work = 5 * sum(evaluate._point_work("correlated", 12, m) for m in (3, 6))
         count = evaluate.PLAIN_WORK // work + 1
         r_grid, lam_grid = np.linspace(0.9, 0.1, 5), np.linspace(0.2, 0.8, count)
         evaluate_grid("correlated", [12], [3, 6], r_grid, lam_grid)
         for n, m in [(12, 3), (12, 6)]:
             calls = [call[1:] for call in seen if call[0] == (n, m)]
-            chunk = max(1, correlated.CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
+            chunk = max(1, arrays.CHUNK_ELEMENTS // ((n - m + 1) * (m + 1)))
             assert len(calls) == -(-r_grid.size * lam_grid.size // chunk) > 1
             for r_ndim, lam_ndim, r, lam in calls:
                 assert r_ndim == lam_ndim == 1
@@ -289,7 +289,7 @@ class TestSweep:
 
         monkeypatch.setattr(evaluate, "PLAIN_WORK", work)
         monkeypatch.setattr(evaluate, "ProtocolParams", spy("params", params))
-        monkeypatch.setattr(correlated, "array_qfi", spy("array", correlated.array_qfi))
+        monkeypatch.setattr(arrays, "array_qfi", spy("array", arrays.array_qfi))
         monkeypatch.setattr(correlated, "correlated_qfi", spy("qfi", correlated_qfi))
         counts = []
         for size in (2, 20):
@@ -885,20 +885,44 @@ class TestStartupImports:
         assert "depolqfi.oracle" not in loaded
         assert "depolqfi.correlations" not in loaded
         assert "depolqfi.asymptotics" not in loaded
+        assert "depolqfi.arrays" not in loaded
+        assert "numpy" not in loaded
+
+    def test_oracle_compiles_closed_forms_before_numpy(self):
+        # the order in which `import depolqfi.oracle` looks modules up, as a
+        # finder first on sys.meta_path records it: a module is compiled
+        # right after it is found, so the closed-form modules must be found
+        # before numpy is
+        script = (
+            "import json, sys\n"
+            "seen = []\n"
+            "class Recorder:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        seen.append(name)\n"
+            "sys.meta_path.insert(0, Recorder())\n"
+            "import depolqfi.oracle\n"
+            "print(json.dumps(seen))\n"
+        )
+        seen = self._run(script)
+        assert "numpy" in seen
+        for module in ("depolqfi.correlated", "depolqfi.arrays"):
+            assert seen.index(module) < seen.index("numpy"), seen
 
     def test_only_array_commands_load_numpy(self):
-        # whether numpy and depolqfi.oracle are loaded after the import and
-        # after each command in turn; every eval, a figure preset, a small
-        # sweep and a single-qubit sweep of any size compute their points
-        # with math. A correlated sweep whose work is above PLAIN_WORK comes
-        # last and must load numpy, so this cannot pass vacuously, but not
-        # the dense oracle, which only verify uses
+        # whether numpy, depolqfi.arrays and depolqfi.oracle are loaded after
+        # the import and after each command in turn; every eval, a figure
+        # preset, a small sweep and a single-qubit sweep of any size compute
+        # their points with math. A correlated sweep whose work is above
+        # PLAIN_WORK comes last and must load numpy and the numpy kernel, so
+        # this cannot pass vacuously, but not the dense oracle, which only
+        # verify uses
         script = (
             "import contextlib, io, json, math, sys\n"
             "import depolqfi.cli\n"
             "from depolqfi.evaluate import PLAIN_WORK, _point_work\n"
             "def loaded():\n"
-            "    return [m in sys.modules for m in ('numpy', 'depolqfi.oracle')]\n"
+            "    return [m in sys.modules\n"
+            "            for m in ('numpy', 'depolqfi.arrays', 'depolqfi.oracle')]\n"
             "point = ['--n', '4', '--m', '3', '--r', '0.5', '--lambda', '0.8']\n"
             "# count x count points at (60, 30) hold more work than PLAIN_WORK\n"
             "count = math.isqrt(PLAIN_WORK // _point_work('correlated', 60, 30)) + 1\n"
@@ -923,7 +947,7 @@ class TestStartupImports:
             "    steps.append(loaded())\n"
             "print(json.dumps(steps))\n"
         )
-        assert self._run(script) == [[False, False]] * 18 + [[True, False]]
+        assert self._run(script) == [[False] * 3] * 18 + [[True, True, False]]
 
     def test_only_json_output_loads_json(self):
         # whether json is loaded after the import and after each command in

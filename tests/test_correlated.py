@@ -6,15 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from depolqfi.correlated import (
-    CHUNK_ELEMENTS,
-    MAX_CLOSED_FORM_N,
-    _blocks,
-    _powers,
-    array_qfi,
-    correlated_qfi,
-    grid_qfi,
-)
+from depolqfi.arrays import CHUNK_ELEMENTS, _blocks, _powers, array_qfi
+from depolqfi.correlated import MAX_CLOSED_FORM_N, correlated_qfi, grid_qfi
 from depolqfi.errors import CapacityError, DomainError
 from depolqfi.protocols import ProtocolParams, sqsc_qfi
 from paper_formulas import final_state
